@@ -5,8 +5,9 @@ models approach their target connection, how the two frameworks'
 transmission probabilities track each other across kinetic energy, and the
 closed-form high-energy limits.  Matrix error is the Chebyshev norm (max
 componentwise modulus) so sweep values compare directly with per-entry
-tolerances.  Rows are independent pure computations; sweeps may run in
-parallel as long as output stays ordered by the sweep variable.
+tolerances.  A convergence sweep validates its inputs once and evaluates
+its model in one kernel call over the whole array of spacings, the same
+kernel the scalar transfer-matrix functions are the 0-d case of.
 """
 
 from __future__ import annotations
@@ -49,8 +50,20 @@ class SweepRow:
             raise ValueError("sweep value must be finite")
 
 
-def _chebyshev(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
+def _spacings(a_list: Iterable[float]) -> np.ndarray:
+    """The sweep's spacings as floats, largest first; each must be positive and finite."""
+    a = np.array([float(a) for a in a_list], dtype=float)
+    if not np.all((a > 0.0) & (a < math.inf)):
+        raise ValueError("spacings must be positive and finite")
+    return np.sort(a)[::-1]
+
+
+def _sweep_rows(
+    a: np.ndarray, stack: np.ndarray, target: np.ndarray, label: str
+) -> list[SweepRow]:
+    """One row per spacing: the Chebyshev distance of each matrix from target."""
+    errors = np.max(np.abs(stack - target), axis=(1, 2))
+    return [SweepRow(x, err, label) for x, err in zip(a.tolist(), errors.tolist())]
 
 
 def nonrel_convergence(
@@ -61,26 +74,25 @@ def nonrel_convergence(
     One row per half-spacing, largest spacing first.  Propagates
     SingularRenormalization for beta = 0 targets with alpha + delta = -2.
     """
-    target = as_matrix(p)
-    rows = []
-    for a in sorted(float(a) for a in a_list)[::-1]:
-        cfg = schrodinger.renormalized_strengths(p, a, m)
-        med = NonRelMedium(m=m, k=k, A=cfg.A)
-        err = _chebyshev(schrodinger.three_delta_transfer(cfg, med), target)
-        rows.append(SweepRow(a, err, "schrodinger"))
-    return rows
+    a = _spacings(a_list)
+    if a.size == 0:
+        return []
+    # Checks in the scalar route's order: mass, scheme, then the medium.
+    strengths = schrodinger._strengths(p, a, m)
+    schrodinger._require_medium(m, k)
+    stack = schrodinger._three_delta(a, m, k, *strengths)
+    return _sweep_rows(a, stack, as_matrix(p), "schrodinger")
 
 
 def dirac_convergence(
     b: BarrierParams, E: float, m: float, a_list: Iterable[float]
 ) -> list[SweepRow]:
     """Chebyshev error of the finite step barrier against its zero-width limit."""
-    target = dirac.barrier_limit(b)
-    rows = []
-    for a in sorted(float(a) for a in a_list)[::-1]:
-        err = _chebyshev(dirac.finite_barrier_transfer(b, a, E, m), target)
-        rows.append(SweepRow(a, err, "dirac"))
-    return rows
+    a = _spacings(a_list)
+    if a.size == 0:
+        return []
+    dirac._require_exterior(m, E)
+    return _sweep_rows(a, dirac._barrier(b, a, E, m), dirac.barrier_limit(b), "dirac")
 
 
 def correspondence_table(

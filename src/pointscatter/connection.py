@@ -166,6 +166,16 @@ def as_matrix(p: ConnectionParams) -> TransferMatrix:
     return phase * np.array([[p.alpha, p.beta], [p.gamma, p.delta]], dtype=complex)
 
 
+def _from_entries(m00, m01, m10, m11) -> np.ndarray:
+    """Complex 2x2 matrices [[m00, m01], [m10, m11]] over the entries' broadcast shape."""
+    out = np.empty(np.broadcast(m00, m01, m10, m11).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = m00
+    out[..., 0, 1] = m01
+    out[..., 1, 0] = m10
+    out[..., 1, 1] = m11
+    return out
+
+
 def delta_connection(v: float) -> TransferMatrix:
     """Connection of a delta potential of strength v: [[1, 0], [v, 1]].
 

@@ -12,14 +12,13 @@ connection, so both arise from one zero-range scalar/vector pair.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .connection import ConnectionParams, ModePair, TransferMatrix
+from .connection import ConnectionParams, ModePair, TransferMatrix, _from_entries
 
 __all__ = [
     "DiracMedium",
@@ -37,6 +36,19 @@ __all__ = [
 
 class DegenerateModes(ValueError):
     """No propagating free modes: E - m is zero or negative."""
+
+
+def _require_exterior(m: float, E: float) -> None:
+    """Reject a mass that is not positive or an energy with |E| <= m (NaN included)."""
+    if not m > 0.0:
+        raise ValueError("mass must be positive")
+    if not E * E > m * m:
+        raise ValueError("|E| must exceed m (propagating exterior modes)")
+
+
+def _coefficients(m, E, S, V):
+    """Spinor coupling coefficients k_plus = m+E+S-V and k_minus = E-m-S-V."""
+    return m + E + S - V, E - m - S - V
 
 
 @dataclass(frozen=True)
@@ -57,18 +69,15 @@ class DiracMedium:
     def __post_init__(self) -> None:
         for name in ("m", "E", "S", "V", "A"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.m > 0.0:
-            raise ValueError("mass must be positive")
-        if not self.E * self.E > self.m * self.m:
-            raise ValueError("|E| must exceed m (propagating exterior modes)")
+        _require_exterior(self.m, self.E)
 
     @property
     def k_plus(self) -> float:
-        return self.m + self.E + self.S - self.V
+        return _coefficients(self.m, self.E, self.S, self.V)[0]
 
     @property
     def k_minus(self) -> float:
-        return self.E - self.m - self.S - self.V
+        return _coefficients(self.m, self.E, self.S, self.V)[1]
 
     @property
     def k(self) -> float:
@@ -115,22 +124,42 @@ class BarrierClass(NamedTuple):
     strength: Optional[float] = None
 
 
-def _kernel(w_plus: float, w_minus: float, x: float) -> np.ndarray:
-    """exp(x [[0, w_plus], [-w_minus, 0]]) in closed form, all sign branches."""
+def _kernel(w_plus, w_minus, x) -> np.ndarray:
+    """exp(x [[0, w_plus], [-w_minus, 0]]) in closed form, entry-wise over arrays.
+
+    The branch is chosen per element by the sign of w_plus*w_minus:
+    cos/sin when positive, cosh/sinh when negative, and the truncated
+    series c = 1, s = x when either coefficient vanishes.  Each branch only
+    sees its own elements' arguments (the others get 0), so a cosh that
+    would overflow where another branch is taken is never evaluated.
+    """
     product = w_plus * w_minus
-    if product > 0.0:
-        w = math.sqrt(product)
-        c = math.cos(w * x)
-        s = math.sin(w * x) / w
-    elif product < 0.0:
-        w = math.sqrt(-product)
-        c = math.cosh(w * x)
-        s = math.sinh(w * x) / w
-    else:
-        # One coefficient vanishes, the exponential series truncates.
-        c = 1.0
-        s = x
-    return np.array([[c, w_plus * s], [-w_minus * s, c]], dtype=complex)
+    trig = product > 0.0
+    hyper = product < 0.0
+    w = np.sqrt(np.abs(product))
+    wx = w * x
+    t = np.where(trig, wx, 0.0)
+    h = np.where(hyper, wx, 0.0)
+    w = np.where(trig | hyper, w, 1.0)
+    c = np.where(trig, np.cos(t), np.where(hyper, np.cosh(h), 1.0))
+    s = np.where(trig, np.sin(t) / w, np.where(hyper, np.sinh(h) / w, x))
+    return _from_entries(c, w_plus * s, -w_minus * s, c)
+
+
+def _propagate(x, k_plus, k_minus, A) -> np.ndarray:
+    """e^{iAx} times the kernel, entry-wise over any broadcast of the arguments."""
+    phase = np.exp(1j * A * x)
+    return np.asarray(phase)[..., None, None] * _kernel(k_plus, k_minus, x)
+
+
+def _barrier(b: BarrierParams, a, E: float, m: float) -> np.ndarray:
+    """Width-2a step barrier carrying strengths b, entry-wise over arrays of a.
+
+    Propagation over x = 2a with S = s/x, V = v/x and A = theta/x.
+    """
+    x = 2.0 * a
+    k_plus, k_minus = _coefficients(m, E, b.s / x, b.v / x)
+    return _propagate(x, k_plus, k_minus, b.theta / x)
 
 
 def propagator(x: float, med: DiracMedium) -> TransferMatrix:
@@ -139,9 +168,11 @@ def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     Oscillatory when k_plus*k_minus > 0, cosh/sinh when it is negative, and
     the linear limit [[1, k_plus x], [-k_minus x, 1]] when either
     coefficient vanishes.  The spatial vector potential only contributes
-    the phase e^{iAx}; the determinant is e^{2iAx} on every branch.
+    the phase e^{iAx}; the determinant is e^{2iAx} on every branch.  The
+    scalar call is the 0-d case of the kernel that dirac convergence
+    sweeps evaluate over a whole array of barrier widths at once.
     """
-    return cmath.exp(1j * med.A * x) * _kernel(med.k_plus, med.k_minus, x)
+    return _propagate(x, med.k_plus, med.k_minus, med.A)
 
 
 def free_mode_vectors(E: float, m: float) -> ModePair:
@@ -177,7 +208,7 @@ def barrier_limit(b: BarrierParams) -> TransferMatrix:
     connection of strength 2s at s = v and the epsilon connection of
     strength 2s at s = -v.
     """
-    return cmath.exp(1j * b.theta) * _kernel(b.p_plus, b.p_minus, 1.0)
+    return _propagate(1.0, b.p_plus, b.p_minus, b.theta)
 
 
 def finite_barrier_transfer(
@@ -190,10 +221,8 @@ def finite_barrier_transfer(
     """
     if a <= 0.0:
         raise ValueError("half-width a must be positive")
-    med = DiracMedium(
-        m=m, E=E, S=b.s / (2.0 * a), V=b.v / (2.0 * a), A=b.theta / (2.0 * a)
-    )
-    return propagator(2.0 * a, med)
+    _require_exterior(m, E)
+    return _barrier(b, a, E, m)
 
 
 def transmission(p: ConnectionParams, E: float, m: float) -> float:

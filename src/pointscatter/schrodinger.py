@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ConnectionParams, ModePair, TransferMatrix, delta_connection
+from .connection import ConnectionParams, ModePair, TransferMatrix, _from_entries
 
 __all__ = [
     "NonRelMedium",
@@ -41,6 +41,14 @@ class SingularRenormalization(ValueError):
     """No renormalization scheme covers beta = 0 with alpha + delta = -2."""
 
 
+def _require_medium(m: float, k: float) -> None:
+    """Reject a mass or wave number that is not positive (NaN included)."""
+    if not m > 0.0:
+        raise ValueError("mass must be positive")
+    if not k > 0.0:
+        raise ValueError("wave number must be positive (scattering states only)")
+
+
 @dataclass(frozen=True)
 class NonRelMedium:
     """Mass, wave number k = sqrt(2mE) with E > 0, and vector potential A."""
@@ -52,10 +60,7 @@ class NonRelMedium:
     def __post_init__(self) -> None:
         for name in ("m", "k", "A"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.m > 0.0:
-            raise ValueError("mass must be positive")
-        if not self.k > 0.0:
-            raise ValueError("wave number must be positive (scattering states only)")
+        _require_medium(self.m, self.k)
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,22 @@ class DeltaTriple:
             raise ValueError("half-spacing a must be positive")
 
 
+def _hop(x, m, k, A):
+    """Phase e^{iAx} and the four entries of the bracket of propagator().
+
+    cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]], entry-wise over
+    any broadcast of the arguments.
+    """
+    c = np.cos(k * x)
+    s = np.sin(k * x) / k
+    # "+ 0.0" turns the -0.0 that s = ±0 leaves off the diagonal into +0.0,
+    # so the identity at x = 0 carries no signed zeros.
+    off_upper = 2.0 * m * s + 0.0
+    off_lower = (A * A - k * k) / (2.0 * m) * s + 0.0
+    entries = (c - 1j * A * s, off_upper, off_lower, c + 1j * A * s)
+    return np.exp(1j * A * x), entries
+
+
 def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     """Transfer matrix over displacement x at constant vector potential.
 
@@ -82,13 +103,8 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     At A = 0 this reduces to the free propagator
     [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
     """
-    m, k, A = med.m, med.k, med.A
-    c = math.cos(k * x)
-    s = math.sin(k * x) / k
-    traceless = np.array(
-        [[-1j * A, 2.0 * m], [(A * A - k * k) / (2.0 * m), 1j * A]], dtype=complex
-    )
-    return cmath.exp(1j * A * x) * (c * np.eye(2, dtype=complex) + s * traceless)
+    phase, entries = _hop(x, med.m, med.k, med.A)
+    return phase * _from_entries(*entries)
 
 
 def mode_vectors(med: NonRelMedium) -> ModePair:
@@ -110,25 +126,48 @@ def mode_vectors(med: NonRelMedium) -> ModePair:
     )
 
 
+def _three_delta(a, m, k, v_plus, v_zero, v_minus, A):
+    """Five-factor product of the three-delta model, entry-wise over arrays of a.
+
+    D(v_plus - edge) H D(v_zero) H D(v_minus + edge) with D(v) = [[1, 0], [v, 1]],
+    H = propagator(a) and edge = iA/2m.  Built right to left, so each delta
+    factor is one row (or column) operation on the running product.  H's
+    entries are computed once for both hops, with their phases pulled out
+    as e^{2iAa}.  Any argument may be an array; the result has the
+    broadcast shape of the arguments plus (2, 2).
+    """
+    phase, (h00, h01, h10, h11) = _hop(a, m, k, A)
+    edge = 1j * A / (2.0 * m)
+    # H D(v_minus + edge): column 0 += (v_minus + edge) * column 1
+    w = v_minus + edge
+    p00, p01, p10, p11 = h00 + h01 * w, h01, h10 + h11 * w, h11
+    # D(v_zero) from the left: row 1 += v_zero * row 0
+    p10, p11 = p10 + v_zero * p00, p11 + v_zero * p01
+    # H from the left
+    p00, p01, p10, p11 = (
+        h00 * p00 + h01 * p10,
+        h00 * p01 + h01 * p11,
+        h10 * p00 + h11 * p10,
+        h10 * p01 + h11 * p11,
+    )
+    # D(v_plus - edge) from the left: row 1 += (v_plus - edge) * row 0
+    w = v_plus - edge
+    product = _from_entries(p00, p01, p10 + w * p00, p11 + w * p01)
+    return np.asarray(phase * phase)[..., None, None] * product
+
+
 def three_delta_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     """Transfer matrix of the three-delta model from x = -a-0 to x = +a+0.
 
     Five factors: delta at -a, propagation over a, delta at 0, propagation
     over a, delta at +a.  The side deltas pick up extra imaginary strengths
-    ∓iA/2m from the vector potential switching on and off at x = ∓a;
-    delta_connection builds those factors with complex strength unchanged.
+    ∓iA/2m from the vector potential switching on and off at x = ∓a.  The
+    scalar call is the 0-d case of the kernel that the convergence sweeps
+    evaluate over a whole array of a at once.
     """
     if med.A != cfg.A:
         raise ValueError("medium vector potential must equal the triple's A")
-    hop = propagator(cfg.a, med)
-    edge = 1j * cfg.A / (2.0 * med.m)
-    return (
-        delta_connection(cfg.v_plus - edge)
-        @ hop
-        @ delta_connection(cfg.v_zero)
-        @ hop
-        @ delta_connection(cfg.v_minus + edge)
-    )
+    return _three_delta(cfg.a, med.m, med.k, cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.A)
 
 
 def closed_form_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
@@ -158,6 +197,31 @@ def closed_form_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     return cmath.exp(2j * cfg.A * a) * real_part
 
 
+def _strengths(p: ConnectionParams, a, m: float):
+    """(v_plus, v_zero, v_minus, A) of renormalized_strengths(), entry-wise over a.
+
+    Raises ValueError for m <= 0 and SingularRenormalization for beta = 0
+    with alpha + delta = -2.
+    """
+    if m <= 0.0:
+        raise ValueError("mass must be positive")
+    if p.beta != 0.0:
+        v_plus = -1.0 / (2.0 * m * a) + (p.delta + 1.0) / p.beta
+        v_minus = -1.0 / (2.0 * m * a) + (p.alpha + 1.0) / p.beta
+        v_zero = p.beta / (4.0 * m * m * a * a)
+    else:
+        denom = p.alpha + p.delta + 2.0
+        if denom == 0.0:
+            raise SingularRenormalization(
+                "beta = 0 with alpha + delta = -2: "
+                "the beta-zero scheme divides by alpha + delta + 2"
+            )
+        v_plus = (p.delta - 1.0) / (4.0 * m * a)
+        v_minus = (p.alpha - 1.0) / (4.0 * m * a)
+        v_zero = 4.0 * p.gamma / denom
+    return v_plus, v_zero, v_minus, p.theta / (2.0 * a)
+
+
 def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTriple:
     """a-dependent strengths steering the three-delta model to connection p.
 
@@ -179,23 +243,8 @@ def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTrip
     """
     if a <= 0.0:
         raise ValueError("half-spacing a must be positive")
-    if m <= 0.0:
-        raise ValueError("mass must be positive")
-    if p.beta != 0.0:
-        v_plus = -1.0 / (2.0 * m * a) + (p.delta + 1.0) / p.beta
-        v_minus = -1.0 / (2.0 * m * a) + (p.alpha + 1.0) / p.beta
-        v_zero = p.beta / (4.0 * m * m * a * a)
-    else:
-        denom = p.alpha + p.delta + 2.0
-        if denom == 0.0:
-            raise SingularRenormalization(
-                "beta = 0 with alpha + delta = -2: "
-                "the beta-zero scheme divides by alpha + delta + 2"
-            )
-        v_plus = (p.delta - 1.0) / (4.0 * m * a)
-        v_minus = (p.alpha - 1.0) / (4.0 * m * a)
-        v_zero = 4.0 * p.gamma / denom
-    return DeltaTriple(v_plus, v_zero, v_minus, a, p.theta / (2.0 * a))
+    v_plus, v_zero, v_minus, A = _strengths(p, a, m)
+    return DeltaTriple(v_plus, v_zero, v_minus, a, A)
 
 
 def transmission(p: ConnectionParams, med: NonRelMedium) -> float:

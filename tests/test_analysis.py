@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_connection
-from pointscatter import analysis, connection, dirac
+from conftest import EPS, five_factor_scale, random_connection
+from pointscatter import analysis, connection, dirac, schrodinger
 from pointscatter.analysis import (
     SweepRow,
     correspondence_table,
@@ -17,7 +17,7 @@ from pointscatter.analysis import (
 )
 from pointscatter.connection import ConnectionParams
 from pointscatter.dirac import BarrierParams
-from pointscatter.schrodinger import SingularRenormalization
+from pointscatter.schrodinger import NonRelMedium, SingularRenormalization
 
 
 class TestSweepRow:
@@ -80,6 +80,104 @@ class TestDiracConvergence:
         rows = dirac_convergence(BarrierParams(*svt), 2.0, 1.0, [1e-2, 1e-3, 1e-4])
         values = [r.value for r in rows]
         assert values[0] > values[1] > values[2]
+
+
+# Both renormalization schemes, with and without a phase; beta = 1e-3 drives
+# v0 = beta/4m^2a^2 and with it the modulus product far above 1.
+SWEEP_CONNECTIONS = [
+    (2.0, 1.0, 1.0, 1.0, 0.0),
+    (2.0, 1.0, 1.0, 1.0, 0.3),
+    (0.5, 1e-3, -1000.0, 0.0, -2.5),
+    (2.0, 0.0, 1.3, 0.5, 0.0),
+    (-0.4, 0.0, 0.7, -2.5, 1.9),
+]
+# Trig (s^2 < v^2), hyperbolic, s = v, s = -v, and at E = 2, m = 1 a barrier
+# with s + v = 0.8 > 0: its k_minus = 1 - (s+v)/2a changes sign at a = 0.4,
+# so the sweep crosses from the trig branch (large a) to the hyperbolic one.
+# At a = 1e3 every barrier is on the trig branch with w x in the thousands,
+# where a cosh evaluated for the unselected branch would overflow.
+SWEEP_BARRIERS = [
+    (0.3, 1.0, 0.0),
+    (1.5, 0.4, 0.7),
+    (1.0, 1.0, 0.0),
+    (0.8, -0.8, 0.0),
+    (0.6, 0.2, -1.1),
+]
+SWEEP_A = np.concatenate([[1e3], np.geomspace(10.0, 1e-7, 27), [0.4, 0.3999, 0.4001]])
+
+
+@pytest.mark.filterwarnings("error")
+class TestSweepMatchesScalarRoute:
+    """Each sweep row against the scalar public functions at the same a.
+
+    Both evaluations are within 64 eps times the modulus scale of their
+    matrix of the exact product, so their Chebyshev errors may differ by at
+    most twice that.  The scale is the factors' modulus product for the
+    three-delta model and (1 + |w x|) max|M| for the barrier, whose entries
+    are cos/cosh/sin/sinh of w x.
+    """
+
+    @pytest.mark.parametrize("conn", SWEEP_CONNECTIONS)
+    @pytest.mark.parametrize("m, k", [(1.0, 1.0), (0.4, 3.0)])
+    def test_nonrel_rows(self, conn, m, k):
+        p = ConnectionParams(*conn)
+        a_list = SWEEP_A[SWEEP_A < 0.2]
+        rows = nonrel_convergence(p, m, k, a_list)
+        assert [r.x for r in rows] == sorted(a_list.tolist(), reverse=True)
+        for row in rows:
+            cfg = schrodinger.renormalized_strengths(p, row.x, m)
+            M = schrodinger.three_delta_transfer(cfg, NonRelMedium(m, k, cfg.A))
+            scalar_err = float(np.max(np.abs(M - connection.as_matrix(p))))
+            scale = five_factor_scale(cfg.v_plus, cfg.v_zero, cfg.v_minus, row.x, cfg.A, m, k)
+            assert abs(row.value - scalar_err) <= 2 * 64 * EPS * scale
+
+    @pytest.mark.parametrize("svt", SWEEP_BARRIERS)
+    @pytest.mark.parametrize("E, m", [(2.0, 1.0), (-3.0, 0.5)])
+    def test_dirac_rows(self, svt, E, m):
+        b = BarrierParams(*svt)
+        rows = dirac_convergence(b, E, m, SWEEP_A)
+        assert [r.x for r in rows] == sorted(SWEEP_A.tolist(), reverse=True)
+        target = dirac.barrier_limit(b)
+        for row in rows:
+            M = dirac.finite_barrier_transfer(b, row.x, E, m)
+            scalar_err = float(np.max(np.abs(M - target)))
+            med = dirac.DiracMedium(m, E, b.s / (2 * row.x), b.v / (2 * row.x))
+            wx = med.k * 2 * row.x
+            scale = (1.0 + wx) * float(np.max(np.abs(M)))
+            assert abs(row.value - scalar_err) <= 2 * 64 * EPS * scale
+
+    def test_crossing_sweep_covers_both_branches(self):
+        b = BarrierParams(*SWEEP_BARRIERS[-1])
+        signs = set()
+        for a in SWEEP_A:
+            med = dirac.DiracMedium(1.0, 2.0, b.s / (2 * a), b.v / (2 * a))
+            signs.add(np.sign(med.k_plus * med.k_minus))
+        assert {1.0, -1.0} <= signs
+
+
+@pytest.mark.filterwarnings("error")
+class TestSweepInputContract:
+    """Bad spacings are rejected before any evaluation, without a warning."""
+
+    SWEEPS = {
+        "nonrel": lambda a_list: nonrel_convergence(
+            ConnectionParams(2, 1, 1, 1, 0.3), 1.0, 1.0, a_list
+        ),
+        "dirac": lambda a_list: dirac_convergence(BarrierParams(1.0, 0.5, 0.2), 2.0, 1.0, a_list),
+    }
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_empty_sweep_has_no_rows(self, sweep):
+        assert self.SWEEPS[sweep]([]) == []
+
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    @pytest.mark.parametrize(
+        "a_list", [[math.nan], [math.inf], [0.0], [-1e-3], [1e-3, math.nan]],
+        ids=["nan", "inf", "zero", "negative", "trailing-nan"],
+    )
+    def test_rejects_bad_spacing(self, sweep, a_list):
+        with pytest.raises(ValueError):
+            self.SWEEPS[sweep](a_list)
 
 
 class TestCorrespondenceTable:

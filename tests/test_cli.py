@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import EPS, five_factor_scale
 from pointscatter import dirac, schrodinger
 from pointscatter.cli import main
 from pointscatter.connection import ConnectionParams
@@ -274,3 +275,97 @@ class TestOutputFile:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+# Output of the README's command-line examples, recorded before the
+# convergence sweeps were batched.  transmission, compare, classify and
+# propagate must reproduce it byte for byte.
+DOCUMENTED_EXAMPLES = {
+    "transmission": (
+        ["transmission", "--framework", "schrodinger", *DELTA_FLAGS, "--mass", "1",
+         "--sweep-start", "0.5", "--sweep-stop", "8", "--sweep-count", "16"],
+    "x,T2,R2\n"
+    "0.5,0.20000000000000001,0.80000000000000004\n"
+    "1,0.5,0.5\n"
+    "1.5,0.69230769230769229,0.30769230769230771\n"
+    "2,0.80000000000000004,0.19999999999999996\n"
+    "2.5,0.86206896551724144,0.13793103448275856\n"
+    "3,0.89999999999999991,0.10000000000000009\n"
+    "3.5,0.92452830188679236,0.075471698113207641\n"
+    "4,0.94117647058823528,0.058823529411764719\n"
+    "4.5,0.95294117647058829,0.047058823529411709\n"
+    "5,0.96153846153846145,0.038461538461538547\n"
+    "5.5,0.96800000000000008,0.031999999999999917\n"
+    "6,0.97297297297297303,0.027027027027026973\n"
+    "6.5,0.97687861271676313,0.023121387283236872\n"
+    "7,0.97999999999999998,0.020000000000000018\n"
+    "7.5,0.98253275109170313,0.017467248908296873\n"
+    "8,0.98461538461538467,0.01538461538461533\n"
+    ),
+    "compare": (
+        ["compare", *DELTA_FLAGS, "--mass", "1",
+         "--sweep-start", "1e-6", "--sweep-stop", "1e6", "--sweep-count", "13", "--spacing", "log"],
+    "kinetic,T2_schrodinger,T2_dirac,diff\n"
+    "9.9999999999999995e-07,1.999996000008e-06,1.9999949998479673e-06,1.0001600327151855e-12\n"
+    "9.9999999999999974e-06,1.9999600007999834e-05,1.9999500012630705e-05,9.9995369128795097e-11\n"
+    "9.9999999999999964e-05,0.0001999600079984002,0.00019995001249685379,9.9955015464103618e-09\n"
+    "0.00099999999999999937,0.0019960079840319347,0.001995012468827711,9.9551520422362996e-07\n"
+    "0.0099999999999999915,0.019607843137254884,0.019512195121951237,9.5648015303647499e-05\n"
+    "0.099999999999999908,0.16666666666666657,0.15999999999999984,0.0066666666666667374\n"
+    "0.99999999999999889,0.66666666666666652,0.57142857142857117,0.095238095238095344\n"
+    "9.9999999999999858,0.95238095238095233,0.76923076923076916,0.18315018315018317\n"
+    "99.999999999999844,0.99502487562189046,0.79681274900398413,0.19821212661790633\n"
+    "999.99999999999841,0.99950024987506247,0.79968012794882048,0.19982012192624199\n"
+    "9999.9999999999818,0.99995000249987487,0.79996800127994883,0.19998200121992604\n"
+    "99999.999999999796,0.99999500002499986,0.79999680001279994,0.19999820001219992\n"
+    "1000000,0.99999950000024995,0.799999680000128,0.19999982000012195\n"
+    ),
+    "classify": (["classify", "--s", "1", "--v", "1"], "delta strength=2\n"),
+    "propagate": (
+        ["propagate", "--framework", "dirac", "--x", "0.5", "--mass", "1",
+         "--energy", "2", "--scalar", "0.4", "--vector", "0.1", "--avec", "0.2"],
+    "re11,im11,re12,im12,re21,im21,re22,im22\n"
+    "0.7967426931530629,0.079940916853991309,1.5311913142594709,0.15363157841631406,-0.23199868397870771,-0.023277511881259708,0.7967426931530629,0.079940916853991309\n"
+    ),
+}
+
+CONVERGE_EXAMPLE = [
+    "converge", "--framework", "schrodinger",
+    "--alpha", "2", "--beta", "1", "--gamma", "1", "--delta", "1", "--theta", "0.3",
+    "--mass", "1", "--k", "1", "--sweep-start", "1e-2", "--sweep-stop", "1e-4", "--sweep-count", "5",
+]
+CONVERGE_RECORDED = (
+    "a,err\n"
+    "0.01,0.23445382292267244\n"
+    "0.0031622776601683794,0.074259974964709818\n"
+    "0.001,0.023494678802411822\n"
+    "0.00031622776601683799,0.0074308214507671933\n"
+    "0.0001,0.0023499469266509325\n"
+)
+
+
+class TestDocumentedExamples:
+    @pytest.mark.parametrize("name", sorted(DOCUMENTED_EXAMPLES))
+    def test_bytes_unchanged(self, capsys, name):
+        argv, want = DOCUMENTED_EXAMPLES[name]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == want
+
+    def test_converge_rows_within_rounding(self, capsys):
+        # The error column is a difference of O(1) entries of a product whose
+        # factors reach 1/a^2; evaluating it in another order moves its last
+        # digits.  Two evaluations may differ by twice the rounding bound of
+        # the product, 64 eps times the factors' modulus product.
+        code, out, _ = run_cli(capsys, CONVERGE_EXAMPLE)
+        assert code == 0
+        got = [line.split(",") for line in out.splitlines()]
+        want = [line.split(",") for line in CONVERGE_RECORDED.splitlines()]
+        assert got[0] == want[0] == ["a", "err"]
+        assert [row[0] for row in got] == [row[0] for row in want]
+        p = ConnectionParams(2, 1, 1, 1, 0.3)
+        for (a_str, err_str), (_, recorded) in zip(got[1:], want[1:]):
+            a = float(a_str)
+            cfg = schrodinger.renormalized_strengths(p, a, 1.0)
+            scale = five_factor_scale(cfg.v_plus, cfg.v_zero, cfg.v_minus, a, cfg.A, 1.0, 1.0)
+            assert abs(float(err_str) - float(recorded)) <= 2 * 64 * EPS * scale
