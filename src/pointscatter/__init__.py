@@ -6,9 +6,9 @@ realisations in the Schrodinger framework (three renormalized deltas) and
 the Dirac framework (a single step barrier), and plane-wave scattering in
 both.  Natural units, hbar = c = 1.
 
-Framework-specific operations live in the schrodinger and dirac submodules
-(each has its own propagator and transmission); sweep drivers are in
-analysis and the CSV command line in cli.
+Both frameworks share one scattering core in connection and differ only in
+rho; their propagators and short-range models live in the schrodinger and
+dirac submodules, the sweeps in analysis and the CSV command line in cli.
 """
 
 from . import analysis, dirac, schrodinger

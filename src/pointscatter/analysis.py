@@ -19,9 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import dirac, schrodinger
-from .connection import ConnectionParams, as_matrix
+from .connection import ConnectionParams, as_matrix, transmission
 from .dirac import BarrierParams
-from .schrodinger import NonRelMedium
 
 __all__ = [
     "SweepRow",
@@ -102,14 +101,16 @@ def correspondence_table(
 
     For each kinetic energy eps (ascending) three rows are emitted,
     labelled T2_schrodinger (at k = sqrt(2 m eps)), T2_dirac (at
-    E = m + eps) and diff (their absolute difference).
+    E = m + eps) and diff (their absolute difference).  Only rho^2
+    differs: eps/2m against eps/(2m + eps).
     """
     rows = []
     for eps in sorted(float(e) for e in kinetic_list):
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ValueError("kinetic energies must be positive")
-        t_s = schrodinger.transmission(p, NonRelMedium(m=m, k=math.sqrt(2.0 * m * eps)))
-        t_d = dirac.transmission(p, m + eps, m)
+        t_d = transmission(p, dirac.rho2(m + eps, m))
+        rho = schrodinger.rho(m, math.sqrt(2.0 * m * eps))
+        t_s = transmission(p, rho * rho)
         rows.append(SweepRow(eps, t_s, "T2_schrodinger"))
         rows.append(SweepRow(eps, t_d, "T2_dirac"))
         rows.append(SweepRow(eps, abs(t_s - t_d), "diff"))
@@ -119,18 +120,12 @@ def correspondence_table(
 def high_energy_asymptote(p: ConnectionParams) -> tuple[float, float]:
     """Transmission limits of both frameworks as the energy grows unboundedly.
 
-    Non-relativistic: 0 whenever beta != 0 (perfect reflection); for
-    beta = 0 the limit is 4/(alpha^2 + delta^2 + 2), which is 1 exactly for
-    the plain delta potential and extends the textbook statement to
-    alpha != delta.  Dirac: 4/(alpha^2 + delta^2 + 2 + beta^2 + gamma^2),
-    equal to 1 for the pure-vector barrier family (alpha = delta = cos v,
-    gamma = -beta = sin v).  beta is compared against zero exactly, as in
-    renormalized_strengths.
+    connection.transmission at rho^2 = inf (Schrodinger) and rho^2 = 1
+    (Dirac).  The first is 0 whenever beta != 0 (perfect reflection) and 1
+    for the plain delta potential; the second is 1 for the pure-vector
+    barrier family (alpha = delta = cos v, gamma = -beta = sin v).
     """
-    base = p.alpha * p.alpha + p.delta * p.delta + 2.0
-    nonrel = 4.0 / base if p.beta == 0.0 else 0.0
-    rel = 4.0 / (base + p.beta * p.beta + p.gamma * p.gamma)
-    return nonrel, rel
+    return transmission(p, math.inf), transmission(p, 1.0)
 
 
 def loglog_slope(rows: Sequence[SweepRow]) -> float:

@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import analysis, dirac, schrodinger
-from .connection import ConnectionParams
+from .connection import ConnectionParams, transmission
 from .dirac import BarrierParams, DiracMedium
 from .schrodinger import NonRelMedium, SingularRenormalization
 
@@ -66,7 +66,7 @@ def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> 
 
 
 def _positive_mass(args: argparse.Namespace) -> float:
-    if args.mass <= 0.0:
+    if not args.mass > 0.0:
         raise ParameterError("--mass must be positive")
     return args.mass
 
@@ -96,11 +96,12 @@ def cmd_transmission(args: argparse.Namespace) -> list[str]:
         if args.framework == "schrodinger":
             if x <= 0.0:
                 raise ParameterError("wave-number sweep must stay positive")
-            t2 = schrodinger.transmission(p, NonRelMedium(m=mass, k=x))
+            rho = schrodinger.rho(mass, x)
+            t2 = transmission(p, rho * rho)
         else:
-            if x <= mass:
-                raise ParameterError("energy sweep must stay above the mass")
-            t2 = dirac.transmission(p, x, mass)
+            if not mass < x < math.inf:
+                raise ParameterError("energy sweep must stay finite and above the mass")
+            t2 = transmission(p, dirac.rho2(x, mass))
         lines.append(f"{_fmt(x)},{_fmt(t2)},{_fmt(1.0 - t2)}")
     return lines
 

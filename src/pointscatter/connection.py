@@ -7,6 +7,8 @@ j = psi† sigma2 psi forces V = e^{i*theta} U with U real and det U = 1,
 so the whole family is four real parameters plus one phase.  This module
 owns that parametrisation, the delta/epsilon special cases, the current
 conservation test, and plane-wave scattering off a single connection.
+Both frameworks share one scattering core, modes(rho) and
+transmission(p, rho2); only rho differs between them.
 
 All operations are pure functions of immutable values and are safe to use
 concurrently.  Natural units (hbar = c = 1) throughout the package.
@@ -33,7 +35,9 @@ __all__ = [
     "decompose",
     "delta_connection",
     "epsilon_connection",
+    "modes",
     "scatter",
+    "transmission",
     "wrap_angle",
 ]
 
@@ -123,7 +127,7 @@ class ModePair:
         )
         for label, dual, mode, want in projections:
             got = complex(np.vdot(dual, mode))
-            if abs(got - want) > _BIORTHO_TOL:
+            if not abs(got - want) <= _BIORTHO_TOL:
                 raise ValueError(f"modes not bi-orthogonal: {label} = {got!r}")
 
 
@@ -145,12 +149,12 @@ class ScatteringResult:
             (self.t_prob, self.t_amp, "t"),
             (self.r_prob, self.r_amp, "r"),
         ):
-            if abs(prob - abs(amp) ** 2) > 1e-12:
+            if not abs(prob - abs(amp) ** 2) <= 1e-12:
                 raise ValueError(f"{name}_prob must equal |{name}_amp|^2")
-            if prob < 0.0 or prob > 1.0 + _UNITARITY_TOL:
+            if not 0.0 <= prob <= 1.0 + _UNITARITY_TOL:
                 raise ValueError(f"{name}_prob outside [0, 1]: {prob!r}")
         total = self.t_prob + self.r_prob
-        if abs(total - 1.0) > _UNITARITY_TOL:
+        if not abs(total - 1.0) <= _UNITARITY_TOL:
             raise ValueError(f"non-unitary amplitudes: |T|^2 + |R|^2 = {total!r}")
 
     @classmethod
@@ -243,11 +247,42 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
     return ConnectionParams(u[0, 0], u[0, 1], u[1, 0], u[1, 1], wrap_angle(phase))
 
 
+def modes(rho: float) -> ModePair:
+    """Free modes u± = (1, ±i*rho)/sqrt2 and duals v± = (1, ±i/rho)/sqrt2, rho > 0."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    rt2 = math.sqrt(2.0)
+    return ModePair(
+        u_plus=np.array([1.0, 1j * rho]) / rt2,
+        u_minus=np.array([1.0, -1j * rho]) / rt2,
+        v_plus=np.array([1.0, 1j / rho]) / rt2,
+        v_minus=np.array([1.0, -1j / rho]) / rt2,
+    )
+
+
+def transmission(p: ConnectionParams, rho2: float) -> float:
+    """Transmission probability 4 / [alpha^2 + delta^2 + 2 + beta^2 rho2 + gamma^2/rho2].
+
+    Between the modes of rho = sqrt(rho2), independent of theta, in [0, 1].
+    At rho2 = 0 and inf it is the limit: 0 if the diverging term is present.
+    """
+    if not rho2 >= 0.0:
+        raise ValueError(f"rho2 must be non-negative, got {rho2!r}")
+    if (p.beta != 0.0 and rho2 == math.inf) or (p.gamma != 0.0 and rho2 == 0.0):
+        return 0.0
+    bracket = p.alpha * p.alpha + p.delta * p.delta + 2.0
+    if p.beta != 0.0:
+        bracket += p.beta * p.beta * rho2
+    if p.gamma != 0.0:
+        bracket += p.gamma * p.gamma / rho2
+    return min(1.0, 4.0 / bracket)
+
+
 def _inverse(M: np.ndarray) -> np.ndarray:
     # Explicit 2x2 adjugate over determinant; exact formula, no factorization.
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det == 0:
-        raise ValueError("matrix is singular")
+    if det == 0 or not cmath.isfinite(det):
+        raise ValueError("matrix is singular or not finite")
     return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex) / det
 
 

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix, _from_entries
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "BarrierClass",
     "DegenerateModes",
     "propagator",
+    "rho2",
     "free_mode_vectors",
     "barrier_limit",
     "finite_barrier_transfer",
@@ -35,7 +37,7 @@ __all__ = [
 
 
 class DegenerateModes(ValueError):
-    """No propagating free modes: E - m is zero or negative."""
+    """No propagating free modes: E is not finite and above the mass."""
 
 
 def _require_exterior(m: float, E: float) -> None:
@@ -175,28 +177,25 @@ def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     return _propagate(x, med.k_plus, med.k_minus, med.A)
 
 
-def free_mode_vectors(E: float, m: float) -> ModePair:
-    """Bi-orthogonal plane-wave spinor modes at energy E > m.
+def rho2(E: float, m: float) -> float:
+    """The rho^2 = (E-m)/(E+m) of connection.modes and connection.transmission.
 
-    u± = (1, ±i(E-m)/k)/sqrt2 and duals v± = (1, ±i(E+m)/k)/sqrt2 with
-    k = sqrt(E^2 - m^2).  For E - m << m these approach the
-    non-relativistic modes: the lower spinor component degenerates into the
-    scaled derivative of the upper one.
+    Raises ValueError unless 0 < m < E < inf (DegenerateModes for E).
     """
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError("mass must be positive")
-    if E - m < 1e-300:
-        raise DegenerateModes("E - m vanishes: no propagating modes")
-    k_plus = E + m
-    k_minus = E - m
-    k = math.sqrt(k_plus * k_minus)
-    rt2 = math.sqrt(2.0)
-    return ModePair(
-        u_plus=np.array([1.0, 1j * k_minus / k]) / rt2,
-        u_minus=np.array([1.0, -1j * k_minus / k]) / rt2,
-        v_plus=np.array([1.0, 1j * k_plus / k]) / rt2,
-        v_minus=np.array([1.0, -1j * k_plus / k]) / rt2,
-    )
+    if not m < E < math.inf:
+        raise DegenerateModes("energy must be finite and exceed the mass")
+    return (E - m) / (E + m)
+
+
+def free_mode_vectors(E: float, m: float) -> ModePair:
+    """Plane-wave spinor modes connection.modes(sqrt(rho2(E, m))) at energy E > m.
+
+    As E - m -> 0, rho tends to the non-relativistic k/2m at the same
+    kinetic energy (the low-energy correspondence).
+    """
+    return connection.modes(math.sqrt(rho2(E, m)))
 
 
 def barrier_limit(b: BarrierParams) -> TransferMatrix:
@@ -230,24 +229,8 @@ def finite_barrier_transfer(
 
 
 def transmission(p: ConnectionParams, E: float, m: float) -> float:
-    """Transmission probability through connection p at energy E > m.
-
-    4 / [alpha^2 + delta^2 + 2 + beta^2 (E-m)/(E+m) + gamma^2 (E+m)/(E-m)],
-    independent of theta.  Always in [0, 1].
-    """
-    if m <= 0.0:
-        raise ValueError("mass must be positive")
-    if E <= m:
-        raise ValueError("energy must exceed the mass")
-    ratio = (E - m) / (E + m)
-    bracket = (
-        p.alpha * p.alpha
-        + p.delta * p.delta
-        + 2.0
-        + p.beta * p.beta * ratio
-        + p.gamma * p.gamma / ratio
-    )
-    return min(1.0, 4.0 / bracket)
+    """connection.transmission through p at rho^2 = (E-m)/(E+m), independent of theta."""
+    return connection.transmission(p, rho2(E, m))
 
 
 def classify(b: BarrierParams) -> BarrierClass:

@@ -5,8 +5,8 @@ provides the free plane-wave modes, and builds the three-delta short-range
 model of a general point interaction: deltas of strengths v_minus, v_zero,
 v_plus at x = -a, 0, +a with a constant vector potential A in between.
 renormalized_strengths() makes the strengths a-dependent so the model
-converges to a prescribed connection as a -> 0; transmission() is the
-closed-form transmission probability through any connection.
+converges to a prescribed connection as a -> 0.  Free modes and
+transmission are the shared scattering core of connection at rho = k/2m.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix, _from_entries
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "ModesRequireFreeSpace",
     "SingularRenormalization",
     "propagator",
+    "rho",
     "mode_vectors",
     "three_delta_transfer",
     "closed_form_transfer",
@@ -107,23 +109,19 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     return phase * _from_entries(*entries)
 
 
-def mode_vectors(med: NonRelMedium) -> ModePair:
-    """Bi-orthogonal plane-wave modes of the free propagator.
+def rho(m: float, k: float) -> float:
+    """The mode parameter rho = k/2m of connection.modes and connection.transmission."""
+    return k / (2.0 * m)
 
-    u± = (1, ±ik/2m)/sqrt2 propagate as e^{±ikx}; the duals
-    v± = (1, ±i2m/k)/sqrt2 are the matching eigenvectors of the adjoint.
+
+def mode_vectors(med: NonRelMedium) -> ModePair:
+    """Plane-wave modes connection.modes(rho(m, k)); u± propagate as e^{±ikx}.
+
     Only defined in free space: raises ModesRequireFreeSpace for A != 0.
     """
     if med.A != 0.0:
         raise ModesRequireFreeSpace("plane-wave modes require A = 0")
-    slope = med.k / (2.0 * med.m)
-    rt2 = math.sqrt(2.0)
-    return ModePair(
-        u_plus=np.array([1.0, 1j * slope]) / rt2,
-        u_minus=np.array([1.0, -1j * slope]) / rt2,
-        v_plus=np.array([1.0, 1j / slope]) / rt2,
-        v_minus=np.array([1.0, -1j / slope]) / rt2,
-    )
+    return connection.modes(rho(med.m, med.k))
 
 
 def _three_delta(a, m, k, v_plus, v_zero, v_minus, A):
@@ -200,10 +198,10 @@ def closed_form_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
 def _strengths(p: ConnectionParams, a, m: float):
     """(v_plus, v_zero, v_minus, A) of renormalized_strengths(), entry-wise over a.
 
-    Raises ValueError for m <= 0 and SingularRenormalization for beta = 0
-    with alpha + delta = -2.
+    Raises ValueError for a mass that is not positive (NaN included) and
+    SingularRenormalization for beta = 0 with alpha + delta = -2.
     """
-    if m <= 0.0:
+    if not m > 0.0:
         raise ValueError("mass must be positive")
     if p.beta != 0.0:
         v_plus = -1.0 / (2.0 * m * a) + (p.delta + 1.0) / p.beta
@@ -248,18 +246,6 @@ def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTrip
 
 
 def transmission(p: ConnectionParams, med: NonRelMedium) -> float:
-    """Transmission probability through connection p at wave number med.k.
-
-    4 / [alpha^2 + delta^2 + 2 + beta^2 k^2/4m^2 + gamma^2 4m^2/k^2],
-    independent of theta and of med.A (the incoming and outgoing modes live
-    in free space).  Always in [0, 1].
-    """
-    m, k = med.m, med.k
-    bracket = (
-        p.alpha * p.alpha
-        + p.delta * p.delta
-        + 2.0
-        + p.beta * p.beta * k * k / (4.0 * m * m)
-        + p.gamma * p.gamma * 4.0 * m * m / (k * k)
-    )
-    return min(1.0, 4.0 / bracket)
+    """connection.transmission through p at rho = k/2m; independent of theta and med.A."""
+    r = rho(med.m, med.k)
+    return connection.transmission(p, r * r)

@@ -1,8 +1,14 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
 from pointscatter.connection import ConnectionParams
+
+# CLI subprocesses import the same source tree as the test process.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.getenv("PYTHONPATH")]))
 
 
 def random_connection(rng: np.random.Generator, bound: float = 10.0) -> ConnectionParams:

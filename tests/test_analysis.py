@@ -241,6 +241,17 @@ class TestHighEnergyAsymptote:
         nonrel, rel = high_energy_asymptote(p)
         assert rel == pytest.approx(1.0, abs=1e-12)
 
+    def test_equals_the_closed_form_limits_bit_for_bit(self):
+        rng = np.random.default_rng(109)
+        for i in range(2000):
+            p = random_connection(rng)
+            if i % 2:
+                p = ConnectionParams(p.alpha, 0.0, p.gamma, 1.0 / p.alpha, p.theta)
+            base = p.alpha * p.alpha + p.delta * p.delta + 2.0
+            nonrel = 4.0 / base if p.beta == 0.0 else 0.0
+            rel = 4.0 / (base + p.beta * p.beta + p.gamma * p.gamma)
+            assert high_energy_asymptote(p) == (nonrel, rel)
+
     def test_limits_match_transmission_at_huge_energy(self):
         rng = np.random.default_rng(107)
         for _ in range(50):

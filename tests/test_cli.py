@@ -96,6 +96,30 @@ class TestTransmission:
         assert code == 2
         assert "mass" in err
 
+    def test_nan_mass_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, [
+            "transmission", "--framework", "dirac", *DELTA_FLAGS,
+            "--mass", "nan", "--sweep-start", "1", "--sweep-stop", "2", "--sweep-count", "2",
+        ])
+        assert code == 2
+        assert "mass" in err
+
+    def test_wave_number_whose_square_underflows_exits_0(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "transmission", "--framework", "schrodinger", *DELTA_FLAGS,
+            "--sweep-start", "1e-170", "--sweep-stop", "1", "--sweep-count", "2",
+        ])
+        assert code == 0
+        assert out.splitlines()[1:] == ["9.9999999999999998e-171,0,1", "1,0.5,0.5"]
+
+    def test_dirac_infinite_energy_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, [
+            "transmission", "--framework", "dirac", *DELTA_FLAGS,
+            "--mass", "1", "--sweep-start", "2", "--sweep-stop", "inf", "--sweep-count", "2",
+        ])
+        assert code == 2
+        assert "finite" in err
+
     def test_dirac_energy_below_mass_exits_2(self, capsys):
         code, _, err = run_cli(capsys, [
             "transmission", "--framework", "dirac", *DELTA_FLAGS,

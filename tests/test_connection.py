@@ -18,7 +18,9 @@ from pointscatter.connection import (
     decompose,
     delta_connection,
     epsilon_connection,
+    modes,
     scatter,
+    transmission,
     wrap_angle,
 )
 from pointscatter.schrodinger import NonRelMedium
@@ -158,6 +160,11 @@ class TestModePair:
         with pytest.raises(ValueError, match="2-component"):
             ModePair(v, v, v, v)
 
+    def test_rejects_nan_entry(self):
+        u = np.array([1.0, math.nan])
+        with pytest.raises(ValueError, match="bi-orthogonal"):
+            ModePair(u, u, u, u)
+
 
 class TestScatteringResult:
     def test_rejects_inconsistent_probability(self):
@@ -167,6 +174,10 @@ class TestScatteringResult:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="non-unitary"):
             ScatteringResult.from_amplitudes(0.5, 0.5)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ScatteringResult(math.nan, math.nan, math.nan, math.nan)
 
     def test_from_amplitudes(self):
         res = ScatteringResult.from_amplitudes(0.6, 0.8j)
@@ -232,3 +243,51 @@ class TestScatter:
         M = np.array([[2.0, 0.0], [4.0, 2.0]], dtype=complex)
         with pytest.raises(SingularProjection):
             scatter(M, modes)
+
+    def test_nan_entry_raises(self):
+        modes_at_one = modes(1.0)
+        M = np.array([[1.0, math.nan], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValueError, match="not finite"):
+            scatter(M, modes_at_one)
+
+
+class TestModes:
+    def test_values(self):
+        pair = modes(0.5)
+        rt2 = math.sqrt(2.0)
+        assert np.array_equal(pair.u_plus, np.array([1.0, 0.5j]) / rt2)
+        assert np.array_equal(pair.u_minus, np.array([1.0, -0.5j]) / rt2)
+        assert np.array_equal(pair.v_plus, np.array([1.0, 2.0j]) / rt2)
+        assert np.array_equal(pair.v_minus, np.array([1.0, -2.0j]) / rt2)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_rho_outside_positive_reals(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            modes(rho)
+
+
+class TestTransmission:
+    beta_zero = ConnectionParams(2.0, 0.0, 1.0, 0.5)
+    gamma_zero = ConnectionParams(2.0, 1.0, 0.0, 0.5)
+
+    def test_value(self):
+        # 4 / (1 + 1 + 2 + 1 / 1) for the delta of strength 1 at rho = 1.
+        assert transmission(ConnectionParams(1, 0, 1, 1), 1.0) == pytest.approx(0.8, abs=1e-15)
+
+    def test_rho2_zero_is_the_low_energy_limit(self):
+        assert transmission(self.beta_zero, 0.0) == 0.0
+        assert transmission(self.gamma_zero, 0.0) == 0.64
+
+    def test_rho2_infinite_is_the_high_energy_limit(self):
+        assert transmission(self.beta_zero, math.inf) == 0.64
+        assert transmission(self.gamma_zero, math.inf) == 0.0
+
+    def test_underflowing_coefficient_at_infinite_rho2(self):
+        # beta * beta underflows to 0, but beta != 0: the limit is still 0.
+        p = ConnectionParams(1.0, 1e-200, 0.0, 1.0)
+        assert transmission(p, math.inf) == 0.0
+
+    @pytest.mark.parametrize("rho2", [math.nan, -1.0, -math.inf])
+    def test_rejects_rho2_outside_nonnegative_reals(self, rho2):
+        with pytest.raises(ValueError, match="rho2"):
+            transmission(self.beta_zero, rho2)

@@ -136,6 +136,11 @@ class TestFreeModeVectors:
         with pytest.raises(DegenerateModes):
             free_mode_vectors(1.0, 1.0)
 
+    @pytest.mark.parametrize("E, m", [(math.nan, 1.0), (2.0, math.nan)])
+    def test_rejects_nan(self, E, m):
+        with pytest.raises(ValueError):
+            free_mode_vectors(E, m)
+
     def test_low_energy_matches_nonrelativistic_modes(self):
         # E - m << m: spinor modes collapse onto the wave/derivative pair.
         m, eps = 1.0, 1e-8
@@ -238,6 +243,21 @@ class TestTransmission:
         p = connection.ConnectionParams(1, 0, 0, 1, 0)
         with pytest.raises(ValueError):
             transmission(p, 0.5, 1.0)
+
+    @pytest.mark.parametrize("E, m", [(math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0)])
+    def test_rejects_nan_and_infinite_energy(self, E, m):
+        # The E -> inf limit for (2, 1, 1, 1) is 4/9, not the 1.0 a NaN ratio gave.
+        with pytest.raises(ValueError):
+            transmission(connection.ConnectionParams(2, 1, 1, 1, 0), E, m)
+
+    def test_low_energy_rho_tends_to_nonrelativistic_rho(self):
+        # At kinetic energy eps, rho_D^2 = eps/(2m + eps) and rho_S^2 = eps/2m:
+        # their ratio is 2m/(2m + eps) -> 1 as eps/m -> 0.
+        m = 1.5
+        for eps in (1e-2, 1e-5, 1e-8):
+            rho_s = schrodinger.rho(m, math.sqrt(2.0 * m * eps))
+            ratio = dirac.rho2(m + eps, m) / (rho_s * rho_s)
+            assert ratio == pytest.approx(2.0 * m / (2.0 * m + eps), rel=1e-7)
 
     def test_matches_scatter_after_decompose(self):
         # Route one: barrier -> matrix -> mode projection.  Route two:

@@ -1,19 +1,26 @@
-"""Property tests of the short-range transfer matrices over drawn inputs.
+"""Property tests of the transfer matrices and the scattering core over drawn inputs.
 
-Both models must conserve the current, M† sigma2 M = sigma2, and have a
-unimodular determinant, |det M| = 1, for every spacing and strength, not
-only over hand-picked ranges.  The residuals are bounded by 64 eps times
-the square of the matrix's modulus scale: the factors' modulus product for
-the three-delta model, (1 + |w x|) times the largest entry for the barrier.
+Both short-range models must conserve the current, M† sigma2 M = sigma2,
+and have a unimodular determinant, |det M| = 1, for every spacing and
+strength, not only over hand-picked ranges.  The residuals are bounded by
+64 eps times the square of the matrix's modulus scale: the factors'
+modulus product for the three-delta model, (1 + |w x|) times the largest
+entry for the barrier.  Mode projection and the closed-form transmission
+must agree at every rho, with a rounding bound that grows with the
+largest entry of M^-1 u+ in the same way.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import EPS, five_factor_scale
 from pointscatter import dirac, schrodinger
-from pointscatter.connection import SIGMA2
+from pointscatter.connection import (
+    SIGMA2, ConnectionParams, as_matrix, modes, scatter, transmission,
+)
 from pointscatter.dirac import BarrierParams, DiracMedium
 from pointscatter.schrodinger import DeltaTriple, NonRelMedium
 
@@ -53,3 +60,26 @@ def test_finite_barrier_conserves_current_and_det(a, s, v, theta, m, excess, sig
     bound = 64 * EPS * ((1.0 + wx) * float(np.max(np.abs(M)))) ** 2
     assert current_residual(M) <= bound
     assert det_residual(M) <= bound
+
+
+@st.composite
+def connections(draw, bound=10.0):
+    """random_connection's family: alpha, beta, gamma drawn, delta pinned by det = 1."""
+    alpha = draw(st.floats(-bound, bound).filter(lambda x: abs(x) >= 1e-2))
+    beta = draw(st.floats(-bound, bound))
+    gamma = draw(st.floats(-bound, bound))
+    delta = (1.0 + beta * gamma) / alpha
+    assume(abs(delta) <= bound)
+    return ConnectionParams(alpha, beta, gamma, delta, draw(st.floats(-math.pi, math.pi)))
+
+
+@settings(deadline=None)
+@given(p=connections(), log_rho=st.floats(-150.0, 150.0))
+def test_scatter_agrees_with_closed_form_transmission(p, log_rho):
+    rho = 10.0**log_rho
+    result = scatter(as_matrix(p), modes(rho))
+    t = transmission(p, rho * rho)
+    size = 1.0 + abs(p.alpha) + abs(p.delta) + abs(p.beta) * rho + abs(p.gamma) / rho
+    assert abs(result.t_prob - t) <= 32 * EPS * size**2 * t + 2 * EPS
+    assert abs(abs(result.t_amp) ** 2 + abs(result.r_amp) ** 2 - 1.0) <= 1e-10
+    assert 0.0 <= t <= 1.0

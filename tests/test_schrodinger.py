@@ -216,6 +216,10 @@ class TestRenormalizedStrengths:
         with pytest.raises(ValueError):
             renormalized_strengths(ConnectionParams(1, 0, 0, 1, 0), -0.1, 1.0)
 
+    def test_rejects_nan_mass(self):
+        with pytest.raises(ValueError, match="mass"):
+            renormalized_strengths(ConnectionParams(2, 1, 1, 1, 0), 0.1, math.nan)
+
 
 class TestTransmission:
     def test_free_connection_is_transparent(self):
@@ -238,6 +242,17 @@ class TestTransmission:
     def test_epsilon_transmits_at_low_energy(self):
         p = ConnectionParams(1, 1, 0, 1, 0)
         assert transmission(p, NonRelMedium(m=1.0, k=1e-6)) > 1.0 - 1e-6
+
+    @pytest.mark.parametrize("k", [1e-170, 1e160, 1e200])
+    def test_limits_where_rho_squared_leaves_the_float_range(self, k):
+        # rho^2 = k^2/4 underflows to 0 at k = 1e-170 and overflows at
+        # k >= 1e160; each connection keeps the finite limit of its family.
+        beta_zero = ConnectionParams(2.0, 0.0, 1.0, 0.5)
+        gamma_zero = ConnectionParams(2.0, 1.0, 0.0, 0.5)
+        med = NonRelMedium(m=1.0, k=k)
+        survivor, reflected = (gamma_zero, beta_zero) if k < 1.0 else (beta_zero, gamma_zero)
+        assert transmission(survivor, med) == 0.64
+        assert 0.0 <= transmission(reflected, med) < 1e-300
 
     def test_matches_scatter_probabilities(self):
         rng = np.random.default_rng(67)
