@@ -76,9 +76,9 @@ def nonrel_convergence(
     a = _spacings(a_list)
     if a.size == 0:
         return []
-    # Checks in the scalar route's order: mass, scheme, then the medium.
+    # The medium before the scheme: a bad m or k outranks SingularRenormalization.
+    schrodinger.rho(m, k)
     strengths = schrodinger._strengths(p, a, m)
-    schrodinger._require_medium(m, k)
     stack = schrodinger._three_delta(a, m, k, *strengths)
     return _sweep_rows(a, stack, as_matrix(p), "schrodinger")
 
@@ -102,12 +102,15 @@ def correspondence_table(
     For each kinetic energy eps (ascending) three rows are emitted,
     labelled T2_schrodinger (at k = sqrt(2 m eps)), T2_dirac (at
     E = m + eps) and diff (their absolute difference).  Only rho^2
-    differs: eps/2m against eps/(2m + eps).
+    differs: eps/2m against eps/(2m + eps).  Raises ValueError for an
+    eps that is not positive or so small against m that m + eps == m.
     """
     rows = []
     for eps in sorted(float(e) for e in kinetic_list):
         if not eps > 0.0:
             raise ValueError("kinetic energies must be positive")
+        if m + eps == m and m > 0.0:
+            raise ValueError(f"kinetic energy {eps!r} is below the resolution of the mass {m!r}")
         t_d = transmission(p, dirac.rho2(m + eps, m))
         rho = schrodinger.rho(m, math.sqrt(2.0 * m * eps))
         t_s = transmission(p, rho * rho)

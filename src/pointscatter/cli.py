@@ -8,7 +8,10 @@ matrix as eight reals).  All tabular output is CSV with a mandatory header
 row, comma separators, "\\n" line endings and 17-significant-digit values,
 so emitted files parse back to the exact doubles that produced them.
 
-Exit codes: 0 success, 2 invalid parameters, 3 domain singularity.
+The library validates the physics; the CLI checks only its flags and maps
+exceptions to exit codes: 0 success, 2 invalid parameters (any ValueError,
+NaN and inf included), 3 domain singularity (SingularRenormalization),
+4 the --output file could not be written (OSError).
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import argparse
 import math
 import sys
 from typing import Optional
+
+import numpy as np
 
 from . import analysis, dirac, schrodinger
 from .connection import ConnectionParams, transmission
@@ -28,14 +33,11 @@ __all__ = ["build_parser", "main"]
 EXIT_OK = 0
 EXIT_PARAMS = 2
 EXIT_SINGULAR = 3
+EXIT_IO = 4
 
 # Looser than the ConnectionParams invariant: flag values within 1e-9 of
 # SL(2,R) are accepted and rescaled onto determinant 1.
 _CLI_DET_TOL = 1e-9
-
-
-class ParameterError(Exception):
-    """Invalid command-line parameter combination (exit code 2)."""
 
 
 def _fmt(value: float) -> str:
@@ -46,7 +48,7 @@ def _fmt(value: float) -> str:
 def _connection_from_args(args: argparse.Namespace) -> ConnectionParams:
     det = args.alpha * args.delta - args.beta * args.gamma
     if abs(det - 1.0) > _CLI_DET_TOL:
-        raise ParameterError(
+        raise ValueError(
             f"alpha*delta - beta*gamma = {det:.17g}; must be 1 within {_CLI_DET_TOL}"
         )
     scale = math.sqrt(det)
@@ -62,22 +64,18 @@ def _connection_from_args(args: argparse.Namespace) -> ConnectionParams:
 def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> None:
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
-        raise ParameterError(f"{', '.join(missing)} required {context}")
-
-
-def _positive_mass(args: argparse.Namespace) -> float:
-    if not args.mass > 0.0:
-        raise ParameterError("--mass must be positive")
-    return args.mass
+        raise ValueError(f"{', '.join(missing)} required {context}")
 
 
 def _sweep_values(args: argparse.Namespace) -> list[float]:
     if args.sweep_count < 2:
-        raise ParameterError("--sweep-count must be at least 2")
+        raise ValueError("--sweep-count must be at least 2")
     if args.spacing == "log":
         if args.sweep_start <= 0.0 or args.sweep_stop <= 0.0:
-            raise ParameterError("log spacing requires positive endpoints")
+            raise ValueError("log spacing requires positive endpoints")
         ratio = (args.sweep_stop / args.sweep_start) ** (1.0 / (args.sweep_count - 1))
+        if not math.isfinite(ratio):
+            raise ValueError("log spacing requires a finite --sweep-stop/--sweep-start ratio")
         values = [args.sweep_start * ratio**i for i in range(args.sweep_count)]
     else:
         step = (args.sweep_stop - args.sweep_start) / (args.sweep_count - 1)
@@ -89,56 +87,44 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_transmission(args: argparse.Namespace) -> list[str]:
-    mass = _positive_mass(args)
+    mass = args.mass
     p = _connection_from_args(args)
     lines = ["x,T2,R2"]
     for x in _sweep_values(args):
         if args.framework == "schrodinger":
-            if x <= 0.0:
-                raise ParameterError("wave-number sweep must stay positive")
             rho = schrodinger.rho(mass, x)
             t2 = transmission(p, rho * rho)
         else:
-            if not mass < x < math.inf:
-                raise ParameterError("energy sweep must stay finite and above the mass")
             t2 = transmission(p, dirac.rho2(x, mass))
         lines.append(f"{_fmt(x)},{_fmt(t2)},{_fmt(1.0 - t2)}")
     return lines
 
 
 def cmd_converge(args: argparse.Namespace) -> list[str]:
-    mass = _positive_mass(args)
     a_values = _sweep_values(args)
-    if min(a_values) <= 0.0:
-        raise ParameterError("spacing sweep must stay positive")
     if args.framework == "schrodinger":
         _require(args, ("alpha", "beta", "gamma", "delta", "k"), "for --framework schrodinger")
-        if args.k <= 0.0:
-            raise ParameterError("--k must be positive")
         p = _connection_from_args(args)
+        rows = analysis.nonrel_convergence(p, args.mass, args.k, a_values)
         if p.beta != 0.0 and abs(p.beta) < 1e-6:
             print(
                 "warning: |beta| < 1e-6; renormalized strengths suffer "
                 "cancellation at small spacing",
                 file=sys.stderr,
             )
-        rows = analysis.nonrel_convergence(p, mass, args.k, a_values)
     else:
         _require(args, ("s", "v", "energy"), "for --framework dirac")
-        if args.energy <= mass:
-            raise ParameterError("--energy must exceed --mass")
+        # The library also accepts E < -m; this subcommand does not.
+        if args.energy <= args.mass:
+            raise ValueError("--energy must exceed --mass")
         barrier = BarrierParams(args.s, args.v, args.theta)
-        rows = analysis.dirac_convergence(barrier, args.energy, mass, a_values)
+        rows = analysis.dirac_convergence(barrier, args.energy, args.mass, a_values)
     return ["a,err"] + [f"{_fmt(row.x)},{_fmt(row.value)}" for row in rows]
 
 
 def cmd_compare(args: argparse.Namespace) -> list[str]:
-    mass = _positive_mass(args)
     p = _connection_from_args(args)
-    eps_values = _sweep_values(args)
-    if min(eps_values) <= 0.0:
-        raise ParameterError("kinetic-energy sweep must stay positive")
-    rows = analysis.correspondence_table(p, mass, eps_values)
+    rows = analysis.correspondence_table(p, args.mass, _sweep_values(args))
     lines = ["kinetic,T2_schrodinger,T2_dirac,diff"]
     for i in range(0, len(rows), 3):
         t_s, t_d, diff = rows[i], rows[i + 1], rows[i + 2]
@@ -147,28 +133,24 @@ def cmd_compare(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_classify(args: argparse.Namespace) -> list[str]:
-    try:
-        tag = dirac.classify(BarrierParams(args.s, args.v, args.theta))
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    tag = dirac.classify(BarrierParams(args.s, args.v, args.theta))
     if tag.strength is None:
         return [tag.kind]
     return [f"{tag.kind} strength={_fmt(tag.strength)}"]
 
 
 def cmd_propagate(args: argparse.Namespace) -> list[str]:
-    mass = _positive_mass(args)
+    if not math.isfinite(args.x):
+        raise ValueError("--x must be finite")
     if args.framework == "schrodinger":
         _require(args, ("k",), "for --framework schrodinger")
-        if args.k <= 0.0:
-            raise ParameterError("--k must be positive")
-        matrix = schrodinger.propagator(args.x, NonRelMedium(m=mass, k=args.k, A=args.avec))
+        matrix = schrodinger.propagator(args.x, NonRelMedium(m=args.mass, k=args.k, A=args.avec))
     else:
         _require(args, ("energy",), "for --framework dirac")
-        if args.energy * args.energy <= mass * mass:
-            raise ParameterError("|--energy| must exceed --mass")
-        med = DiracMedium(m=mass, E=args.energy, S=args.scalar, V=args.vector, A=args.avec)
+        med = DiracMedium(m=args.mass, E=args.energy, S=args.scalar, V=args.vector, A=args.avec)
         matrix = dirac.propagator(args.x, med)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("propagator overflows or is undefined at these parameters")
     cells = []
     for i in (0, 1):
         for j in (0, 1):
@@ -272,17 +254,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        lines = args.func(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+        # Every printed value is checked finite; numpy's warnings would only
+        # precede the error line of a rejected input.
+        with np.errstate(all="ignore"):
+            lines = args.func(args)
     except SingularRenormalization as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
     text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -41,11 +41,11 @@ class DegenerateModes(ValueError):
 
 
 def _require_exterior(m: float, E: float) -> None:
-    """Reject a mass that is not positive or an energy with |E| <= m (NaN included)."""
+    """Require m > 0 and a finite E with |E| > m; NaN fails both."""
     if not m > 0.0:
         raise ValueError("mass must be positive")
-    if not E * E > m * m:
-        raise ValueError("|E| must exceed m (propagating exterior modes)")
+    if not (E * E > m * m and math.isfinite(E)):
+        raise ValueError("|E| must be finite and exceed m (propagating exterior modes)")
 
 
 def _coefficients(m, E, S, V):
@@ -57,8 +57,8 @@ def _coefficients(m, E, S, V):
 class DiracMedium:
     """Mass, energy, and the three constant potentials S, V, A.
 
-    |E| must exceed m so the exterior free modes propagate.  The spinor
-    coupling coefficients are derived on the fly, never stored:
+    |E| must be finite and exceed m so the exterior free modes propagate.
+    The spinor coupling coefficients are derived on the fly, never stored:
     k_plus = m+E+S-V, k_minus = E-m-S-V, k = sqrt(|k_plus * k_minus|).
     """
 
@@ -185,7 +185,7 @@ def rho2(E: float, m: float) -> float:
     if not m > 0.0:
         raise ValueError("mass must be positive")
     if not m < E < math.inf:
-        raise DegenerateModes("energy must be finite and exceed the mass")
+        raise DegenerateModes("energy must be finite and above the mass")
     return (E - m) / (E + m)
 
 
@@ -222,7 +222,7 @@ def finite_barrier_transfer(
     max|finite - limit| = 2a max|L(P, Q)| + O(a^2), where L is the
     Frechet derivative of exp (scipy.linalg.expm_frechet computes it).
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("half-width a must be positive")
     _require_exterior(m, E)
     return _barrier(b, a, E, m)

@@ -43,14 +43,6 @@ class SingularRenormalization(ValueError):
     """No renormalization scheme covers beta = 0 with alpha + delta = -2."""
 
 
-def _require_medium(m: float, k: float) -> None:
-    """Reject a mass or wave number that is not positive (NaN included)."""
-    if not m > 0.0:
-        raise ValueError("mass must be positive")
-    if not k > 0.0:
-        raise ValueError("wave number must be positive (scattering states only)")
-
-
 @dataclass(frozen=True)
 class NonRelMedium:
     """Mass, wave number k = sqrt(2mE) with E > 0, and vector potential A."""
@@ -62,7 +54,7 @@ class NonRelMedium:
     def __post_init__(self) -> None:
         for name in ("m", "k", "A"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        _require_medium(self.m, self.k)
+        rho(self.m, self.k)
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,15 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
 
 
 def rho(m: float, k: float) -> float:
-    """The mode parameter rho = k/2m of connection.modes and connection.transmission."""
+    """The mode parameter rho = k/2m of connection.modes and connection.transmission.
+
+    Raises ValueError unless m > 0 and k > 0 (NaN included): the exterior
+    check of every Schrodinger medium.
+    """
+    if not m > 0.0:
+        raise ValueError("mass must be positive")
+    if not k > 0.0:
+        raise ValueError("wave number must be positive (scattering states only)")
     return k / (2.0 * m)
 
 

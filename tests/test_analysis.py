@@ -224,6 +224,17 @@ class TestCorrespondenceTable:
         with pytest.raises(ValueError):
             correspondence_table(ConnectionParams(1, 0, 0, 1, 0), 1.0, [0.0])
 
+    @pytest.mark.parametrize("m, eps", [(1.0, 1e-20), (1e10, 1e-7), (math.inf, 1.0)])
+    def test_rejects_kinetic_energy_below_mass_resolution(self, m, eps):
+        # m + eps == m: the Dirac energy would equal the mass, and the error
+        # must name eps, not the energy the caller never passed.
+        with pytest.raises(ValueError, match="below the resolution of the mass"):
+            correspondence_table(ConnectionParams(1, 0, 0, 1, 0), m, [1.0, eps])
+
+    def test_negative_mass_is_named_before_resolution(self):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            correspondence_table(ConnectionParams(1, 0, 0, 1, 0), -1.0, [1e-20])
+
 
 class TestHighEnergyAsymptote:
     def test_delta_potential(self):

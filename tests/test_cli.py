@@ -301,6 +301,80 @@ class TestOutputFile:
         assert excinfo.value.code == 2
 
 
+SWEEP = ["--sweep-start", "1", "--sweep-stop", "2", "--sweep-count", "3"]
+SPACINGS = ["--sweep-start", "1e-2", "--sweep-stop", "1e-4", "--sweep-count", "3"]
+SCHRODINGER_CONVERGE = ["converge", "--framework", "schrodinger", *DELTA_FLAGS, "--k", "1"]
+DIRAC_CONVERGE = ["converge", "--framework", "dirac", "--s", "1", "--v", "0.5", "--energy", "2"]
+
+# (argv, documented exit code, fragment the error line must contain).
+# "{missing}" stands for a path whose directory does not exist.
+HOSTILE_INPUTS = {
+    "mass-nan": (["transmission", "--framework", "schrodinger", *DELTA_FLAGS,
+                  "--mass", "nan", *SWEEP], 2, "mass"),
+    "transmission-sweep-start-nan": (["transmission", "--framework", "schrodinger",
+                                      *DELTA_FLAGS, "--sweep-start", "nan",
+                                      "--sweep-stop", "2", "--sweep-count", "3"], 2, "wave number"),
+    "converge-sweep-start-nan": ([*SCHRODINGER_CONVERGE, "--sweep-start", "nan",
+                                  "--sweep-stop", "1e-4", "--sweep-count", "3"], 2, "finite"),
+    "compare-sweep-start-nan": (["compare", *DELTA_FLAGS, "--sweep-start", "nan",
+                                 "--sweep-stop", "1", "--sweep-count", "3"], 2, "finite"),
+    "alpha-nan": (["transmission", "--framework", "dirac", "--alpha", "nan", "--beta", "0",
+                   "--gamma", "1", "--delta", "1", "--sweep-start", "2", "--sweep-stop", "3",
+                   "--sweep-count", "2"], 2, "alpha"),
+    "propagate-x-inf": (["propagate", "--framework", "schrodinger", "--x", "inf", "--k", "1"],
+                        2, "--x"),
+    "propagate-x-nan": (["propagate", "--framework", "dirac", "--x", "nan", "--energy", "2"],
+                        2, "--x"),
+    "propagate-energy-inf": (["propagate", "--framework", "dirac", "--x", "1", "--energy", "inf"],
+                             2, "finite"),
+    "propagate-k-nan": (["propagate", "--framework", "schrodinger", "--x", "1", "--k", "nan"],
+                        2, "wave number"),
+    "propagate-k-inf": (["propagate", "--framework", "schrodinger", "--x", "1", "--k", "inf"],
+                        2, "propagator"),
+    "propagate-overflows": (["propagate", "--framework", "dirac", "--x", "1e3", "--energy", "2",
+                             "--scalar", "10"], 2, "propagator"),
+    "converge-dirac-s-1e308": (["converge", "--framework", "dirac", "--s", "1e308", "--v", "0.5",
+                                "--energy", "2", *SPACINGS], 2, "finite"),
+    "converge-dirac-energy-inf": (["converge", "--framework", "dirac", "--s", "1", "--v", "0.5",
+                                   "--energy", "inf", *SPACINGS], 2, "finite"),
+    "converge-k-nan": (["converge", "--framework", "schrodinger", *DELTA_FLAGS, "--k", "nan",
+                        *SPACINGS], 2, "wave number"),
+    "converge-theta-inf": ([*DIRAC_CONVERGE, "--theta", "inf", *SPACINGS], 2, "theta"),
+    "compare-below-mass-resolution": (["compare", *DELTA_FLAGS, "--sweep-start", "1e-20",
+                                       "--sweep-stop", "1", "--sweep-count", "3"],
+                                      2, "below the resolution of the mass"),
+    "log-sweep-ratio-overflows": (["transmission", "--framework", "schrodinger", *DELTA_FLAGS,
+                                   "--sweep-start", "1e-300", "--sweep-stop", "1e300",
+                                   "--sweep-count", "3", "--spacing", "log"], 2, "ratio"),
+    "singular-renormalization": (["converge", "--framework", "schrodinger", "--alpha", "-1",
+                                  "--beta", "0", "--gamma", "3", "--delta", "-1", "--k", "1",
+                                  *SPACINGS], 3, "alpha + delta"),
+    "output-directory-missing": (["transmission", "--framework", "schrodinger", *DELTA_FLAGS,
+                                  *SWEEP, "--output", "{missing}"], 4, "out.csv"),
+}
+
+
+class TestHostileInput:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(HOSTILE_INPUTS))
+    def test_exits_with_documented_code(self, capsys, tmp_path, name):
+        argv, want_code, fragment = HOSTILE_INPUTS[name]
+        missing = str(tmp_path / "missing" / "out.csv")
+        argv = [missing if arg == "{missing}" else arg for arg in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == want_code
+        assert out == ""
+        assert err.startswith("error:")
+        assert fragment in err
+        assert "Traceback" not in err
+
+    def test_huge_theta_wraps(self, capsys):
+        # theta enters only through phases, so 1e300 is a valid (wrapped) angle.
+        code, out, err = run_cli(capsys, [*DIRAC_CONVERGE, "--theta", "1e300", *SPACINGS])
+        assert (code, err) == (0, "")
+        assert all(math.isfinite(float(line.split(",")[1])) for line in out.splitlines()[1:])
+
+
 # Output of the README's command-line examples, recorded before the
 # convergence sweeps were batched.  transmission, compare, classify and
 # propagate must reproduce it byte for byte.

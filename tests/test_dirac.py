@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import EPS, random_connection
-from pointscatter import connection, dirac, schrodinger
+from pointscatter import analysis, connection, dirac, schrodinger
 from pointscatter.connection import (
     as_matrix,
     conserves_current,
@@ -50,6 +50,20 @@ class TestDiracMedium:
     def test_rejects_energy_inside_gap(self):
         with pytest.raises(ValueError, match="exceed m"):
             DiracMedium(m=1.0, E=0.5)
+
+    def test_finite_barrier_rejects_nan_half_width(self):
+        with pytest.raises(ValueError, match="half-width"):
+            finite_barrier_transfer(BarrierParams(1.0, 0.5), math.nan, 2.0, 1.0)
+
+    @pytest.mark.parametrize("E", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_energy(self, E):
+        # E = inf passes |E| > m but leaves no finite mode or propagator.
+        with pytest.raises(ValueError, match="finite and exceed m"):
+            DiracMedium(m=1.0, E=E)
+        with pytest.raises(ValueError, match="finite and exceed m"):
+            finite_barrier_transfer(BarrierParams(1.0, 0.5), 1e-3, E, 1.0)
+        with pytest.raises(ValueError, match="finite and exceed m"):
+            analysis.dirac_convergence(BarrierParams(1.0, 0.5), E, 1.0, [1e-3])
 
     def test_derived_coefficients(self):
         med = DiracMedium(m=3.0, E=5.0)

@@ -43,6 +43,20 @@ class TestMediumTypes:
         with pytest.raises(ValueError):
             DeltaTriple(0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "m, k, what",
+        [(0.0, 1.0, "mass"), (math.nan, 1.0, "mass"), (1.0, 0.0, "wave number"),
+         (1.0, -1.0, "wave number"), (1.0, math.nan, "wave number")],
+    )
+    def test_rho_is_the_exterior_check(self, m, k, what):
+        with pytest.raises(ValueError, match=what):
+            schrodinger.rho(m, k)
+        with pytest.raises(ValueError, match=what):
+            NonRelMedium(m=m, k=k)
+
+    def test_rho_accepts_infinite_wave_number(self):
+        assert schrodinger.rho(1.0, math.inf) == math.inf
+
 
 class TestPropagator:
     def test_zero_displacement_is_identity(self):
