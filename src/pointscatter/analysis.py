@@ -5,16 +5,18 @@ models approach their target connection, how the two frameworks'
 transmission probabilities track each other across kinetic energy, and the
 closed-form high-energy limits.  Matrix error is the Chebyshev norm (max
 componentwise modulus) so sweep values compare directly with per-entry
-tolerances.  A convergence sweep validates its inputs once and evaluates
-its model in one kernel call over the whole array of spacings, the same
-kernel the scalar transfer-matrix functions are the 0-d case of.
+tolerances.  The sweeps are columnar: each validates its input column
+once and evaluates its model in one call over the whole column.  A
+convergence sweep evaluates the kernel the scalar transfer-matrix
+functions are the 0-d case of, and returns SweepRow tuples.  A
+correspondence table is one float array, one row (eps, T_schrodinger,
+T_dirac, diff) per kinetic energy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,26 +34,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One point of a sweep: abscissa, value, short series tag."""
-
+class _Row(NamedTuple):
     x: float
     value: float
     label: str
 
+
+class SweepRow(_Row):
+    """One point of a sweep: abscissa, value, short series tag.
+
+    Constructing one validates it: x > 0 and a finite value.  The sweeps
+    validate their whole columns instead and build their rows with
+    tuple.__new__, which skips the per-row check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, value: float, label: str) -> SweepRow:
+        row = tuple.__new__(cls, (float(x), float(value), label))
+        row.__post_init__()
+        return row
+
+    # Named as a dataclass's hook, so tools that count constructions by
+    # wrapping __post_init__ (bench/tracer.py) still see public ones.
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "value", float(self.value))
         if not self.x > 0.0:
             raise ValueError("sweep abscissa must be positive")
         if not math.isfinite(self.value):
             raise ValueError("sweep value must be finite")
 
 
+def _column(values: Iterable[float]) -> np.ndarray:
+    """The values as a 1-d float array, each through float()."""
+    return np.array([float(v) for v in values], dtype=float)
+
+
 def _spacings(a_list: Iterable[float]) -> np.ndarray:
     """The sweep's spacings as floats, largest first; each must be positive and finite."""
-    a = np.array([float(a) for a in a_list], dtype=float)
+    a = _column(a_list)
     if not np.all((a > 0.0) & (a < math.inf)):
         raise ValueError("spacings must be positive and finite")
     return np.sort(a)[::-1]
@@ -62,7 +82,10 @@ def _sweep_rows(
 ) -> list[SweepRow]:
     """One row per spacing: the Chebyshev distance of each matrix from target."""
     errors = np.max(np.abs(stack - target), axis=(1, 2))
-    return [SweepRow(x, err, label) for x, err in zip(a.tolist(), errors.tolist())]
+    if not np.all(np.isfinite(errors)):
+        raise ValueError("sweep value must be finite")
+    new = tuple.__new__
+    return [new(SweepRow, (x, err, label)) for x, err in zip(a.tolist(), errors.tolist())]
 
 
 def nonrel_convergence(
@@ -86,38 +109,51 @@ def nonrel_convergence(
 def dirac_convergence(
     b: BarrierParams, E: float, m: float, a_list: Iterable[float]
 ) -> list[SweepRow]:
-    """Chebyshev error of the finite step barrier against its zero-width limit."""
+    """Chebyshev error of the finite step barrier against its zero-width limit.
+
+    Raises ValueError, naming s and v, for a barrier whose limit overflows.
+    """
     a = _spacings(a_list)
     if a.size == 0:
         return []
     dirac._require_exterior(m, E)
-    return _sweep_rows(a, dirac._barrier(b, a, E, m), dirac.barrier_limit(b), "dirac")
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = dirac.barrier_limit(b)
+    if not np.all(np.isfinite(target)):
+        raise ValueError(
+            f"barrier s={b.s!r}, v={b.v!r}: its zero-width limit is not finite in "
+            "double precision (cosh sqrt|s^2 - v^2| overflows beyond about 710)"
+        )
+    return _sweep_rows(a, dirac._barrier(b, a, E, m), target, "dirac")
 
 
 def correspondence_table(
     p: ConnectionParams, m: float, kinetic_list: Iterable[float]
-) -> list[SweepRow]:
+) -> np.ndarray:
     """Transmission in both frameworks at matched kinetic energy.
 
-    For each kinetic energy eps (ascending) three rows are emitted,
-    labelled T2_schrodinger (at k = sqrt(2 m eps)), T2_dirac (at
-    E = m + eps) and diff (their absolute difference).  Only rho^2
-    differs: eps/2m against eps/(2m + eps).  Raises ValueError for an
-    eps that is not positive or so small against m that m + eps == m.
+    An (n, 4) float array, one row per kinetic energy eps (ascending):
+    eps, T_schrodinger (at k = sqrt(2 m eps)), T_dirac (at E = m + eps)
+    and diff = |T_schrodinger - T_dirac|.  Only rho^2 differs: eps/2m
+    against eps/(2m + eps).  Raises ValueError for an eps that is not
+    positive or so small against m that m + eps == m.
     """
-    rows = []
-    for eps in sorted(float(e) for e in kinetic_list):
-        if not eps > 0.0:
-            raise ValueError("kinetic energies must be positive")
-        if m + eps == m and m > 0.0:
-            raise ValueError(f"kinetic energy {eps!r} is below the resolution of the mass {m!r}")
-        t_d = transmission(p, dirac.rho2(m + eps, m))
-        rho = schrodinger.rho(m, math.sqrt(2.0 * m * eps))
-        t_s = transmission(p, rho * rho)
-        rows.append(SweepRow(eps, t_s, "T2_schrodinger"))
-        rows.append(SweepRow(eps, t_d, "T2_dirac"))
-        rows.append(SweepRow(eps, abs(t_s - t_d), "diff"))
-    return rows
+    eps = np.sort(_column(kinetic_list))
+    if eps.size == 0:
+        return np.empty((0, 4))
+    if not np.all(eps > 0.0):
+        raise ValueError("kinetic energies must be positive")
+    E = m + eps
+    if m > 0.0:
+        lost = eps[E == m]
+        if lost.size:
+            raise ValueError(
+                f"kinetic energy {float(lost[0])!r} is below the resolution of the mass {m!r}"
+            )
+    t_d = transmission(p, dirac.rho2(E, m))
+    rho = schrodinger.rho(m, np.sqrt(2.0 * m * eps))
+    t_s = transmission(p, rho * rho)
+    return np.column_stack((eps, t_s, t_d, np.abs(t_s - t_d)))
 
 
 def high_energy_asymptote(p: ConnectionParams) -> tuple[float, float]:

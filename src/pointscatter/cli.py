@@ -40,9 +40,16 @@ EXIT_IO = 4
 _CLI_DET_TOL = 1e-9
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return format(float(value), ".17g")
+def _csv(header: str, table: np.ndarray) -> str:
+    """The header line, then one line per row of a 2-d float table.
+
+    Every value is written "%.17g", which is format(x, ".17g"): 17
+    significant digits round-trip any double exactly.  The body is one
+    %-format over the whole flattened table.
+    """
+    rows, cols = table.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
+    return header + "\n" + (line * rows) % tuple(table.ravel().tolist())
 
 
 def _connection_from_args(args: argparse.Namespace) -> ConnectionParams:
@@ -86,21 +93,18 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
     return values
 
 
-def cmd_transmission(args: argparse.Namespace) -> list[str]:
-    mass = args.mass
+def cmd_transmission(args: argparse.Namespace) -> str:
     p = _connection_from_args(args)
-    lines = ["x,T2,R2"]
-    for x in _sweep_values(args):
-        if args.framework == "schrodinger":
-            rho = schrodinger.rho(mass, x)
-            t2 = transmission(p, rho * rho)
-        else:
-            t2 = transmission(p, dirac.rho2(x, mass))
-        lines.append(f"{_fmt(x)},{_fmt(t2)},{_fmt(1.0 - t2)}")
-    return lines
+    x = np.array(_sweep_values(args))
+    if args.framework == "schrodinger":
+        rho = schrodinger.rho(args.mass, x)
+        t2 = transmission(p, rho * rho)
+    else:
+        t2 = transmission(p, dirac.rho2(x, args.mass))
+    return _csv("x,T2,R2", np.column_stack((x, t2, 1.0 - t2)))
 
 
-def cmd_converge(args: argparse.Namespace) -> list[str]:
+def cmd_converge(args: argparse.Namespace) -> str:
     a_values = _sweep_values(args)
     if args.framework == "schrodinger":
         _require(args, ("alpha", "beta", "gamma", "delta", "k"), "for --framework schrodinger")
@@ -119,27 +123,23 @@ def cmd_converge(args: argparse.Namespace) -> list[str]:
             raise ValueError("--energy must exceed --mass")
         barrier = BarrierParams(args.s, args.v, args.theta)
         rows = analysis.dirac_convergence(barrier, args.energy, args.mass, a_values)
-    return ["a,err"] + [f"{_fmt(row.x)},{_fmt(row.value)}" for row in rows]
+    return _csv("a,err", np.array([row[:2] for row in rows]))
 
 
-def cmd_compare(args: argparse.Namespace) -> list[str]:
+def cmd_compare(args: argparse.Namespace) -> str:
     p = _connection_from_args(args)
-    rows = analysis.correspondence_table(p, args.mass, _sweep_values(args))
-    lines = ["kinetic,T2_schrodinger,T2_dirac,diff"]
-    for i in range(0, len(rows), 3):
-        t_s, t_d, diff = rows[i], rows[i + 1], rows[i + 2]
-        lines.append(f"{_fmt(t_s.x)},{_fmt(t_s.value)},{_fmt(t_d.value)},{_fmt(diff.value)}")
-    return lines
+    table = analysis.correspondence_table(p, args.mass, _sweep_values(args))
+    return _csv("kinetic,T2_schrodinger,T2_dirac,diff", table)
 
 
-def cmd_classify(args: argparse.Namespace) -> list[str]:
+def cmd_classify(args: argparse.Namespace) -> str:
     tag = dirac.classify(BarrierParams(args.s, args.v, args.theta))
     if tag.strength is None:
-        return [tag.kind]
-    return [f"{tag.kind} strength={_fmt(tag.strength)}"]
+        return tag.kind + "\n"
+    return "%s strength=%.17g\n" % tag
 
 
-def cmd_propagate(args: argparse.Namespace) -> list[str]:
+def cmd_propagate(args: argparse.Namespace) -> str:
     if not math.isfinite(args.x):
         raise ValueError("--x must be finite")
     if args.framework == "schrodinger":
@@ -151,12 +151,9 @@ def cmd_propagate(args: argparse.Namespace) -> list[str]:
         matrix = dirac.propagator(args.x, med)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("propagator overflows or is undefined at these parameters")
-    cells = []
-    for i in (0, 1):
-        for j in (0, 1):
-            cells.append(_fmt(matrix[i, j].real))
-            cells.append(_fmt(matrix[i, j].imag))
-    return ["re11,im11,re12,im12,re21,im21,re22,im22", ",".join(cells)]
+    # Row-major entries, each as its real and imaginary part.
+    cells = np.stack((matrix.real, matrix.imag), axis=-1).reshape(1, 8)
+    return _csv("re11,im11,re12,im12,re21,im21,re22,im22", cells)
 
 
 def _add_connection_flags(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -257,14 +254,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Every printed value is checked finite; numpy's warnings would only
         # precede the error line of a rejected input.
         with np.errstate(all="ignore"):
-            lines = args.func(args)
+            text = args.func(args)
     except SingularRenormalization as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    text = "\n".join(lines) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="\n") as handle:

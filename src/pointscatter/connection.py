@@ -260,12 +260,16 @@ def modes(rho: float) -> ModePair:
     )
 
 
-def transmission(p: ConnectionParams, rho2: float) -> float:
+def transmission(p: ConnectionParams, rho2: float | np.ndarray) -> float | np.ndarray:
     """Transmission probability 4 / [alpha^2 + delta^2 + 2 + beta^2 rho2 + gamma^2/rho2].
 
     Between the modes of rho = sqrt(rho2), independent of theta, in [0, 1].
     At rho2 = 0 and inf it is the limit: 0 if the diverging term is present.
+    An ndarray rho2 gives an array of its shape, entry-wise with the same
+    operations in the same order, so each entry is the scalar call's value.
     """
+    if isinstance(rho2, np.ndarray):
+        return _transmission_column(p, rho2)
     if not rho2 >= 0.0:
         raise ValueError(f"rho2 must be non-negative, got {rho2!r}")
     if (p.beta != 0.0 and rho2 == math.inf) or (p.gamma != 0.0 and rho2 == 0.0):
@@ -276,6 +280,31 @@ def transmission(p: ConnectionParams, rho2: float) -> float:
     if p.gamma != 0.0:
         bracket += p.gamma * p.gamma / rho2
     return min(1.0, 4.0 / bracket)
+
+
+def _transmission_column(p: ConnectionParams, rho2: np.ndarray) -> np.ndarray:
+    """transmission over an array of rho2, bit for bit the scalar call's values."""
+    bad = ~(rho2 >= 0.0)
+    if np.any(bad):
+        raise ValueError(f"rho2 must be non-negative, got {float(rho2[bad][0])!r}")
+    bracket = np.full(rho2.shape, p.alpha * p.alpha + p.delta * p.delta + 2.0)
+    # Overflow and x/0 give the IEEE values the scalar call computes too;
+    # numpy would only warn about them.
+    with np.errstate(all="ignore"):
+        if p.beta != 0.0:
+            bracket += p.beta * p.beta * rho2
+        if p.gamma != 0.0:
+            bracket += p.gamma * p.gamma / rho2
+        t = 4.0 / bracket
+    # min(1.0, t) keeps 1.0 unless t < 1.0, NaN included.
+    t = np.where(t < 1.0, t, 1.0)
+    # The endpoint limits are masked, not left to IEEE arithmetic: a beta^2
+    # or gamma^2 that underflows to 0 would give 0 * inf or 0 / 0 there.
+    if p.beta != 0.0:
+        t[rho2 == math.inf] = 0.0
+    if p.gamma != 0.0:
+        t[rho2 == 0.0] = 0.0
+    return t
 
 
 def _inverse(M: np.ndarray) -> np.ndarray:

@@ -44,7 +44,8 @@ def _require_exterior(m: float, E: float) -> None:
     """Require m > 0 and a finite E with |E| > m; NaN fails both."""
     if not m > 0.0:
         raise ValueError("mass must be positive")
-    if not (E * E > m * m and math.isfinite(E)):
+    # abs(E) > m, not E*E > m*m: the squares overflow from about 1.3e154.
+    if not (abs(E) > m and math.isfinite(E)):
         raise ValueError("|E| must be finite and exceed m (propagating exterior modes)")
 
 
@@ -177,14 +178,17 @@ def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     return _propagate(x, med.k_plus, med.k_minus, med.A)
 
 
-def rho2(E: float, m: float) -> float:
+def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
     """The rho^2 = (E-m)/(E+m) of connection.modes and connection.transmission.
 
     Raises ValueError unless 0 < m < E < inf (DegenerateModes for E).
+    Entry-wise over ndarray arguments, each checked as a whole.
     """
-    if not m > 0.0:
+    # Plain floats stay on float comparisons: np.all costs microseconds a call.
+    floats = E.__class__ is m.__class__ is float
+    if not (m > 0.0 if floats else np.all(m > 0.0)):
         raise ValueError("mass must be positive")
-    if not m < E < math.inf:
+    if not (m < E < math.inf if floats else np.all((m < E) & (E < math.inf))):
         raise DegenerateModes("energy must be finite and above the mass")
     return (E - m) / (E + m)
 

@@ -101,15 +101,18 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     return phase * _from_entries(*entries)
 
 
-def rho(m: float, k: float) -> float:
+def rho(m: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
     """The mode parameter rho = k/2m of connection.modes and connection.transmission.
 
     Raises ValueError unless m > 0 and k > 0 (NaN included): the exterior
-    check of every Schrodinger medium.
+    check of every Schrodinger medium.  Entry-wise over ndarray arguments,
+    each checked as a whole.
     """
-    if not m > 0.0:
+    # Plain floats stay on float comparisons: np.all costs microseconds a call.
+    floats = m.__class__ is k.__class__ is float
+    if not (m > 0.0 if floats else np.all(m > 0.0)):
         raise ValueError("mass must be positive")
-    if not k > 0.0:
+    if not (k > 0.0 if floats else np.all(k > 0.0)):
         raise ValueError("wave number must be positive (scattering states only)")
     return k / (2.0 * m)
 

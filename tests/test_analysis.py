@@ -1,6 +1,7 @@
 """Sweep drivers: convergence series, correspondence tables, asymptotes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,14 @@ class TestDiracConvergence:
         rows = dirac_convergence(BarrierParams(*svt), 2.0, 1.0, [1e-2, 1e-3, 1e-4])
         values = [r.value for r in rows]
         assert values[0] > values[1] > values[2]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s, v", [(1000.0, 0.0), (0.0, -1e308), (1e308, 1e308)])
+    def test_overflowing_limit_names_s_and_v(self, s, v):
+        # cosh sqrt|s^2 - v^2| overflows beyond about 710, and 2s overflows
+        # on the s = v boundary: the error names the barrier, not a sweep value.
+        with pytest.raises(ValueError, match=re.escape(f"s={s!r}, v={v!r}")):
+            dirac_convergence(BarrierParams(s, v), 2.0, 1.0, [1e-2, 1e-3, 1e-4])
 
 
 # Both renormalization schemes, with and without a phase; beta = 1e-3 drives
@@ -182,42 +191,38 @@ class TestSweepInputContract:
 
 class TestCorrespondenceTable:
     def test_row_structure(self):
+        # One row per energy: eps, T2_schrodinger, T2_dirac, diff.
         p = ConnectionParams(1, 0, 1, 1, 0)
-        rows = correspondence_table(p, 1.0, [0.5, 2.0])
-        assert [r.label for r in rows] == [
-            "T2_schrodinger", "T2_dirac", "diff",
-            "T2_schrodinger", "T2_dirac", "diff",
-        ]
-        assert [r.x for r in rows] == [0.5, 0.5, 0.5, 2.0, 2.0, 2.0]
+        table = correspondence_table(p, 1.0, [0.5, 2.0])
+        assert table.shape == (2, 4)
+        assert table[:, 0].tolist() == [0.5, 2.0]
+        assert np.array_equal(table[:, 3], np.abs(table[:, 1] - table[:, 2]))
 
     def test_probabilities_in_unit_interval(self):
         rng = np.random.default_rng(103)
         energies = np.geomspace(1e-6, 1e6, 13)
         for _ in range(20):
             p = random_connection(rng)
-            for row in correspondence_table(p, 1.0, energies):
-                if row.label != "diff":
-                    assert 0.0 <= row.value <= 1.0
+            probabilities = correspondence_table(p, 1.0, energies)[:, 1:3]
+            assert np.all((0.0 <= probabilities) & (probabilities <= 1.0))
 
     def test_frameworks_agree_at_low_kinetic_energy(self):
         p = ConnectionParams(2, 1, 1, 1, 0)
-        rows = correspondence_table(p, 1.0, [1e-6])
-        t_s, t_d, diff = (r.value for r in rows)
+        [(_, t_s, t_d, diff)] = correspondence_table(p, 1.0, [1e-6])
         assert diff / t_s < 1e-4
 
     def test_delta_potential_diverges_relativistically(self):
         # High kinetic energy: the nonrelativistic delta turns transparent,
         # the relativistic one keeps reflecting.
         p = ConnectionParams(1, 0, 1, 1, 0)
-        rows = correspondence_table(p, 1.0, [1e6])
-        t_s, t_d, _ = (r.value for r in rows)
+        [(_, t_s, t_d, _)] = correspondence_table(p, 1.0, [1e6])
         assert t_s > 1.0 - 1e-6
         assert t_d == pytest.approx(4.0 / 5.0, abs=1e-5)
 
     def test_delta_potential_difference_is_monotone(self):
         p = ConnectionParams(1, 0, 1, 1, 0)
-        rows = correspondence_table(p, 1.0, np.geomspace(1e-6, 1e6, 13))
-        diffs = [r.value for r in rows if r.label == "diff"]
+        table = correspondence_table(p, 1.0, np.geomspace(1e-6, 1e6, 13))
+        diffs = table[:, 3].tolist()
         assert all(later > earlier for earlier, later in zip(diffs, diffs[1:]))
 
     def test_rejects_nonpositive_kinetic_energy(self):

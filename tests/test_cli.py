@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import EPS, five_factor_scale
-from pointscatter import dirac, schrodinger
+from pointscatter import cli, dirac, schrodinger
 from pointscatter.cli import main
 from pointscatter.connection import ConnectionParams
 from pointscatter.schrodinger import NonRelMedium
@@ -335,6 +338,12 @@ HOSTILE_INPUTS = {
                              "--scalar", "10"], 2, "propagator"),
     "converge-dirac-s-1e308": (["converge", "--framework", "dirac", "--s", "1e308", "--v", "0.5",
                                 "--energy", "2", *SPACINGS], 2, "finite"),
+    "converge-dirac-limit-overflows": (["converge", "--framework", "dirac", "--s", "1000",
+                                       "--v", "0", "--energy", "2", *SPACINGS],
+                                      2, "s=1000.0, v=0.0"),
+    "propagate-huge-mass-overflows": (["propagate", "--framework", "dirac", "--x", "1e-300",
+                                       "--mass", "1e200", "--energy", "2e200"],
+                                      2, "propagator overflows"),
     "converge-dirac-energy-inf": (["converge", "--framework", "dirac", "--s", "1", "--v", "0.5",
                                    "--energy", "inf", *SPACINGS], 2, "finite"),
     "converge-k-nan": (["converge", "--framework", "schrodinger", *DELTA_FLAGS, "--k", "nan",
@@ -467,3 +476,29 @@ class TestDocumentedExamples:
             cfg = schrodinger.renormalized_strengths(p, a, 1.0)
             scale = five_factor_scale(cfg.v_plus, cfg.v_zero, cfg.v_minus, a, cfg.A, 1.0, 1.0)
             assert abs(float(err_str) - float(recorded)) <= 2 * 64 * EPS * scale
+
+
+# Where "%.17g" switches between fixed and exponent notation (exponent
+# below -4 or at least 17), with each boundary's neighbours, and the
+# signed zeros and subnormals.
+FORMAT_EDGES = [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308] + [
+    float(x)
+    for b in (1e-5, 1e-4, 1e16, 1e17)
+    for x in (np.nextafter(b, 0.0), b, np.nextafter(b, math.inf))
+]
+any_float = st.one_of(st.sampled_from(FORMAT_EDGES), st.floats())
+
+
+class TestOnePassFormatting:
+    @given(x=any_float)
+    def test_percent_format_is_format_spec(self, x):
+        assert "%.17g" % x == format(x, ".17g")
+        assert "%.17g" % -x == format(-x, ".17g")
+
+    @given(cells=st.lists(any_float, min_size=3, max_size=30))
+    def test_table_is_each_value_formatted(self, cells):
+        table = np.array(cells[: len(cells) // 3 * 3]).reshape(-1, 3)
+        want = "a,b,c\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist()
+        )
+        assert cli._csv("a,b,c", table) == want

@@ -65,6 +65,17 @@ class TestDiracMedium:
         with pytest.raises(ValueError, match="finite and exceed m"):
             analysis.dirac_convergence(BarrierParams(1.0, 0.5), E, 1.0, [1e-3])
 
+    @pytest.mark.parametrize("E", [2e200, -2e200])
+    def test_exterior_check_does_not_overflow(self, E):
+        # E*E > m*m would overflow to inf > inf and reject |E| > m.
+        med = DiracMedium(m=1e200, E=E)
+        assert (med.m, med.E) == (1e200, E)
+
+    @pytest.mark.parametrize("m, E", [(1e200, 1e200), (1e200, -1e200), (math.inf, math.inf)])
+    def test_exterior_check_rejects_huge_gap_energies(self, m, E):
+        with pytest.raises(ValueError):
+            DiracMedium(m=m, E=E)
+
     def test_derived_coefficients(self):
         med = DiracMedium(m=3.0, E=5.0)
         assert (med.k_plus, med.k_minus, med.k) == (8.0, 2.0, 4.0)
