@@ -6,11 +6,11 @@ transmission probabilities track each other across kinetic energy, and the
 closed-form high-energy limits.  Matrix error is the Chebyshev norm (max
 componentwise modulus) so sweep values compare directly with per-entry
 tolerances.  The sweeps are columnar: each validates its input column
-once and evaluates its model in one call over the whole column.  A
-convergence sweep evaluates the kernel the scalar transfer-matrix
-functions are the 0-d case of, and returns SweepRow tuples.  A
-correspondence table is one float array, one row (eps, T_schrodinger,
-T_dirac, diff) per kinetic energy.
+once and evaluates its model in one call over the whole column, the
+call the scalar transfer-matrix functions are the 0-d case of.  A
+convergence sweep returns SweepRow tuples.  A correspondence table is one
+float array, one row (eps, T_schrodinger, T_dirac, diff) per kinetic
+energy.
 """
 
 from __future__ import annotations
@@ -111,20 +111,23 @@ def dirac_convergence(
 ) -> list[SweepRow]:
     """Chebyshev error of the finite step barrier against its zero-width limit.
 
-    Raises ValueError, naming s and v, for a barrier whose limit overflows.
+    One row per half-width, largest first: finite_barrier_transfer over the
+    whole column of a against barrier_limit(b).  Raises ValueError for a
+    bad m or E first, then, naming s and v, for a barrier whose limit
+    overflows.
     """
     a = _spacings(a_list)
     if a.size == 0:
         return []
-    dirac._require_exterior(m, E)
     with np.errstate(over="ignore", invalid="ignore"):
+        stack = dirac.finite_barrier_transfer(b, a, E, m)
         target = dirac.barrier_limit(b)
     if not np.all(np.isfinite(target)):
         raise ValueError(
             f"barrier s={b.s!r}, v={b.v!r}: its zero-width limit is not finite in "
             "double precision (cosh sqrt|s^2 - v^2| overflows beyond about 710)"
         )
-    return _sweep_rows(a, dirac._barrier(b, a, E, m), target, "dirac")
+    return _sweep_rows(a, stack, target, "dirac")
 
 
 def correspondence_table(

@@ -77,9 +77,9 @@ def wrap_angle(theta: float) -> float:
 class ConnectionParams:
     """Point-interaction parameters: e^{i*theta} [[alpha, beta], [gamma, delta]].
 
-    alpha*delta - beta*gamma must equal 1 within 1e-12.  theta is stored in
-    (-pi, pi]; no canonical range is standard, this one is the package
-    convention and matches what decompose() returns.
+    alpha*delta - beta*gamma must equal 1 within 1e-12.  theta must be
+    finite and is stored in (-pi, pi]; no canonical range is standard, this
+    one is the package convention and matches what decompose() returns.
     """
 
     alpha: float
@@ -96,6 +96,8 @@ class ConnectionParams:
             raise ValueError(
                 f"alpha*delta - beta*gamma = {det!r}, not 1 within {_DET_TOL}"
             )
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
@@ -265,36 +267,23 @@ def transmission(p: ConnectionParams, rho2: float | np.ndarray) -> float | np.nd
 
     Between the modes of rho = sqrt(rho2), independent of theta, in [0, 1].
     At rho2 = 0 and inf it is the limit: 0 if the diverging term is present.
-    An ndarray rho2 gives an array of its shape, entry-wise with the same
-    operations in the same order, so each entry is the scalar call's value.
+    Entry-wise over an array rho2, giving an array of its shape; a scalar
+    rho2 is the 0-d case and gives a float.  Where beta^2 or gamma^2
+    overflows, that term is formed as (beta*rho)^2 or (gamma/rho)^2.
     """
-    if isinstance(rho2, np.ndarray):
-        return _transmission_column(p, rho2)
-    if not rho2 >= 0.0:
-        raise ValueError(f"rho2 must be non-negative, got {rho2!r}")
-    if (p.beta != 0.0 and rho2 == math.inf) or (p.gamma != 0.0 and rho2 == 0.0):
-        return 0.0
-    bracket = p.alpha * p.alpha + p.delta * p.delta + 2.0
-    if p.beta != 0.0:
-        bracket += p.beta * p.beta * rho2
-    if p.gamma != 0.0:
-        bracket += p.gamma * p.gamma / rho2
-    return min(1.0, 4.0 / bracket)
-
-
-def _transmission_column(p: ConnectionParams, rho2: np.ndarray) -> np.ndarray:
-    """transmission over an array of rho2, bit for bit the scalar call's values."""
+    rho2 = np.asarray(rho2, dtype=float)
     bad = ~(rho2 >= 0.0)
-    if np.any(bad):
+    if bad.any():
         raise ValueError(f"rho2 must be non-negative, got {float(rho2[bad][0])!r}")
     bracket = np.full(rho2.shape, p.alpha * p.alpha + p.delta * p.delta + 2.0)
-    # Overflow and x/0 give the IEEE values the scalar call computes too;
-    # numpy would only warn about them.
+    # Overflow and x/0 give the IEEE values wanted; numpy would only warn.
     with np.errstate(all="ignore"):
         if p.beta != 0.0:
-            bracket += p.beta * p.beta * rho2
+            bb = p.beta * p.beta
+            bracket += bb * rho2 if bb < math.inf else (p.beta * np.sqrt(rho2)) ** 2
         if p.gamma != 0.0:
-            bracket += p.gamma * p.gamma / rho2
+            gg = p.gamma * p.gamma
+            bracket += gg / rho2 if gg < math.inf else (p.gamma / np.sqrt(rho2)) ** 2
         t = 4.0 / bracket
     # min(1.0, t) keeps 1.0 unless t < 1.0, NaN included.
     t = np.where(t < 1.0, t, 1.0)
@@ -304,7 +293,7 @@ def _transmission_column(p: ConnectionParams, rho2: np.ndarray) -> np.ndarray:
         t[rho2 == math.inf] = 0.0
     if p.gamma != 0.0:
         t[rho2 == 0.0] = 0.0
-    return t
+    return t if t.ndim else float(t)
 
 
 def _inverse(M: np.ndarray) -> np.ndarray:

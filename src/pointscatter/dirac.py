@@ -127,8 +127,8 @@ class BarrierClass(NamedTuple):
     strength: Optional[float] = None
 
 
-def _kernel(w_plus, w_minus, x) -> np.ndarray:
-    """exp(x [[0, w_plus], [-w_minus, 0]]) in closed form, entry-wise over arrays.
+def _propagate(x, w_plus, w_minus, A) -> np.ndarray:
+    """e^{iAx} exp(x [[0, w_plus], [-w_minus, 0]]) in closed form, entry-wise over arrays.
 
     The branch is chosen per element by the sign of w_plus*w_minus:
     cos/sin when positive, cosh/sinh when negative, and the truncated
@@ -146,23 +146,8 @@ def _kernel(w_plus, w_minus, x) -> np.ndarray:
     w = np.where(trig | hyper, w, 1.0)
     c = np.where(trig, np.cos(t), np.where(hyper, np.cosh(h), 1.0))
     s = np.where(trig, np.sin(t) / w, np.where(hyper, np.sinh(h) / w, x))
-    return _from_entries(c, w_plus * s, -w_minus * s, c)
-
-
-def _propagate(x, k_plus, k_minus, A) -> np.ndarray:
-    """e^{iAx} times the kernel, entry-wise over any broadcast of the arguments."""
-    phase = np.exp(1j * A * x)
-    return np.asarray(phase)[..., None, None] * _kernel(k_plus, k_minus, x)
-
-
-def _barrier(b: BarrierParams, a, E: float, m: float) -> np.ndarray:
-    """Width-2a step barrier carrying strengths b, entry-wise over arrays of a.
-
-    Propagation over x = 2a with S = s/x, V = v/x and A = theta/x.
-    """
-    x = 2.0 * a
-    k_plus, k_minus = _coefficients(m, E, b.s / x, b.v / x)
-    return _propagate(x, k_plus, k_minus, b.theta / x)
+    phase = np.asarray(np.exp(1j * A * x))[..., None, None]
+    return phase * _from_entries(c, w_plus * s, -w_minus * s, c)
 
 
 def propagator(x: float, med: DiracMedium) -> TransferMatrix:
@@ -215,21 +200,25 @@ def barrier_limit(b: BarrierParams) -> TransferMatrix:
 
 
 def finite_barrier_transfer(
-    b: BarrierParams, a: float, E: float, m: float
+    b: BarrierParams, a: float | np.ndarray, E: float, m: float
 ) -> TransferMatrix:
     """Transfer matrix of the width-2a step barrier carrying strengths b.
 
-    Propagation over 2a with S = s/2a, V = v/2a, A = theta/2a; converges to
+    Propagation over x = 2a with S = s/x, V = v/x, A = theta/x; converges to
     barrier_limit(b) as a -> 0 at fixed E and m, at first order.  The
     matrix is e^{i theta} exp(P + 2aQ) with P = [[0, s-v], [s+v, 0]] and
     Q = [[0, m+E], [-(E-m), 0]], and the limit is e^{i theta} exp(P), so
     max|finite - limit| = 2a max|L(P, Q)| + O(a^2), where L is the
     Frechet derivative of exp (scipy.linalg.expm_frechet computes it).
+    An array of half-widths a gives a stack of shape a.shape + (2, 2), one
+    matrix per a by the scalar call's operations; every a must be positive.
     """
-    if not a > 0.0:
+    if not np.greater(a, 0.0).all():
         raise ValueError("half-width a must be positive")
     _require_exterior(m, E)
-    return _barrier(b, a, E, m)
+    x = 2.0 * a
+    k_plus, k_minus = _coefficients(m, E, b.s / x, b.v / x)
+    return _propagate(x, k_plus, k_minus, b.theta / x)
 
 
 def transmission(p: ConnectionParams, E: float, m: float) -> float:

@@ -225,6 +225,9 @@ class TestCorrespondenceTable:
         diffs = table[:, 3].tolist()
         assert all(later > earlier for earlier, later in zip(diffs, diffs[1:]))
 
+    def test_no_energies_give_an_empty_table(self):
+        assert correspondence_table(ConnectionParams(1, 0, 1, 1), 1.0, []).shape == (0, 4)
+
     def test_rejects_nonpositive_kinetic_energy(self):
         with pytest.raises(ValueError):
             correspondence_table(ConnectionParams(1, 0, 0, 1, 0), 1.0, [0.0])

@@ -349,6 +349,17 @@ HOSTILE_INPUTS = {
     "converge-k-nan": (["converge", "--framework", "schrodinger", *DELTA_FLAGS, "--k", "nan",
                         *SPACINGS], 2, "wave number"),
     "converge-theta-inf": ([*DIRAC_CONVERGE, "--theta", "inf", *SPACINGS], 2, "theta"),
+    "converge-schrodinger-theta-nan": ([*SCHRODINGER_CONVERGE, "--theta", "nan", *SPACINGS],
+                                       2, "theta"),
+    "transmission-theta-nan": (["transmission", "--framework", "schrodinger", *DELTA_FLAGS,
+                                "--theta", "nan", *SWEEP], 2, "theta"),
+    "compare-theta-inf": (["compare", *DELTA_FLAGS, "--theta", "inf", *SWEEP], 2, "theta"),
+    "converge-k-inf": ([*SCHRODINGER_CONVERGE[:-1], "inf", *SPACINGS], 2,
+                       "sweep value must be finite"),
+    "converge-dirac-energy-below-mass": ([*DIRAC_CONVERGE[:-1], "0.5", *SPACINGS], 2,
+                                         "--energy must exceed --mass"),
+    "propagate-dirac-mass-zero": (["propagate", "--framework", "dirac", "--x", "1",
+                                   "--energy", "2", "--mass", "0"], 2, "mass must be positive"),
     "compare-below-mass-resolution": (["compare", *DELTA_FLAGS, "--sweep-start", "1e-20",
                                        "--sweep-stop", "1", "--sweep-count", "3"],
                                       2, "below the resolution of the mass"),

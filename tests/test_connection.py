@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_connection
+from conftest import EPS, random_connection
 from pointscatter import connection, schrodinger
 from pointscatter.connection import (
     ConnectionParams,
@@ -40,6 +40,12 @@ class TestConnectionParams:
         assert ConnectionParams(1, 0, 0, 1, -0.5).theta == pytest.approx(-0.5)
         p = ConnectionParams(1, 0, 0, 1, 2.0 * math.pi + 0.25)
         assert p.theta == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_theta(self, theta):
+        # inf % 2pi is NaN, which no angle in (-pi, pi] is.
+        with pytest.raises(ValueError, match="theta must be finite"):
+            ConnectionParams(1, 0, 0, 1, theta)
 
     def test_wrap_angle_boundaries(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
@@ -287,7 +293,22 @@ class TestTransmission:
         p = ConnectionParams(1.0, 1e-200, 0.0, 1.0)
         assert transmission(p, math.inf) == 0.0
 
-    @pytest.mark.parametrize("rho2", [math.nan, -1.0, -math.inf])
+    # beta^2 or gamma^2 overflows a double although beta*rho or gamma/rho
+    # is small: beta*rho = 1e-5, gamma/rho = 1e5.
+    @pytest.mark.parametrize("p, rho2, want", [
+        (ConnectionParams(1, 1e155, 0, 1), 1e-320, 4.0 / (4.0 + 1e-10)),
+        (ConnectionParams(1, 0, 1e155, 1), 1e300, 4.0 / (4.0 + 1e10)),
+    ], ids=["beta", "gamma"])
+    def test_overflowing_square_of_the_off_diagonal(self, p, rho2, want):
+        t = transmission(p, rho2)
+        assert t == pytest.approx(want, rel=1e-12)
+        rho = math.sqrt(rho2)
+        result = scatter(as_matrix(p), modes(rho))
+        size = 1.0 + abs(p.alpha) + abs(p.delta) + abs(p.beta) * rho + abs(p.gamma) / rho
+        assert abs(result.t_prob - t) <= 32 * EPS * size**2 * t + 2 * EPS
+
+    @pytest.mark.parametrize("rho2", [math.nan, -1.0, -math.inf, np.array([1.0, -1.0])],
+                             ids=lambda v: "array-with-negative" if isinstance(v, np.ndarray) else None)
     def test_rejects_rho2_outside_nonnegative_reals(self, rho2):
         with pytest.raises(ValueError, match="rho2"):
             transmission(self.beta_zero, rho2)

@@ -247,6 +247,22 @@ class TestFiniteBarrier:
         with pytest.raises(ValueError):
             finite_barrier_transfer(BarrierParams(1.0, 0.0, 0.0), 0.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("a", [np.array([1e-3, 0.0]), np.array([[1e-3], [-1e-3]])],
+                             ids=["zero", "negative"])
+    def test_rejects_bad_width_anywhere_in_a_column(self, a):
+        with pytest.raises(ValueError, match="half-width"):
+            finite_barrier_transfer(BarrierParams(1.0, 0.0, 0.0), a, 2.0, 1.0)
+
+    @pytest.mark.parametrize("svt", [(1.0, 1.0, 0.0), (0.0, 1.0, 0.2), (2.0, 0.0, 0.0)])
+    def test_column_of_half_widths_is_the_scalar_calls(self, svt):
+        b = BarrierParams(*svt)
+        a = np.geomspace(1e-8, 1e-1, 8)
+        stack = finite_barrier_transfer(b, a, 2.0, 1.0)
+        assert stack.shape == (8, 2, 2)
+        for width, got in zip(a.tolist(), stack):
+            want = finite_barrier_transfer(b, width, 2.0, 1.0)
+            assert np.max(np.abs(got - want)) <= 4.0 * EPS * np.max(np.abs(want))
+
 
 class TestTransmission:
     def test_identity_connection_transmits(self):

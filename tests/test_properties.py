@@ -7,9 +7,10 @@ strength, not only over hand-picked ranges.  The residuals are bounded by
 modulus product for the three-delta model, (1 + |w x|) times the largest
 entry for the barrier.  Mode projection and the closed-form transmission
 must agree at every rho, with a rounding bound that grows with the
-largest entry of M^-1 u+ in the same way.  The columnar transmission, and
-the correspondence table built on it, must equal the scalar calls bit for
-bit at every rho^2, endpoints and extremes included.
+largest entry of M^-1 u+ in the same way.  transmission must equal the
+closed form in Python floats bit for bit, and its columns, and the
+correspondence table built on them, the scalar calls, at every rho^2,
+endpoints and extremes included.
 """
 
 import math
@@ -120,6 +121,29 @@ def test_array_transmission_is_the_scalar_calls_bit_for_bit(p, rho2):
     assert np.array_equal(transmission(p, column), want)
     # Any shape is kept, also where beta = gamma = 0 makes T a constant.
     assert np.array_equal(transmission(p, column[:, None]), want[:, None])
+
+
+def float_formula(p, rho2):
+    """The closed form in Python floats, with transmission's rule for a beta^2
+    or gamma^2 that overflows: a reference independent of numpy."""
+    if (p.beta != 0.0 and rho2 == math.inf) or (p.gamma != 0.0 and rho2 == 0.0):
+        return 0.0
+    bracket = p.alpha * p.alpha + p.delta * p.delta + 2.0
+    if p.beta != 0.0:
+        bb, b_rho = p.beta * p.beta, p.beta * math.sqrt(rho2)
+        bracket += bb * rho2 if bb < math.inf else b_rho * b_rho
+    if p.gamma != 0.0:
+        gg, g_rho = p.gamma * p.gamma, p.gamma / math.sqrt(rho2)
+        bracket += gg / rho2 if gg < math.inf else g_rho * g_rho
+    return min(1.0, 4.0 / bracket)
+
+
+@settings(deadline=None)
+@given(p=gated_connections(), rho2=rho2_values)
+def test_transmission_is_the_float_formula_bit_for_bit(p, rho2):
+    t = transmission(p, rho2)
+    assert type(t) is float
+    assert t == float_formula(p, rho2)
 
 
 @settings(deadline=None)
