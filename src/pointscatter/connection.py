@@ -62,7 +62,7 @@ class NotConnectionForm(ValueError):
 
 
 class SingularProjection(ValueError):
-    """Forward mode projection vanished for a non-current-conserving matrix."""
+    """Projection v-† M u- vanished for a non-current-conserving matrix."""
 
 
 def wrap_angle(theta: float) -> float:
@@ -135,35 +135,25 @@ class ModePair:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Transmission/reflection amplitudes and their probabilities."""
+    """Transmission/reflection amplitudes t, r with |t|^2 + |r|^2 = 1 within 1e-10."""
 
     t_amp: complex
     r_amp: complex
-    t_prob: float
-    r_prob: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t_amp", complex(self.t_amp))
         object.__setattr__(self, "r_amp", complex(self.r_amp))
-        object.__setattr__(self, "t_prob", float(self.t_prob))
-        object.__setattr__(self, "r_prob", float(self.r_prob))
-        for prob, amp, name in (
-            (self.t_prob, self.t_amp, "t"),
-            (self.r_prob, self.r_amp, "r"),
-        ):
-            if not abs(prob - abs(amp) ** 2) <= 1e-12:
-                raise ValueError(f"{name}_prob must equal |{name}_amp|^2")
-            if not 0.0 <= prob <= 1.0 + _UNITARITY_TOL:
-                raise ValueError(f"{name}_prob outside [0, 1]: {prob!r}")
         total = self.t_prob + self.r_prob
         if not abs(total - 1.0) <= _UNITARITY_TOL:
             raise ValueError(f"non-unitary amplitudes: |T|^2 + |R|^2 = {total!r}")
 
-    @classmethod
-    def from_amplitudes(cls, t_amp: complex, r_amp: complex) -> "ScatteringResult":
-        t_amp = complex(t_amp)
-        r_amp = complex(r_amp)
-        return cls(t_amp, r_amp, abs(t_amp) ** 2, abs(r_amp) ** 2)
+    @property
+    def t_prob(self) -> float:
+        return abs(self.t_amp) ** 2
+
+    @property
+    def r_prob(self) -> float:
+        return abs(self.r_amp) ** 2
 
 
 def as_matrix(p: ConnectionParams) -> TransferMatrix:
@@ -200,11 +190,19 @@ def epsilon_connection(v: float) -> TransferMatrix:
     return np.array([[1.0, v], [0.0, 1.0]], dtype=complex)
 
 
+def _matrix(M: TransferMatrix) -> np.ndarray:
+    """M as a complex ndarray; ValueError unless its shape is (2, 2)."""
+    M = np.asarray(M, dtype=complex)
+    if M.shape != (2, 2):
+        raise ValueError(f"transfer matrix must be 2x2, got shape {M.shape}")
+    return M
+
+
 def conserves_current(M: TransferMatrix, tol: float) -> bool:
     """True iff M† sigma2 M = sigma2 componentwise within tol."""
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    M = np.asarray(M, dtype=complex)
+    M = _matrix(M)
     residual = M.conj().T @ SIGMA2 @ M - SIGMA2
     return bool(np.max(np.abs(residual)) <= tol)
 
@@ -222,7 +220,7 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
     Raises NotConnectionForm when no global phase makes the matrix real to
     tolerance, or the determinant is not 1 to tolerance.
     """
-    M = np.asarray(M, dtype=complex)
+    M = _matrix(M)
     mags = np.abs(M)
     scale = float(mags.max())
     if not math.isfinite(scale) or scale == 0.0:
@@ -296,35 +294,31 @@ def transmission(p: ConnectionParams, rho2: float | np.ndarray) -> float | np.nd
     return t if t.ndim else float(t)
 
 
-def _inverse(M: np.ndarray) -> np.ndarray:
-    # Explicit 2x2 adjugate over determinant; exact formula, no factorization.
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det == 0 or not cmath.isfinite(det):
-        raise ValueError("matrix is singular or not finite")
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex) / det
-
-
 def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:
     """Transmission and reflection of a right mover incident from the left.
 
-    Matching T u+ = M (u+ + R u-) across the interaction and projecting
-    with the dual modes gives T = 1 / (v+† M^-1 u+) and
-    R = (v-† M^-1 u+) / (v+† M^-1 u+).
+    The matching condition T u+ = M (u+ + R u-) across the interaction,
+    projected onto the dual v-† (v-† u+ = 0), gives
+    R = -(v-† M u+) / (v-† M u-), and with it T = det M / (v-† M u-).
 
-    M must conserve current (to ~1e-8) and the modes must be bi-orthogonal.
-    If the forward projection vanishes, nothing gets through: for a
-    current-conserving M this is reported as perfect reflection with
-    r_amp = -1 (the modulus is forced to 1, the phase is not determined by
-    the data).  Otherwise SingularProjection is raised.
+    M must be 2x2, conserve current (to ~1e-8) and have a finite, nonzero
+    determinant; the modes must be bi-orthogonal.  If v-† M u- vanishes
+    against det M, nothing gets through: for a current-conserving M this
+    is reported as perfect reflection with r_amp = -1 (the modulus is
+    forced to 1, the phase is not determined by the data).  Otherwise
+    SingularProjection is raised.
     """
-    M = np.asarray(M, dtype=complex)
-    inv = _inverse(M)
-    forward = complex(np.vdot(modes.v_plus, inv @ modes.u_plus))
-    backward = complex(np.vdot(modes.v_minus, inv @ modes.u_plus))
-    if abs(forward) < _PROJECTION_FLOOR:
+    M = _matrix(M)
+    det = complex(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+    if det == 0 or not cmath.isfinite(det):
+        raise ValueError("matrix is singular or not finite")
+    row = modes.v_minus.conj() @ M  # v-† M
+    plus = complex(row @ modes.u_plus)
+    minus = complex(row @ modes.u_minus)
+    if abs(minus) < _PROJECTION_FLOOR * abs(det):
         if conserves_current(M, 1e-8):
-            return ScatteringResult.from_amplitudes(0.0, -1.0)
+            return ScatteringResult(0.0, -1.0)
         raise SingularProjection(
-            "forward projection v+† M^-1 u+ vanished and M does not conserve current"
+            "projection v-† M u- vanished against det M and M does not conserve current"
         )
-    return ScatteringResult.from_amplitudes(1.0 / forward, backward / forward)
+    return ScatteringResult(det / minus, -plus / minus)

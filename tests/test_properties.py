@@ -6,8 +6,8 @@ strength, not only over hand-picked ranges.  The residuals are bounded by
 64 eps times the square of the matrix's modulus scale: the factors'
 modulus product for the three-delta model, (1 + |w x|) times the largest
 entry for the barrier.  Mode projection and the closed-form transmission
-must agree at every rho, with a rounding bound that grows with the
-largest entry of M^-1 u+ in the same way.  transmission must equal the
+must agree at every rho, with a rounding bound that grows in the same
+way with the mode-basis scale 1 + |alpha| + |delta| + |beta| rho + |gamma|/rho.  transmission must equal the
 closed form in Python floats bit for bit, and its columns, and the
 correspondence table built on them, the scalar calls, at every rho^2,
 endpoints and extremes included.
