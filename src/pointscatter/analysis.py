@@ -99,11 +99,11 @@ def nonrel_convergence(
     a = _spacings(a_list)
     if a.size == 0:
         return []
-    # The medium before the scheme: a bad m or k (k = inf included) outranks
-    # SingularRenormalization.
+    # The medium before the scheme: a bad m or k outranks SingularRenormalization.
     schrodinger.rho(m, k)
-    if not math.isfinite(k):
-        raise ValueError(f"wave number k={k!r} must be finite for a convergence sweep")
+    for name, value in (("mass m", m), ("wave number k", k)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value!r} must be finite for a convergence sweep")
     strengths = schrodinger._strengths(p, a, m)
     stack = schrodinger._three_delta(a, m, k, *strengths)
     return _sweep_rows(a, stack, as_matrix(p), "schrodinger")

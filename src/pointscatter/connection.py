@@ -65,6 +65,16 @@ class SingularProjection(ValueError):
     """Projection v-† M u- vanished for a non-current-conserving matrix."""
 
 
+def _coerce_fields(obj, convert, finite=()) -> None:
+    """Store each dataclass field of obj as convert(value); fields in finite must be finite."""
+    fields = vars(obj)
+    for name, value in fields.items():
+        fields[name] = convert(value)
+    for name in finite:
+        if not cmath.isfinite(fields[name]):
+            raise ValueError(f"{name} must be finite")
+
+
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to the canonical interval (-pi, pi]."""
     t = theta % _TWO_PI
@@ -89,15 +99,10 @@ class ConnectionParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta", "theta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _coerce_fields(self, float, ("theta",))
         det = self.alpha * self.delta - self.beta * self.gamma
         if not math.isfinite(det) or abs(det - 1.0) > _DET_TOL:
-            raise ValueError(
-                f"alpha*delta - beta*gamma = {det!r}, not 1 within {_DET_TOL}"
-            )
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+            raise ValueError(f"alpha*delta - beta*gamma = {det!r}, not 1 within {_DET_TOL}")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
@@ -141,8 +146,7 @@ class ScatteringResult:
     r_amp: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t_amp", complex(self.t_amp))
-        object.__setattr__(self, "r_amp", complex(self.r_amp))
+        _coerce_fields(self, complex)
         total = self.t_prob + self.r_prob
         if not abs(total - 1.0) <= _UNITARITY_TOL:
             raise ValueError(f"non-unitary amplitudes: |T|^2 + |R|^2 = {total!r}")
@@ -251,6 +255,8 @@ def modes(rho: float) -> ModePair:
     """Free modes u± = (1, ±i*rho)/sqrt2 and duals v± = (1, ±i/rho)/sqrt2, rho > 0."""
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    if not 1.0 / float(rho) < math.inf:
+        raise ValueError(f"rho={rho!r} is too small: 1/rho overflows")
     rt2 = math.sqrt(2.0)
     return ModePair(
         u_plus=np.array([1.0, 1j * rho]) / rt2,

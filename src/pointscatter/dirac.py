@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import connection
-from .connection import ConnectionParams, ModePair, TransferMatrix, _from_entries
+from .connection import ConnectionParams, ModePair, TransferMatrix, _coerce_fields, _from_entries
 
 __all__ = [
     "DiracMedium",
@@ -70,8 +70,7 @@ class DiracMedium:
     A: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("m", "E", "S", "V", "A"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _coerce_fields(self, float, ("S", "V", "A"))
         _require_exterior(self.m, self.E)
 
     @property
@@ -101,11 +100,7 @@ class BarrierParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("s", "v", "theta"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
+        _coerce_fields(self, float, ("s", "v", "theta"))
 
     @property
     def p_plus(self) -> float:
@@ -215,6 +210,8 @@ def finite_barrier_transfer(
     """
     if not np.greater(a, 0.0).all():
         raise ValueError("half-width a must be positive")
+    if not np.less(a, math.inf).all():
+        raise ValueError("half-width a must be finite")
     _require_exterior(m, E)
     x = 2.0 * a
     k_plus, k_minus = _coefficients(m, E, b.s / x, b.v / x)
@@ -241,6 +238,4 @@ def classify(b: BarrierParams) -> BarrierClass:
             raise ValueError("delta/epsilon identification requires theta = 0")
         kind = "delta" if b.s == b.v else "epsilon"
         return BarrierClass(kind, 2.0 * b.s)
-    if b.s * b.s < b.v * b.v:
-        return BarrierClass("trig")
-    return BarrierClass("hyperbolic")
+    return BarrierClass("trig" if abs(b.s) < abs(b.v) else "hyperbolic")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import connection
-from .connection import ConnectionParams, ModePair, TransferMatrix, _from_entries
+from .connection import ConnectionParams, ModePair, TransferMatrix, _coerce_fields, _from_entries
 
 __all__ = [
     "NonRelMedium",
@@ -52,8 +52,7 @@ class NonRelMedium:
     A: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("m", "k", "A"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _coerce_fields(self, float, ("A",))
         rho(self.m, self.k)
 
 
@@ -68,8 +67,7 @@ class DeltaTriple:
     A: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("v_plus", "v_zero", "v_minus", "a", "A"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        _coerce_fields(self, float, ("v_plus", "v_zero", "v_minus", "a", "A"))
         if not self.a > 0.0:
             raise ValueError("half-spacing a must be positive")
 
@@ -242,7 +240,7 @@ def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTrip
 
     Raises SingularRenormalization when beta = 0 and alpha + delta = -2.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("half-spacing a must be positive")
     v_plus, v_zero, v_minus, A = _strengths(p, a, m)
     return DeltaTriple(v_plus, v_zero, v_minus, a, A)

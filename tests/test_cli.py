@@ -356,6 +356,7 @@ HOSTILE_INPUTS = {
     "compare-theta-inf": (["compare", *DELTA_FLAGS, "--theta", "inf", *SWEEP], 2, "theta"),
     "converge-k-inf": ([*SCHRODINGER_CONVERGE[:-1], "inf", *SPACINGS], 2,
                        "wave number k=inf must be finite"),
+    "converge-mass-inf": ([*SCHRODINGER_CONVERGE, "--mass", "inf", *SPACINGS], 2, "mass"),
     "converge-dirac-energy-below-mass": ([*DIRAC_CONVERGE[:-1], "0.5", *SPACINGS], 2,
                                          "--energy must exceed --mass"),
     "propagate-dirac-mass-zero": (["propagate", "--framework", "dirac", "--x", "1",

@@ -53,6 +53,43 @@ class TestConnectionParams:
         assert wrap_angle(0.0) == 0.0
 
 
+# Every value type with the fields its policy requires finite, from valid
+# integral arguments: all fields are stored as float (complex for
+# ScatteringResult), and a NaN or infinite finite field is rejected by name.
+VALUE_TYPES = [
+    (ConnectionParams, dict(alpha=2, beta=1, gamma=1, delta=1, theta=1), ("theta",)),
+    (NonRelMedium, dict(m=1, k=2, A=3), ("A",)),
+    (schrodinger.DeltaTriple, dict(v_plus=1, v_zero=2, v_minus=3, a=1, A=1),
+     ("v_plus", "v_zero", "v_minus", "a", "A")),
+    (dirac.DiracMedium, dict(m=1, E=3, S=1, V=2, A=1), ("S", "V", "A")),
+    (dirac.BarrierParams, dict(s=1, v=2, theta=3), ("s", "v", "theta")),
+]
+
+
+class TestFieldPolicy:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("cls, kwargs, name", [
+        pytest.param(cls, kwargs, name, id=f"{cls.__name__}.{name}")
+        for cls, kwargs, finite in VALUE_TYPES for name in finite
+    ])
+    def test_rejects_nonfinite_field_by_name(self, cls, kwargs, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            cls(**{**kwargs, name: bad})
+
+    @pytest.mark.parametrize("convert", [int, np.float64], ids=["int", "float64"])
+    @pytest.mark.parametrize("cls, kwargs", [
+        pytest.param(cls, kwargs, id=cls.__name__) for cls, kwargs, _ in VALUE_TYPES
+    ])
+    def test_fields_are_plain_floats(self, cls, kwargs, convert):
+        value = cls(**{name: convert(v) for name, v in kwargs.items()})
+        assert all(type(getattr(value, name)) is float for name in kwargs)
+
+    @pytest.mark.parametrize("convert", [int, np.float64], ids=["int", "float64"])
+    def test_amplitudes_are_plain_complex(self, convert):
+        result = ScatteringResult(convert(1), convert(0))
+        assert type(result.t_amp) is complex and type(result.r_amp) is complex
+
+
 class TestAsMatrix:
     def test_identity(self):
         p = ConnectionParams(1, 0, 0, 1, 0)
@@ -314,7 +351,8 @@ class TestModes:
         assert np.array_equal(pair.v_plus, np.array([1.0, 2.0j]) / rt2)
         assert np.array_equal(pair.v_minus, np.array([1.0, -2.0j]) / rt2)
 
-    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+    # Below 1/DBL_MAX (about 5.6e-309) the duals' 1/rho overflows.
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan, 5e-324, 1e-310])
     def test_rejects_rho_outside_positive_reals(self, rho):
         with pytest.raises(ValueError, match="rho"):
             modes(rho)

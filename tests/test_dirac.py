@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,6 +55,11 @@ class TestDiracMedium:
     def test_finite_barrier_rejects_nan_half_width(self):
         with pytest.raises(ValueError, match="half-width"):
             finite_barrier_transfer(BarrierParams(1.0, 0.5), math.nan, 2.0, 1.0)
+
+    @pytest.mark.parametrize("a", [math.inf, 0.0, -1.0])
+    def test_finite_barrier_rejects_bad_half_width(self, a):
+        with pytest.raises(ValueError, match="half-width"):
+            finite_barrier_transfer(BarrierParams(1.0, 0.5), a, 2.0, 1.0)
 
     @pytest.mark.parametrize("E", [math.inf, -math.inf, math.nan])
     def test_rejects_nonfinite_energy(self, E):
@@ -342,6 +348,21 @@ class TestClassify:
 
     def test_hyperbolic_tag(self):
         assert classify(BarrierParams(2.0, 0.5, 0.0)) == ("hyperbolic", None)
+
+    # s*s and v*v overflow at 1e200 and underflow at 1.4e-161 (leaving
+    # s*s == v*v); the branch must still follow the exact s^2 < v^2.
+    @pytest.mark.parametrize("s, v", [
+        (1e200 * (1.0 - 1e-15), 1e200),
+        (1.4e-161, math.nextafter(1.4e-161, math.inf)),
+    ], ids=["1e200", "1.4e-161"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["s<v", "s>v"])
+    def test_branch_is_exact_at_extreme_magnitudes(self, s, v, swap):
+        if swap:
+            s, v = v, s
+        assert Fraction(s) ** 2 != Fraction(v) ** 2
+        want = "trig" if Fraction(s) ** 2 < Fraction(v) ** 2 else "hyperbolic"
+        assert classify(BarrierParams(s, v)) == (want, None)
+        assert classify(BarrierParams(-s, v)) == (want, None)
 
     def test_delta_epsilon_need_zero_theta(self):
         with pytest.raises(ValueError, match="theta"):

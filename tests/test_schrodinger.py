@@ -134,6 +134,10 @@ class TestModeVectors:
         with pytest.raises(ModesRequireFreeSpace):
             mode_vectors(NonRelMedium(m=1.0, k=1.0, A=0.5))
 
+    def test_rejects_rho_whose_reciprocal_overflows(self):
+        with pytest.raises(ValueError, match="rho"):
+            mode_vectors(NonRelMedium(m=1.0, k=1e-310))
+
 
 class TestThreeDeltaTransfer:
     def test_zero_strengths_give_free_propagation(self):
@@ -229,6 +233,13 @@ class TestRenormalizedStrengths:
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
             renormalized_strengths(ConnectionParams(1, 0, 0, 1, 0), -0.1, 1.0)
+
+    @pytest.mark.parametrize("a, message", [
+        (math.nan, "half-spacing a must be positive"), (math.inf, "a must be finite"),
+    ])
+    def test_rejects_nonfinite_spacing(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            renormalized_strengths(ConnectionParams(2, 1, 1, 1, 0), a, 1.0)
 
     def test_rejects_nan_mass(self):
         with pytest.raises(ValueError, match="mass"):
