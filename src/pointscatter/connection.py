@@ -120,20 +120,23 @@ class ModePair:
     v_minus: np.ndarray
 
     def __post_init__(self) -> None:
+        entries = []
         for name in ("u_plus", "u_minus", "v_plus", "v_minus"):
             vec = np.array(getattr(self, name), dtype=complex)
             if vec.shape != (2,):
                 raise ValueError(f"{name} must be a 2-component vector")
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
+            entries.append(vec.tolist())
+        u_plus, u_minus, v_plus, v_minus = entries
         projections = (
-            ("v_plus† u_plus", self.v_plus, self.u_plus, 1.0),
-            ("v_minus† u_minus", self.v_minus, self.u_minus, 1.0),
-            ("v_plus† u_minus", self.v_plus, self.u_minus, 0.0),
-            ("v_minus† u_plus", self.v_minus, self.u_plus, 0.0),
+            ("v_plus† u_plus", v_plus, u_plus, 1.0),
+            ("v_minus† u_minus", v_minus, u_minus, 1.0),
+            ("v_plus† u_minus", v_plus, u_minus, 0.0),
+            ("v_minus† u_plus", v_minus, u_plus, 0.0),
         )
-        for label, dual, mode, want in projections:
-            got = complex(np.vdot(dual, mode))
+        for label, (d0, d1), (u0, u1), want in projections:
+            got = d0.conjugate() * u0 + d1.conjugate() * u1
             if not abs(got - want) <= _BIORTHO_TOL:
                 raise ValueError(f"modes not bi-orthogonal: {label} = {got!r}")
 
@@ -194,21 +197,44 @@ def epsilon_connection(v: float) -> TransferMatrix:
     return np.array([[1.0, v], [0.0, 1.0]], dtype=complex)
 
 
-def _matrix(M: TransferMatrix) -> np.ndarray:
-    """M as a complex ndarray; ValueError unless its shape is (2, 2)."""
+def _entries(M: TransferMatrix) -> list[complex]:
+    """The entries [a, b, c, d] of M = [[a, b], [c, d]] as Python complex numbers.
+
+    ValueError unless M's shape is (2, 2).  On four entries, Python complex
+    arithmetic costs a fraction of numpy's per-call overhead.
+    """
     M = np.asarray(M, dtype=complex)
     if M.shape != (2, 2):
         raise ValueError(f"transfer matrix must be 2x2, got shape {M.shape}")
-    return M
+    return M.ravel().tolist()
+
+
+def _finite(entries: list[complex]) -> bool:
+    """True iff no entry has a NaN or infinite part."""
+    return all(map(cmath.isfinite, entries))
 
 
 def conserves_current(M: TransferMatrix, tol: float) -> bool:
-    """True iff M† sigma2 M = sigma2 componentwise within tol."""
+    """True iff M† sigma2 M = sigma2 componentwise within tol.
+
+    For M = [[a, b], [c, d]] the residual M† sigma2 M - sigma2 is
+    [[2 Im(conj(a) c), i (b conj(c) - conj(a) d + 1)], [its conjugate, 2 Im(conj(b) d)]].
+    A matrix with a NaN or infinite entry does not conserve current.
+    """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    M = _matrix(M)
-    residual = M.conj().T @ SIGMA2 @ M - SIGMA2
-    return bool(np.max(np.abs(residual)) <= tol)
+    entries = _entries(M)
+    if not _finite(entries):
+        return False
+    a, b, c, d = entries
+    upper = 2.0 * (a.real * c.imag - a.imag * c.real)
+    lower = 2.0 * (b.real * d.imag - b.imag * d.real)
+    off = b * c.conjugate() - a.conjugate() * d + 1.0
+    try:
+        # A NaN residual (inf - inf from overflowing products) fails every comparison.
+        return abs(upper) <= tol and abs(lower) <= tol and abs(off) <= tol
+    except OverflowError:  # |off| beyond the float range
+        return False
 
 
 def decompose(M: TransferMatrix) -> ConnectionParams:
@@ -221,34 +247,40 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
     determinant may miss 1 by up to 1e-8, and U is rescaled onto det 1
     before the parameters are built.
 
-    Raises NotConnectionForm when no global phase makes the matrix real to
-    tolerance, or the determinant is not 1 to tolerance.
+    Raises NotConnectionForm when the matrix is zero or has a NaN or
+    infinite entry, when no global phase makes it real to tolerance, or
+    when the determinant is not 1 to tolerance.
     """
-    M = _matrix(M)
-    mags = np.abs(M)
-    scale = float(mags.max())
-    if not math.isfinite(scale) or scale == 0.0:
+    entries = _entries(M)
+    try:
+        # The first entry of largest modulus in row-major order.  max skips
+        # a NaN modulus, so finiteness is checked separately below.
+        largest = max(entries, key=abs)
+        scale = abs(largest)
+    except OverflowError:  # a finite entry whose modulus is beyond the float range
+        scale = math.inf
+    if not (_finite(entries) and 0.0 < scale < math.inf):
         raise NotConnectionForm("matrix is zero or non-finite")
     # Read the phase off the largest entry; a tiny one would give a noisy
     # argument.  The sign scan below restores the canonical branch.
-    row, col = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    phase = cmath.phase(complex(M[row, col]))
-    rotated = M * cmath.exp(-1j * phase)
+    phase = cmath.phase(largest)
+    turn = cmath.exp(-1j * phase)
+    rotated = [z * turn for z in entries]
     floor = _REAL_FORM_TOL * max(1.0, scale)
-    if float(np.max(np.abs(rotated.imag))) > floor:
+    if max(abs(z.imag) for z in rotated) > floor:
         raise NotConnectionForm("no global phase makes all entries real")
-    u = rotated.real.copy()
-    det = float(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
+    u = [z.real for z in rotated]
+    det = u[0] * u[3] - u[1] * u[2]
     if abs(det - 1.0) > _REAL_FORM_TOL:
         raise NotConnectionForm(f"determinant {det!r} is not 1 within {_REAL_FORM_TOL}")
-    for entry in u.ravel():
+    for entry in u:
         if abs(entry) > floor:
             if entry < 0.0:
-                u = -u
+                u = [-x for x in u]
                 phase += math.pi
             break
-    u /= math.sqrt(det)
-    return ConnectionParams(u[0, 0], u[0, 1], u[1, 0], u[1, 1], wrap_angle(phase))
+    root = math.sqrt(det)
+    return ConnectionParams(*(x / root for x in u), wrap_angle(phase))
 
 
 def modes(rho: float) -> ModePair:
@@ -259,10 +291,10 @@ def modes(rho: float) -> ModePair:
         raise ValueError(f"rho={rho!r} is too small: 1/rho overflows")
     rt2 = math.sqrt(2.0)
     return ModePair(
-        u_plus=np.array([1.0, 1j * rho]) / rt2,
-        u_minus=np.array([1.0, -1j * rho]) / rt2,
-        v_plus=np.array([1.0, 1j / rho]) / rt2,
-        v_minus=np.array([1.0, -1j / rho]) / rt2,
+        u_plus=(1.0 / rt2, 1j * rho / rt2),
+        u_minus=(1.0 / rt2, -1j * rho / rt2),
+        v_plus=(1.0 / rt2, 1j / rho / rt2),
+        v_minus=(1.0 / rt2, -1j / rho / rt2),
     )
 
 
@@ -314,13 +346,17 @@ def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:
     forced to 1, the phase is not determined by the data).  Otherwise
     SingularProjection is raised.
     """
-    M = _matrix(M)
-    det = complex(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    if det == 0 or not cmath.isfinite(det):
+    entries = _entries(M)
+    a, b, c, d = entries
+    det = a * d - b * c
+    if not _finite(entries) or det == 0 or not cmath.isfinite(det):
         raise ValueError("matrix is singular or not finite")
-    row = modes.v_minus.conj() @ M  # v-† M
-    plus = complex(row @ modes.u_plus)
-    minus = complex(row @ modes.u_minus)
+    v0, v1 = modes.v_minus.tolist()
+    v0, v1 = v0.conjugate(), v1.conjugate()
+    row0, row1 = v0 * a + v1 * c, v0 * b + v1 * d  # v-† M
+    (p0, p1), (m0, m1) = modes.u_plus.tolist(), modes.u_minus.tolist()
+    plus = row0 * p0 + row1 * p1
+    minus = row0 * m0 + row1 * m1
     if abs(minus) < _PROJECTION_FLOOR * abs(det):
         if conserves_current(M, 1e-8):
             return ScatteringResult(0.0, -1.0)

@@ -54,6 +54,8 @@ class NonRelMedium:
     def __post_init__(self) -> None:
         _coerce_fields(self, float, ("A",))
         rho(self.m, self.k)
+        if self.m == math.inf:
+            raise ValueError("mass must be finite")
 
 
 @dataclass(frozen=True)
@@ -196,18 +198,32 @@ def closed_form_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     return cmath.exp(2j * cfg.A * a) * real_part
 
 
+def _require_divisor(a, divisor, formula: str) -> None:
+    """Raise ValueError naming the largest half-spacing a at which divisor underflowed to 0."""
+    # divisor >= 0, so a nonzero test is enough; ndarray.all() tests exactly
+    # that, and a plain float skips numpy's per-call cost.
+    if divisor != 0.0 if divisor.__class__ is float else divisor.all():
+        return
+    small = float(np.max(np.asarray(a)[np.asarray(divisor) == 0.0]))
+    raise ValueError(f"half-spacing a={small!r} is too small: {formula} underflows to 0")
+
+
 def _strengths(p: ConnectionParams, a, m: float):
     """(v_plus, v_zero, v_minus, A) of renormalized_strengths(), entry-wise over a.
 
-    Raises ValueError for a mass that is not positive (NaN included) and
+    Raises ValueError for a mass that is not positive (NaN included) or a
+    spacing so small that a divisor below underflows to 0, and
     SingularRenormalization for beta = 0 with alpha + delta = -2.
     """
     if not m > 0.0:
         raise ValueError("mass must be positive")
     if p.beta != 0.0:
+        # 2ma underflows to 0 only where 4m^2a^2 does.
+        centre = 4.0 * m * m * a * a
+        _require_divisor(a, centre, "4 m^2 a^2")
         v_plus = -1.0 / (2.0 * m * a) + (p.delta + 1.0) / p.beta
         v_minus = -1.0 / (2.0 * m * a) + (p.alpha + 1.0) / p.beta
-        v_zero = p.beta / (4.0 * m * m * a * a)
+        v_zero = p.beta / centre
     else:
         denom = p.alpha + p.delta + 2.0
         if denom == 0.0:
@@ -215,8 +231,10 @@ def _strengths(p: ConnectionParams, a, m: float):
                 "beta = 0 with alpha + delta = -2: "
                 "the beta-zero scheme divides by alpha + delta + 2"
             )
-        v_plus = (p.delta - 1.0) / (4.0 * m * a)
-        v_minus = (p.alpha - 1.0) / (4.0 * m * a)
+        side = 4.0 * m * a
+        _require_divisor(a, side, "4 m a")
+        v_plus = (p.delta - 1.0) / side
+        v_minus = (p.alpha - 1.0) / side
         v_zero = 4.0 * p.gamma / denom
     return v_plus, v_zero, v_minus, p.theta / (2.0 * a)
 

@@ -67,6 +67,11 @@ class TestNonrelConvergence:
         with pytest.raises(SingularRenormalization):
             nonrel_convergence(ConnectionParams(-1, 0, 3, -1, 0), 1.0, 1.0, [1e-2])
 
+    def test_underflowing_spacing_is_named(self):
+        # 4 m^2 a^2 underflows to 0 below a of about 1e-162.
+        with pytest.raises(ValueError, match="a=1e-200 is too small"):
+            nonrel_convergence(ConnectionParams(2, 1, 1, 1), 1.0, 1.0, [1e-3, 1e-200])
+
 
 class TestDiracConvergence:
     def test_zero_barrier_error_vanishes_with_width(self):

@@ -357,6 +357,10 @@ HOSTILE_INPUTS = {
     "converge-k-inf": ([*SCHRODINGER_CONVERGE[:-1], "inf", *SPACINGS], 2,
                        "wave number k=inf must be finite"),
     "converge-mass-inf": ([*SCHRODINGER_CONVERGE, "--mass", "inf", *SPACINGS], 2, "mass"),
+    "converge-spacing-underflows": (["converge", "--framework", "schrodinger", "--alpha", "2",
+                                     "--beta", "1", "--gamma", "1", "--delta", "1", "--k", "1",
+                                     "--sweep-start", "1e-200", "--sweep-stop", "1e-201",
+                                     "--sweep-count", "2"], 2, "a=1e-200 is too small"),
     "converge-dirac-energy-below-mass": ([*DIRAC_CONVERGE[:-1], "0.5", *SPACINGS], 2,
                                          "--energy must exceed --mass"),
     "propagate-dirac-mass-zero": (["propagate", "--framework", "dirac", "--x", "1",

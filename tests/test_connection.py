@@ -342,6 +342,22 @@ class TestMatrixShape:
             self.CALLS[name](M)
 
 
+class TestNonFiniteEntries:
+    # Each position separately: Python's max skips a NaN unless it comes first.
+    # No numpy RuntimeWarning may escape either; pytest makes them errors.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)],
+                             ids=["nan", "inf", "nanj"])
+    @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=str)
+    def test_every_entry_point_rejects_it(self, pos, bad):
+        M = np.eye(2, dtype=complex)
+        M[pos] = bad
+        with pytest.raises(NotConnectionForm, match="zero or non-finite"):
+            decompose(M)
+        assert conserves_current(M, 1e-6) is False
+        with pytest.raises(ValueError, match="singular or not finite"):
+            scatter(M, modes(1.0))
+
+
 class TestModes:
     def test_values(self):
         pair = modes(0.5)

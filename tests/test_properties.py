@@ -10,12 +10,15 @@ must agree at every rho, with a rounding bound that grows in the same
 way with the mode-basis scale 1 + |alpha| + |delta| + |beta| rho + |gamma|/rho.  transmission must equal the
 closed form in Python floats bit for bit, and its columns, and the
 correspondence table built on them, the scalar calls, at every rho^2,
-endpoints and extremes included.
+endpoints and extremes included.  decompose must invert as_matrix onto
+the canonical branch, to a rounding bound that grows with the products
+|alpha delta| and |beta gamma| whose difference is the determinant.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,7 @@ from conftest import EPS, five_factor_scale
 from pointscatter import dirac, schrodinger
 from pointscatter.analysis import correspondence_table
 from pointscatter.connection import (
-    SIGMA2, ConnectionParams, as_matrix, modes, scatter, transmission,
+    SIGMA2, ConnectionParams, as_matrix, decompose, modes, scatter, transmission, wrap_angle,
 )
 from pointscatter.dirac import BarrierParams, DiracMedium
 from pointscatter.schrodinger import DeltaTriple, NonRelMedium
@@ -158,3 +161,47 @@ def test_correspondence_table_columns_are_the_scalar_transmissions(p, m, eps):
     ])
     t_d = np.array([dirac.transmission(p, m + e, m) for e in ordered])
     assert np.array_equal(table, np.column_stack((ordered, t_s, t_d, np.abs(t_s - t_d))))
+
+
+def assert_decompose_inverts_as_matrix(p):
+    """decompose(as_matrix(p)) is p on the canonical branch: first entry positive.
+
+    Entries within 4 eps (1 + |alpha delta| + |beta gamma|) times the largest
+    entry: the determinant's rounding, which the sqrt(det) rescale passes on
+    to every entry, grows with those products.  Measured: at most 0.97 of
+    that without the factor 4, over 2e5 draws.  theta within 16 eps: the
+    phase read off the largest entry, and the roundings of theta + pi and of
+    the wrap into (-pi, pi] (measured: at most 4 eps).
+    """
+    want = [p.alpha, p.beta, p.gamma, p.delta]
+    want_theta = p.theta
+    if want[0] < 0.0:
+        want, want_theta = [-x for x in want], wrap_angle(want_theta + math.pi)
+    q = decompose(as_matrix(p))
+    assert q.alpha > 0.0 and -math.pi < q.theta <= math.pi
+    scale = max(map(abs, want))
+    bound = 4 * EPS * (1.0 + abs(p.alpha * p.delta) + abs(p.beta * p.gamma)) * scale
+    assert max(abs(x - y) for x, y in zip((q.alpha, q.beta, q.gamma, q.delta), want)) <= bound
+    assert abs(wrap_angle(q.theta - want_theta)) <= 16 * EPS
+
+
+signed = st.tuples(st.floats(0.1, 10.0), st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+
+
+@settings(deadline=None)
+@given(alpha=signed, beta=signed, gamma=signed, theta=st.floats(-math.pi, math.pi))
+def test_decompose_inverts_as_matrix(alpha, beta, gamma, theta):
+    assert_decompose_inverts_as_matrix(
+        ConnectionParams(alpha, beta, gamma, (1.0 + beta * gamma) / alpha, theta)
+    )
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True, reason=(
+    "known defect: the absolute 1e-12 det tolerance of ConnectionParams lies below "
+    "the rounding floor of alpha*delta - beta*gamma for entries in the thousands"
+))
+def test_decompose_inverts_as_matrix_at_large_entries():
+    assert_decompose_inverts_as_matrix(ConnectionParams(
+        1473.5370541372733, 6062.63551806223, 575.2690219320189, 2366.854226715002,
+        1.8977517891033342,
+    ))

@@ -57,6 +57,11 @@ class TestMediumTypes:
     def test_rho_accepts_infinite_wave_number(self):
         assert schrodinger.rho(1.0, math.inf) == math.inf
 
+    def test_rejects_infinite_mass(self):
+        # rho(inf, k) = 0 passes the exterior check; the propagator would be NaN.
+        with pytest.raises(ValueError, match="mass must be finite"):
+            propagator(0.3, NonRelMedium(math.inf, 1.0))
+
 
 class TestPropagator:
     def test_zero_displacement_is_identity(self):
@@ -244,6 +249,11 @@ class TestRenormalizedStrengths:
     def test_rejects_nan_mass(self):
         with pytest.raises(ValueError, match="mass"):
             renormalized_strengths(ConnectionParams(2, 1, 1, 1, 0), 0.1, math.nan)
+
+    def test_underflowing_spacing_is_named(self):
+        # 4 m^2 a^2 underflows to 0, which Python float division would not survive.
+        with pytest.raises(ValueError, match="a=1e-200 is too small"):
+            renormalized_strengths(ConnectionParams(2, 1, 1, 1), 1e-200, 1.0)
 
 
 class TestTransmission:
