@@ -12,7 +12,7 @@ dirac submodules, the sweeps in analysis and the CSV command line in cli.
 """
 
 from . import analysis, dirac, schrodinger
-from .analysis import SweepRow
+from .analysis import Sweep, SweepRow
 from .connection import (
     SIGMA2,
     ConnectionParams,
@@ -48,6 +48,7 @@ __all__ = [
     "ConnectionParams",
     "ModePair",
     "ScatteringResult",
+    "Sweep",
     "SweepRow",
     "NonRelMedium",
     "DeltaTriple",

@@ -8,23 +8,26 @@ componentwise modulus) so sweep values compare directly with per-entry
 tolerances.  The sweeps are columnar: each validates its input column
 once and evaluates its model in one call over the whole column, the
 call the scalar transfer-matrix functions are the 0-d case of.  A
-convergence sweep returns SweepRow tuples.  A correspondence table is one
-float array, one row (eps, T_schrodinger, T_dirac, diff) per kinetic
-energy.
+convergence sweep returns one Sweep: read-only float columns x and value
+and a label, which also reads as a sequence of SweepRow tuples built on
+demand.  A correspondence table is one float array, one row (eps,
+T_schrodinger, T_dirac, diff) per kinetic energy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import dirac, schrodinger
-from .connection import ConnectionParams, as_matrix, transmission
+from .connection import ConnectionParams, transmission
 from .dirac import BarrierParams
 
 __all__ = [
+    "Sweep",
     "SweepRow",
     "nonrel_convergence",
     "dirac_convergence",
@@ -43,8 +46,8 @@ class _Row(NamedTuple):
 class SweepRow(_Row):
     """One point of a sweep: abscissa, value, short series tag.
 
-    Constructing one validates it: x > 0 and a finite value.  The sweeps
-    validate their whole columns instead and build their rows with
+    Constructing one validates it: x > 0 and a finite value.  A Sweep
+    validates its whole columns instead and builds its rows with
     tuple.__new__, which skips the per-row check.
     """
 
@@ -64,73 +67,85 @@ class SweepRow(_Row):
             raise ValueError("sweep value must be finite")
 
 
+class Sweep(Sequence):
+    """A sweep's abscissae x and values as read-only float64 columns, and its label.
+
+    Constructing one validates it as SweepRow validates a row: x > 0 and a
+    finite value at every point, in two 1-d columns of one length.  The
+    columns are copies.  A Sweep is also a sequence of SweepRow (length,
+    indexing, iteration; a slice gives a list), and builds each row only
+    when it is read.
+    """
+
+    __slots__ = ("x", "value", "label")
+
+    def __init__(self, x: Iterable[float], value: Iterable[float], label: str) -> None:
+        x, value = np.array(x, dtype=float), np.array(value, dtype=float)
+        if x.ndim != 1 or x.shape != value.shape:
+            raise ValueError("sweep columns must be 1-d and of one length")
+        if not (x > 0.0).all():
+            raise ValueError("sweep abscissa must be positive")
+        if not np.isfinite(value).all():
+            raise ValueError("sweep value must be finite")
+        x.setflags(write=False)
+        value.setflags(write=False)
+        self.x, self.value, self.label = x, value, label
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(len(self.x))[index]  # a list's index rules and errors
+        return tuple.__new__(SweepRow, (float(self.x[i]), float(self.value[i]), self.label))
+
+    def __iter__(self):
+        new, label = tuple.__new__, self.label
+        for x, value in zip(self.x.tolist(), self.value.tolist()):
+            yield new(SweepRow, (x, value, label))
+
+
 def _column(values: Iterable[float]) -> np.ndarray:
-    """The values as a 1-d float array, each through float()."""
-    return np.array([float(v) for v in values], dtype=float)
+    """The values as a 1-d float array, converted in one numpy call."""
+    return np.fromiter(values, float)
 
 
 def _spacings(a_list: Iterable[float]) -> np.ndarray:
     """The sweep's spacings as floats, largest first; each must be positive and finite."""
-    a = _column(a_list)
-    if not np.all((a > 0.0) & (a < math.inf)):
+    a = np.sort(_column(a_list))[::-1]
+    # Sorted, so the ends decide: the smallest is last, and a NaN sorts first.
+    if a.size and not (a[-1] > 0.0 and a[0] < math.inf):
         raise ValueError("spacings must be positive and finite")
-    return np.sort(a)[::-1]
-
-
-def _sweep_rows(
-    a: np.ndarray, stack: np.ndarray, target: np.ndarray, label: str
-) -> list[SweepRow]:
-    """One row per spacing: the Chebyshev distance of each matrix from target."""
-    errors = np.max(np.abs(stack - target), axis=(1, 2))
-    if not np.all(np.isfinite(errors)):
-        raise ValueError("sweep value must be finite")
-    new = tuple.__new__
-    return [new(SweepRow, (x, err, label)) for x, err in zip(a.tolist(), errors.tolist())]
+    return a
 
 
 def nonrel_convergence(
     p: ConnectionParams, m: float, k: float, a_list: Iterable[float]
-) -> list[SweepRow]:
+) -> Sweep:
     """Chebyshev error of the renormalized three-delta model against p.
 
-    One row per half-spacing, largest spacing first.  Propagates
-    SingularRenormalization for beta = 0 targets with alpha + delta = -2.
+    One point per half-spacing, largest spacing first: the column of
+    schrodinger.convergence_error.  Propagates SingularRenormalization for
+    beta = 0 targets with alpha + delta = -2.
     """
     a = _spacings(a_list)
-    if a.size == 0:
-        return []
-    # The medium before the scheme: a bad m or k outranks SingularRenormalization.
-    schrodinger.rho(m, k)
-    for name, value in (("mass m", m), ("wave number k", k)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name}={value!r} must be finite for a convergence sweep")
-    strengths = schrodinger._strengths(p, a, m)
-    stack = schrodinger._three_delta(a, m, k, *strengths)
-    return _sweep_rows(a, stack, as_matrix(p), "schrodinger")
+    value = schrodinger.convergence_error(p, m, k, a) if a.size else a
+    return Sweep(a, value, "schrodinger")
 
 
 def dirac_convergence(
     b: BarrierParams, E: float, m: float, a_list: Iterable[float]
-) -> list[SweepRow]:
+) -> Sweep:
     """Chebyshev error of the finite step barrier against its zero-width limit.
 
-    One row per half-width, largest first: finite_barrier_transfer over the
-    whole column of a against barrier_limit(b).  Raises ValueError for a
-    bad m or E first, then, naming s and v, for a barrier whose limit
-    overflows.
+    One point per half-width, largest first: the column of
+    dirac.convergence_error.  Raises ValueError for a bad m or E first,
+    then, naming s and v, for a barrier whose limit overflows.
     """
     a = _spacings(a_list)
-    if a.size == 0:
-        return []
-    with np.errstate(over="ignore", invalid="ignore"):
-        stack = dirac.finite_barrier_transfer(b, a, E, m)
-        target = dirac.barrier_limit(b)
-    if not np.all(np.isfinite(target)):
-        raise ValueError(
-            f"barrier s={b.s!r}, v={b.v!r}: its zero-width limit is not finite in "
-            "double precision (cosh sqrt|s^2 - v^2| overflows beyond about 710)"
-        )
-    return _sweep_rows(a, stack, target, "dirac")
+    value = dirac.convergence_error(b, E, m, a) if a.size else a
+    return Sweep(a, value, "dirac")
 
 
 def correspondence_table(
@@ -173,12 +188,10 @@ def high_energy_asymptote(p: ConnectionParams) -> tuple[float, float]:
     return transmission(p, math.inf), transmission(p, 1.0)
 
 
-def loglog_slope(rows: Sequence[SweepRow]) -> float:
+def loglog_slope(sweep: Sweep) -> float:
     """Least-squares slope of log(value) vs log(x): the empirical decay order."""
-    if len(rows) < 2:
+    if len(sweep) < 2:
         raise ValueError("need at least two rows")
-    if any(row.value <= 0.0 for row in rows):
+    if not (sweep.value > 0.0).all():
         raise ValueError("log-log slope needs positive values")
-    xs = np.log([row.x for row in rows])
-    ys = np.log([row.value for row in rows])
-    return float(np.polyfit(xs, ys, 1)[0])
+    return float(np.polyfit(np.log(sweep.x), np.log(sweep.value), 1)[0])

@@ -110,7 +110,7 @@ def cmd_converge(args: argparse.Namespace) -> str:
     if args.framework == "schrodinger":
         _require(args, ("alpha", "beta", "gamma", "delta", "k"), "for --framework schrodinger")
         p = _connection_from_args(args)
-        rows = analysis.nonrel_convergence(p, args.mass, args.k, a_values)
+        sweep = analysis.nonrel_convergence(p, args.mass, args.k, a_values)
         if p.beta != 0.0 and abs(p.beta) < 1e-6:
             print(
                 "warning: |beta| < 1e-6; renormalized strengths suffer "
@@ -123,8 +123,8 @@ def cmd_converge(args: argparse.Namespace) -> str:
         if args.energy <= args.mass:
             raise ValueError("--energy must exceed --mass")
         barrier = BarrierParams(args.s, args.v, args.theta)
-        rows = analysis.dirac_convergence(barrier, args.energy, args.mass, a_values)
-    return _csv("a,err", np.array([row[:2] for row in rows]))
+        sweep = analysis.dirac_convergence(barrier, args.energy, args.mass, a_values)
+    return _csv("a,err", np.column_stack((sweep.x, sweep.value)))
 
 
 def cmd_compare(args: argparse.Namespace) -> str:

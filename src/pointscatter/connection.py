@@ -150,7 +150,10 @@ class ScatteringResult:
 
     def __post_init__(self) -> None:
         _coerce_fields(self, complex)
-        total = self.t_prob + self.r_prob
+        try:
+            total = self.t_prob + self.r_prob
+        except OverflowError:  # a modulus or its square beyond the float range
+            total = math.inf
         if not abs(total - 1.0) <= _UNITARITY_TOL:
             raise ValueError(f"non-unitary amplitudes: |T|^2 + |R|^2 = {total!r}")
 
@@ -169,14 +172,29 @@ def as_matrix(p: ConnectionParams) -> TransferMatrix:
     return phase * np.array([[p.alpha, p.beta], [p.gamma, p.delta]], dtype=complex)
 
 
-def _from_entries(m00, m01, m10, m11) -> np.ndarray:
-    """Complex 2x2 matrices [[m00, m01], [m10, m11]] over the entries' broadcast shape."""
+def _from_entries(phase, entries) -> np.ndarray:
+    """Complex 2x2 matrices phase * [[m00, m01], [m10, m11]] over the broadcast shape.
+
+    entries is (m00, m01, m10, m11), as a kernel returns it with its phase.
+    """
+    m00, m01, m10, m11 = entries
     out = np.empty(np.broadcast(m00, m01, m10, m11).shape + (2, 2), dtype=complex)
     out[..., 0, 0] = m00
     out[..., 0, 1] = m01
     out[..., 1, 0] = m10
     out[..., 1, 1] = m11
-    return out
+    return np.asarray(phase)[..., None, None] * out
+
+
+def _chebyshev(phase, entries, target: TransferMatrix) -> np.ndarray:
+    """max_ij |phase * m_ij - target_ij|: the Chebyshev distance of _from_entries from target.
+
+    Entry by entry over the broadcast shape, with no stack of matrices:
+    each element goes through the same numpy operations as on the stack,
+    so the distances are the same bits.  Not checked for finiteness.
+    """
+    d00, d01, d10, d11 = (np.abs(phase * m - t) for m, t in zip(entries, _entries(target)))
+    return np.maximum(np.maximum(d00, d01), np.maximum(d10, d11))
 
 
 def delta_connection(v: float) -> TransferMatrix:
@@ -339,12 +357,12 @@ def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:
     projected onto the dual v-† (v-† u+ = 0), gives
     R = -(v-† M u+) / (v-† M u-), and with it T = det M / (v-† M u-).
 
-    M must be 2x2, conserve current (to ~1e-8) and have a finite, nonzero
-    determinant; the modes must be bi-orthogonal.  If v-† M u- vanishes
-    against det M, nothing gets through: for a current-conserving M this
-    is reported as perfect reflection with r_amp = -1 (the modulus is
-    forced to 1, the phase is not determined by the data).  Otherwise
-    SingularProjection is raised.
+    M must be 2x2, conserve current (to ~1e-8) and have a nonzero
+    determinant whose modulus is a finite float; the modes must be
+    bi-orthogonal.  If v-† M u- vanishes against det M, nothing gets
+    through: for a current-conserving M this is reported as perfect
+    reflection with r_amp = -1 (the modulus is forced to 1, the phase is
+    not determined by the data).  Otherwise SingularProjection is raised.
     """
     entries = _entries(M)
     a, b, c, d = entries
@@ -357,7 +375,11 @@ def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:
     (p0, p1), (m0, m1) = modes.u_plus.tolist(), modes.u_minus.tolist()
     plus = row0 * p0 + row1 * p1
     minus = row0 * m0 + row1 * m1
-    if abs(minus) < _PROJECTION_FLOOR * abs(det):
+    try:
+        vanished = abs(minus) < _PROJECTION_FLOOR * abs(det)
+    except OverflowError:  # a finite complex whose modulus is beyond the float range
+        raise ValueError("|det M| or |v-† M u-| overflows the float range") from None
+    if vanished:
         if conserves_current(M, 1e-8):
             return ScatteringResult(0.0, -1.0)
         raise SingularProjection(

@@ -19,7 +19,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import connection
-from .connection import ConnectionParams, ModePair, TransferMatrix, _coerce_fields, _from_entries
+from .connection import ConnectionParams, ModePair, TransferMatrix
+from .connection import _chebyshev, _coerce_fields, _from_entries
 
 __all__ = [
     "DiracMedium",
@@ -31,6 +32,7 @@ __all__ = [
     "free_mode_vectors",
     "barrier_limit",
     "finite_barrier_transfer",
+    "convergence_error",
     "transmission",
     "classify",
 ]
@@ -122,10 +124,10 @@ class BarrierClass(NamedTuple):
     strength: Optional[float] = None
 
 
-def _propagate(x, w_plus, w_minus, A) -> np.ndarray:
-    """e^{iAx} exp(x [[0, w_plus], [-w_minus, 0]]) in closed form, entry-wise over arrays.
+def _propagate(x, w_plus, w_minus, A):
+    """The phase e^{iAx} and the four entries of exp(x [[0, w_plus], [-w_minus, 0]]).
 
-    The branch is chosen per element by the sign of w_plus*w_minus:
+    In closed form, entry-wise over arrays.  The branch is chosen per element by the sign of w_plus*w_minus:
     cos/sin when positive, cosh/sinh when negative, and the truncated
     series c = 1, s = x when either coefficient vanishes.  Each branch only
     sees its own elements' arguments (the others get 0), so a cosh that
@@ -141,8 +143,7 @@ def _propagate(x, w_plus, w_minus, A) -> np.ndarray:
     w = np.where(trig | hyper, w, 1.0)
     c = np.where(trig, np.cos(t), np.where(hyper, np.cosh(h), 1.0))
     s = np.where(trig, np.sin(t) / w, np.where(hyper, np.sinh(h) / w, x))
-    phase = np.asarray(np.exp(1j * A * x))[..., None, None]
-    return phase * _from_entries(c, w_plus * s, -w_minus * s, c)
+    return np.exp(1j * A * x), (c, w_plus * s, -w_minus * s, c)
 
 
 def propagator(x: float, med: DiracMedium) -> TransferMatrix:
@@ -155,7 +156,7 @@ def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     scalar call is the 0-d case of the kernel that dirac convergence
     sweeps evaluate over a whole array of barrier widths at once.
     """
-    return _propagate(x, med.k_plus, med.k_minus, med.A)
+    return _from_entries(*_propagate(x, med.k_plus, med.k_minus, med.A))
 
 
 def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
@@ -191,7 +192,7 @@ def barrier_limit(b: BarrierParams) -> TransferMatrix:
     connection of strength 2s at s = v and the epsilon connection of
     strength 2s at s = -v.
     """
-    return _propagate(1.0, b.p_plus, b.p_minus, b.theta)
+    return _from_entries(*_propagate(1.0, b.p_plus, b.p_minus, b.theta))
 
 
 def finite_barrier_transfer(
@@ -213,9 +214,32 @@ def finite_barrier_transfer(
     if not np.less(a, math.inf).all():
         raise ValueError("half-width a must be finite")
     _require_exterior(m, E)
+    return _from_entries(*_barrier(b, a, E, m))
+
+
+def _barrier(b: BarrierParams, a, E: float, m: float):
+    """Phase and entries of finite_barrier_transfer, for checked arguments."""
     x = 2.0 * a
     k_plus, k_minus = _coefficients(m, E, b.s / x, b.v / x)
     return _propagate(x, k_plus, k_minus, b.theta / x)
+
+
+def convergence_error(b: BarrierParams, E: float, m: float, a: np.ndarray) -> np.ndarray:
+    """max_ij |finite_barrier_transfer(b, a, E, m) - barrier_limit(b)|_ij over a column a > 0.
+
+    Raises ValueError for a bad m or E first, then, naming s and v, for a
+    barrier whose limit overflows.  A width whose cosh overflows gives an
+    inf or NaN error, which is not checked here.
+    """
+    _require_exterior(m, E)
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = barrier_limit(b)
+        if not np.all(np.isfinite(target)):
+            raise ValueError(
+                f"barrier s={b.s!r}, v={b.v!r}: its zero-width limit is not finite in "
+                "double precision (cosh sqrt|s^2 - v^2| overflows beyond about 710)"
+            )
+        return _chebyshev(*_barrier(b, a, E, m), target)
 
 
 def transmission(p: ConnectionParams, E: float, m: float) -> float:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import connection
-from .connection import ConnectionParams, ModePair, TransferMatrix, _coerce_fields, _from_entries
+from .connection import ConnectionParams, ModePair, TransferMatrix, as_matrix
+from .connection import _chebyshev, _coerce_fields, _from_entries
 
 __all__ = [
     "NonRelMedium",
@@ -31,6 +32,7 @@ __all__ = [
     "three_delta_transfer",
     "closed_form_transfer",
     "renormalized_strengths",
+    "convergence_error",
     "transmission",
 ]
 
@@ -97,8 +99,7 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     At A = 0 this reduces to the free propagator
     [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
     """
-    phase, entries = _hop(x, med.m, med.k, med.A)
-    return phase * _from_entries(*entries)
+    return _from_entries(*_hop(x, med.m, med.k, med.A))
 
 
 def rho(m: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
@@ -128,14 +129,15 @@ def mode_vectors(med: NonRelMedium) -> ModePair:
 
 
 def _three_delta(a, m, k, v_plus, v_zero, v_minus, A):
-    """Five-factor product of the three-delta model, entry-wise over arrays of a.
+    """Phase and four entries of the three-delta model's product, entry-wise over arrays of a.
 
     D(v_plus - edge) H D(v_zero) H D(v_minus + edge) with D(v) = [[1, 0], [v, 1]],
     H = propagator(a) and edge = iA/2m.  Built right to left, so each delta
     factor is one row (or column) operation on the running product.  H's
     entries are computed once for both hops, with their phases pulled out
-    as e^{2iAa}.  Any argument may be an array; the result has the
-    broadcast shape of the arguments plus (2, 2).
+    as e^{2iAa}, which is returned beside the entries (m00, m01, m10, m11)
+    of the rest.  Any argument may be an array; each entry has the
+    broadcast shape of the arguments.
     """
     phase, (h00, h01, h10, h11) = _hop(a, m, k, A)
     edge = 1j * A / (2.0 * m)
@@ -153,8 +155,7 @@ def _three_delta(a, m, k, v_plus, v_zero, v_minus, A):
     )
     # D(v_plus - edge) from the left: row 1 += (v_plus - edge) * row 0
     w = v_plus - edge
-    product = _from_entries(p00, p01, p10 + w * p00, p11 + w * p01)
-    return np.asarray(phase * phase)[..., None, None] * product
+    return phase * phase, (p00, p01, p10 + w * p00, p11 + w * p01)
 
 
 def three_delta_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
@@ -168,7 +169,9 @@ def three_delta_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     """
     if med.A != cfg.A:
         raise ValueError("medium vector potential must equal the triple's A")
-    return _three_delta(cfg.a, med.m, med.k, cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.A)
+    return _from_entries(
+        *_three_delta(cfg.a, med.m, med.k, cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.A)
+    )
 
 
 def closed_form_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
@@ -198,21 +201,31 @@ def closed_form_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     return cmath.exp(2j * cfg.A * a) * real_part
 
 
-def _require_divisor(a, divisor, formula: str) -> None:
-    """Raise ValueError naming the largest half-spacing a at which divisor underflowed to 0."""
-    # divisor >= 0, so a nonzero test is enough; ndarray.all() tests exactly
-    # that, and a plain float skips numpy's per-call cost.
-    if divisor != 0.0 if divisor.__class__ is float else divisor.all():
+def _require_quotient(a, numerator: float, divisor, names: tuple[str, str]) -> None:
+    """Raise ValueError, naming the largest failing a, unless numerator/divisor is finite.
+
+    names gives the two as formulas.  divisor >= 0 grows with a, a float or
+    a column in descending order, so one float check of its last entry
+    covers the column.
+    """
+    last = float(divisor if divisor.__class__ is float else divisor.flat[-1])
+    if last > 0.0 and abs(numerator) / last < math.inf:
         return
-    small = float(np.max(np.asarray(a)[np.asarray(divisor) == 0.0]))
-    raise ValueError(f"half-spacing a={small!r} is too small: {formula} underflows to 0")
+    a, divisor = np.ravel(a), np.ravel(divisor)
+    with np.errstate(all="ignore"):
+        failed = np.flatnonzero(~(abs(numerator) / divisor < math.inf))
+    i = failed[np.argmax(a[failed])]
+    top, bottom = names
+    what = f"{bottom} underflows to 0" if divisor[i] == 0.0 else f"{top} / ({bottom}) overflows"
+    raise ValueError(f"half-spacing a={float(a[i])!r} is too small: {what}")
 
 
 def _strengths(p: ConnectionParams, a, m: float):
     """(v_plus, v_zero, v_minus, A) of renormalized_strengths(), entry-wise over a.
 
-    Raises ValueError for a mass that is not positive (NaN included) or a
-    spacing so small that a divisor below underflows to 0, and
+    a is a float or a column in descending order.  Raises ValueError for a
+    mass that is not positive (NaN included) or a spacing so small that a
+    divisor below underflows to 0 or a quotient overflows, and
     SingularRenormalization for beta = 0 with alpha + delta = -2.
     """
     if not m > 0.0:
@@ -220,7 +233,7 @@ def _strengths(p: ConnectionParams, a, m: float):
     if p.beta != 0.0:
         # 2ma underflows to 0 only where 4m^2a^2 does.
         centre = 4.0 * m * m * a * a
-        _require_divisor(a, centre, "4 m^2 a^2")
+        _require_quotient(a, p.beta, centre, ("beta", "4 m^2 a^2"))
         v_plus = -1.0 / (2.0 * m * a) + (p.delta + 1.0) / p.beta
         v_minus = -1.0 / (2.0 * m * a) + (p.alpha + 1.0) / p.beta
         v_zero = p.beta / centre
@@ -232,11 +245,14 @@ def _strengths(p: ConnectionParams, a, m: float):
                 "the beta-zero scheme divides by alpha + delta + 2"
             )
         side = 4.0 * m * a
-        _require_divisor(a, side, "4 m a")
+        top = max(abs(p.delta - 1.0), abs(p.alpha - 1.0))
+        _require_quotient(a, top, side, ("max(|alpha - 1|, |delta - 1|)", "4 m a"))
         v_plus = (p.delta - 1.0) / side
         v_minus = (p.alpha - 1.0) / side
         v_zero = 4.0 * p.gamma / denom
-    return v_plus, v_zero, v_minus, p.theta / (2.0 * a)
+    width = 2.0 * a
+    _require_quotient(a, p.theta, width, ("theta", "2 a"))
+    return v_plus, v_zero, v_minus, p.theta / width
 
 
 def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTriple:
@@ -262,6 +278,24 @@ def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTrip
         raise ValueError("half-spacing a must be positive")
     v_plus, v_zero, v_minus, A = _strengths(p, a, m)
     return DeltaTriple(v_plus, v_zero, v_minus, a, A)
+
+
+def convergence_error(p: ConnectionParams, m: float, k: float, a: np.ndarray) -> np.ndarray:
+    """max_ij |M(a) - as_matrix(p)|_ij of the renormalized three-delta model, over a column a.
+
+    M(a) is three_delta_transfer of renormalized_strengths(p, a, m) at wave
+    number k, evaluated over the whole column (positive, finite, largest
+    first) in one kernel call.  Raises ValueError for a bad m or k first,
+    then as renormalized_strengths does.  The errors are not checked for
+    finiteness.
+    """
+    # The medium before the scheme: a bad m or k outranks SingularRenormalization.
+    rho(m, k)
+    for name, value in (("mass m", m), ("wave number k", k)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value!r} must be finite for a convergence sweep")
+    strengths = _strengths(p, a, m)
+    return _chebyshev(*_three_delta(a, m, k, *strengths), as_matrix(p))
 
 
 def transmission(p: ConnectionParams, med: NonRelMedium) -> float:

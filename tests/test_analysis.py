@@ -1,5 +1,7 @@
 """Sweep drivers: convergence series, correspondence tables, asymptotes."""
 
+import decimal
+import fractions
 import math
 import re
 
@@ -9,6 +11,7 @@ import pytest
 from conftest import EPS, five_factor_scale, random_connection
 from pointscatter import analysis, connection, dirac, schrodinger
 from pointscatter.analysis import (
+    Sweep,
     SweepRow,
     correspondence_table,
     dirac_convergence,
@@ -29,6 +32,81 @@ class TestSweepRow:
     def test_rejects_nonfinite_value(self):
         with pytest.raises(ValueError):
             SweepRow(1.0, math.nan, "x")
+
+
+# Values the sweeps returned, row by row, before they became columnar
+# (recorded as repr of each row's float).
+RECORDED_SWEEPS = {
+    "nonrel": (
+        lambda: nonrel_convergence(
+            ConnectionParams(0.5, 1e-3, -1000.0, 0.0, -2.5), 0.4, 3.0, [1e-2, 1e-4, 1e-6, 1e-3]
+        ),
+        [1e-2, 1e-3, 1e-4, 1e-6],
+        [23983.63475655208, 2399.964225175883, 239.99960310019927, 2.3999981053638493],
+        "schrodinger",
+    ),
+    "dirac": (
+        lambda: dirac_convergence(BarrierParams(0.6, 0.2, -1.1), -3.0, 0.5, [1e3, 0.4, 1e-7, 0.3999]),
+        [1000.0, 0.4, 0.3999, 1e-07],
+        [2.0103931663819012, 1.9017061543094316, 1.9012951082963758, 7.214172892872928e-07],
+        "dirac",
+    ),
+}
+
+
+class TestSweep:
+    @pytest.mark.parametrize("name", sorted(RECORDED_SWEEPS))
+    def test_columns_are_read_only_float64_with_the_recorded_bits(self, name):
+        run, x, value, label = RECORDED_SWEEPS[name]
+        sweep = run()
+        assert isinstance(sweep, Sweep) and sweep.label == label
+        for column, want in ((sweep.x, x), (sweep.value, value)):
+            assert column.dtype == np.float64 and column.shape == (len(want),)
+            assert not column.flags.writeable
+            assert column.tobytes() == np.array(want).tobytes()
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_SWEEPS))
+    def test_reads_as_the_list_of_rows(self, name):
+        run, x, value, label = RECORDED_SWEEPS[name]
+        sweep = run()
+        rows = [SweepRow(*row) for row in zip(x, value, [label] * len(x))]
+        assert len(sweep) == len(rows)
+        assert list(sweep) == rows
+        assert all(type(row) is SweepRow for row in sweep)
+        assert all(type(v) is float for row in sweep for v in row[:2])
+        for i in range(-len(rows), len(rows)):
+            assert sweep[i] == rows[i] and type(sweep[i]) is SweepRow
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                sweep[index]
+        with pytest.raises(TypeError):
+            sweep[1.0]
+        for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2), slice(9, 12)):
+            assert type(sweep[cut]) is list and sweep[cut] == rows[cut]
+        assert sweep[:-1] + [rows[-1]] == rows
+        assert list(reversed(sweep)) == rows[::-1]
+        assert rows[1] in sweep and sweep.index(rows[1]) == 1
+
+    def test_constructor_copies_and_validates(self):
+        x, value = np.array([1e-2, 1e-3]), np.array([0.5, 0.25])
+        sweep = Sweep(x, value, "t")
+        x[0] = value[0] = 7.0
+        assert sweep.x.tolist() == [1e-2, 1e-3] and sweep.value.tolist() == [0.5, 0.25]
+        assert x.flags.writeable
+        assert Sweep((1, 2), [3, 4], "t").x.dtype == np.float64
+        with pytest.raises(ValueError, match="abscissa must be positive"):
+            Sweep([1.0, 0.0], [1.0, 1.0], "t")
+        with pytest.raises(ValueError, match="abscissa must be positive"):
+            Sweep([1.0, math.nan], [1.0, 1.0], "t")
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="value must be finite"):
+                Sweep([1.0, 2.0], [1.0, bad], "t")
+        with pytest.raises(ValueError, match="1-d and of one length"):
+            Sweep([1.0, 2.0], [1.0], "t")
+        with pytest.raises(ValueError, match="1-d and of one length"):
+            Sweep([[1.0, 2.0]], [[1.0, 1.0]], "t")
 
 
 class TestNonrelConvergence:
@@ -71,6 +149,32 @@ class TestNonrelConvergence:
         # 4 m^2 a^2 underflows to 0 below a of about 1e-162.
         with pytest.raises(ValueError, match="a=1e-200 is too small"):
             nonrel_convergence(ConnectionParams(2, 1, 1, 1), 1.0, 1.0, [1e-3, 1e-200])
+
+    # A divisor that is small but not 0 makes its quotient overflow; numpy
+    # would warn on the division, and pytest turns the warning into an error.
+    @pytest.mark.parametrize(
+        "conn, a, what",
+        [
+            ((1, 1e10, 0, 1), 1e-155, "beta / (4 m^2 a^2) overflows"),
+            ((1e-10, 0, 0, 1e10), 2.5e-301, "max(|alpha - 1|, |delta - 1|) / (4 m a) overflows"),
+            ((1, 0, 0, 1, 0.5), 1e-310, "theta / (2 a) overflows"),
+        ],
+        ids=["v_zero", "v_side", "A"],
+    )
+    def test_overflowing_strength_names_the_spacing(self, conn, a, what):
+        p = ConnectionParams(*conn)
+        message = re.escape(f"half-spacing a={a!r} is too small: {what}")
+        with pytest.raises(ValueError, match=message):
+            nonrel_convergence(p, 1.0, 1.0, [1e-3, a])
+        with pytest.raises(ValueError, match=message):
+            schrodinger.renormalized_strengths(p, a, 1.0)
+
+    def test_largest_failing_spacing_is_named(self):
+        # 1e-155 and 1e-160 overflow beta/(4 m^2 a^2); 1e-200 underflows 4 m^2 a^2.
+        with pytest.raises(ValueError, match=re.escape("a=1e-155 is too small: beta")):
+            nonrel_convergence(
+                ConnectionParams(1, 1e10, 0, 1), 1.0, 1.0, [1e-200, 1e-3, 1e-160, 1e-155]
+            )
 
 
 class TestDiracConvergence:
@@ -182,7 +286,10 @@ class TestSweepInputContract:
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     def test_empty_sweep_has_no_rows(self, sweep):
-        assert self.SWEEPS[sweep]([]) == []
+        empty = self.SWEEPS[sweep]([])
+        assert isinstance(empty, Sweep) and list(empty) == [] and empty[:] == []
+        assert empty.x.shape == empty.value.shape == (0,)
+        assert empty.x.dtype == empty.value.dtype == np.float64
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     @pytest.mark.parametrize(
@@ -192,6 +299,82 @@ class TestSweepInputContract:
     def test_rejects_bad_spacing(self, sweep, a_list):
         with pytest.raises(ValueError):
             self.SWEEPS[sweep](a_list)
+
+
+def float_loop(values):
+    """The spacings' former conversion: each value through float()."""
+    return np.array([float(v) for v in values], dtype=float)
+
+
+# Factories, so that a generator is fresh for each conversion.
+COLUMN_ACCEPTS = {
+    "tuple": lambda: (1e-3, 2, 3.5),
+    "list": lambda: [1e-2, 1e-3, 1e-4],
+    "generator": lambda: (10.0**-e for e in range(5)),
+    "ndarray": lambda: np.geomspace(1e-6, 1e-2, 7),
+    "float32-ndarray": lambda: np.array([0.1, 1e-3], dtype=np.float32),
+    "int-ndarray": lambda: np.array([1, 2]),
+    "numeric-strings": lambda: ["1.5", " 2 ", "1e-3", "inf", "-0", "nan"],
+    "bytes": lambda: [b"0.25"],
+    "empty-list": lambda: [],
+    "empty-tuple": lambda: (),
+    "range": lambda: range(1, 4),
+    "bool-decimal-fraction": lambda: [True, decimal.Decimal("0.1"), fractions.Fraction(1, 3)],
+}
+# Rejected both ways, with the same exception type.
+COLUMN_REJECTS = {
+    "word": (lambda: ["1e-3", "abc"], ValueError),
+    "huge-int": (lambda: [10**400], OverflowError),
+    "complex": (lambda: [1e-3, 1j], TypeError),
+    "real-complex": (lambda: [1 + 0j], TypeError),
+    "0-d-ndarray": (lambda: np.array(1e-3), TypeError),
+    "not-iterable": (lambda: None, TypeError),
+}
+# Rejected both ways, but np.fromiter raises ValueError where float() raised
+# TypeError (nested values), or makes NaN of None, which the sweeps reject
+# with ValueError.  A ValueError is what the CLI maps to exit code 2.
+COLUMN_TYPE_CHANGES = {
+    "None": lambda: [1e-3, None],
+    "nested-list": lambda: [[1e-3]],
+    "2-d-ndarray": lambda: np.array([[1e-3, 1e-4]]),
+}
+
+
+class TestColumnConversion:
+    """analysis._column against the per-value float() loop it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_ACCEPTS))
+    def test_accepts_the_same_values_as_the_same_floats(self, name):
+        values = COLUMN_ACCEPTS[name]
+        got, want = analysis._column(values()), float_loop(values())
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_REJECTS))
+    def test_rejects_the_same_values_with_the_same_error(self, name):
+        values, error = COLUMN_REJECTS[name]
+        with pytest.raises(error):
+            float_loop(values())
+        with pytest.raises(error):
+            analysis._column(values())
+
+    @pytest.mark.parametrize("name", sorted(COLUMN_TYPE_CHANGES))
+    def test_formerly_type_errors_are_value_errors_now(self, name):
+        values = COLUMN_TYPE_CHANGES[name]
+        with pytest.raises(TypeError):
+            float_loop(values())
+        p = ConnectionParams(2, 1, 1, 1)
+        calls = [
+            lambda v: nonrel_convergence(p, 1.0, 1.0, v),
+            lambda v: dirac_convergence(BarrierParams(1.0, 0.5), 2.0, 1.0, v),
+            lambda v: correspondence_table(p, 1.0, v),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call(values())
+
+    def test_none_becomes_nan(self):
+        assert np.isnan(analysis._column([None])).tolist() == [True]
 
 
 class TestCorrespondenceTable:
@@ -286,13 +469,13 @@ class TestHighEnergyAsymptote:
 
 class TestLoglogSlope:
     def test_recovers_power_law(self):
-        rows = [SweepRow(x, 3.5 * x**2, "t") for x in (1e-1, 1e-2, 1e-3)]
-        assert loglog_slope(rows) == pytest.approx(2.0, abs=1e-12)
+        x = np.array([1e-1, 1e-2, 1e-3])
+        assert loglog_slope(Sweep(x, 3.5 * x**2, "t")) == pytest.approx(2.0, abs=1e-12)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
-            loglog_slope([SweepRow(1.0, 1.0, "t")])
+            loglog_slope(Sweep([1.0], [1.0], "t"))
 
     def test_needs_positive_values(self):
         with pytest.raises(ValueError):
-            loglog_slope([SweepRow(1.0, 0.0, "t"), SweepRow(2.0, 1.0, "t")])
+            loglog_slope(Sweep([1.0, 2.0], [0.0, 1.0], "t"))

@@ -224,6 +224,15 @@ class TestScatteringResult:
         assert res.t_prob == pytest.approx(0.36)
         assert res.r_prob == pytest.approx(0.64)
 
+    # |t| beyond the float range, and |t| finite with |t|^2 beyond it:
+    # Python's abs and ** raise OverflowError there.
+    @pytest.mark.parametrize("t", [1.3e308 + 1.3e308j, 1e200, 1e154 + 1e154j])
+    def test_overflowing_amplitude_is_non_unitary(self, t):
+        with pytest.raises(ValueError, match="non-unitary"):
+            ScatteringResult(t, 0.0)
+        with pytest.raises(ValueError, match="non-unitary"):
+            ScatteringResult(0.0, t)
+
 
 class TestScatter:
     def test_identity_transmits_perfectly(self):
@@ -289,6 +298,14 @@ class TestScatter:
         M = np.array([[1.0, math.nan], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError, match="not finite"):
             scatter(M, modes_at_one)
+
+    def test_determinant_beyond_float_modulus_raises_value_error(self):
+        # det M = 1.3e308 (1 + i) is finite, but |det M| is not a float, and
+        # Python's abs of a complex raises OverflowError there.
+        M = np.array([[1e154, 0.0], [0.0, 1.3e154 + 1.3e154j]])
+        with pytest.raises(ValueError, match="overflows the float range") as info:
+            scatter(M, modes(1.0))
+        assert not isinstance(info.value, SingularProjection)
 
 
 def matching_residual(M, pair, res):
