@@ -41,16 +41,151 @@ EXIT_IO = 4
 _CLI_DET_TOL = 1e-9
 
 
+# The digits of _csv.  A value v with 1e-280 <= |v| < 1e17 has exponent
+# k = floor(log10 |v|) and 17 significant digits N = round(|v| * 10^(16-k)),
+# formed exactly in float64 and int64 arithmetic (see _cells); whatever that
+# arithmetic cannot decide, and every other value, goes to "%.17g" itself.
+_K_MIN = -280  # 10^(16 - k) times _VELTKAMP stays finite
+_VELTKAMP = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
+# Rounding X = |v| * 10^p for p > 22 is left to "%.17g" when the computed
+# remainder lies within this of a half-integer; see _cells.
+_TIE_MARGIN = 2.0**-46
+_BLOCK_ROWS = 384  # rows per pass: bounds the size of the temporaries
+
+# Every value owns _SLOTS character slots, and a keep mask picks the ones
+# it prints: 0 "-", 1-5 "0.000" (fixed notation below 1), digit j at 6 + 2j
+# (j = 0..16) with a "." after it at 7 + 2j (j = 0..15), 39-43 "e-ddd",
+# 44 the separator, 45-47 padding to a whole number of 8-byte words.
+_SLOTS = 48
+_TEMPLATE = b"-0.000" + b"0." * 16 + b"0e-000\n   "
+
+
+def _veltkamp(x):
+    """x as hi + lo, each with at most 26 significant bits (Dekker 1971)."""
+    c = _VELTKAMP * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _layout():
+    """The fast path's per-exponent tables, built on the first call of _csv.
+
+    Row k - _K_MIN holds exponent k; the extra last row is the fallback,
+    whose cell is the text "%.17g" that _csv fills in afterwards.
+    """
+    k = np.arange(_K_MIN, 17)
+    powers = [10 ** int(p) for p in 16 - k]
+    head = np.array([float(q) for q in powers])
+    # 10^p = head + tail within 2^-53 |tail|; tail is 0 where p <= 22.
+    tail = np.array([float(q - int(f)) for q, f in zip(powers, head.tolist())])
+    margin = np.where(tail != 0.0, _TIE_MARGIN, 0.0)
+    k = np.append(k, 0)[:, None]
+    slot = np.arange(_SLOTS)
+    digit = (slot >= 6) & (slot <= 38) & (slot % 2 == 0)
+    point = (slot >= 7) & (slot <= 37) & (slot % 2 == 1)
+    keep = np.tile(digit | (slot == 44), (k.size, 1))
+    keep |= (k >= 0) & (k < 16) & (slot == 7 + 2 * k)  # the point after digit k
+    keep |= (k < 0) & (k >= -4) & ((slot == 1) | (slot == 2) | ((slot >= 7 + k) & (slot <= 5)))
+    keep |= (k < -4) & ((slot == 7) | (slot == 39) | (slot == 40) | (slot >= 42) & (slot <= 43))
+    keep |= (k <= -100) & (slot == 41)
+    keep[-1] = (slot == 44) | ((slot >= 1) & (slot <= 5))
+    chars = np.tile(np.frombuffer(_TEMPLATE, np.uint8), (k.size, 1))
+    e = -k[:-1, 0]
+    chars[:-1, 41:44] = np.stack((e // 100, e // 10 % 10, e % 10), axis=1) + ord("0")
+    chars[-1, 1:6] = np.frombuffer(b"%.17g", np.uint8)
+    # Only fraction digits are ever stripped: 16 - k of them in fixed
+    # notation at k >= 0, all 16 after the leading digit otherwise.
+    fraction = np.append(16 - np.clip(k[:-1, 0], 0, 16), 0)
+    # strip[s] drops the last s digits and the points before them.
+    s = np.arange(17)[:, None]
+    strip = ~(digit & (slot >= 40 - 2 * s) | point & (slot >= 39 - 2 * s))
+    # quads[i] is the four digits of i as one 4-byte word.
+    i = np.arange(10000, dtype=np.uint16)
+    quads = np.empty((i.size, 4), np.uint8)
+    for j, scale in enumerate((1000, 100, 10, 1)):
+        quads[:, j] = i // scale % 10 + ord("0")
+    return (head, tail, *_veltkamp(head), margin, chars.view(np.uint64),
+            keep.view(np.uint64), fraction, strip.view(np.uint64), quads.view(np.uint32).ravel())
+
+
+def _cells(v: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of v's cells, each ended by its entry of seps, and where v fell back.
+
+    A fallback cell reads "%.17g", for _csv to fill in.
+    """
+    head, tail, head_hi, head_lo, margin, chars, keep, fraction, strip, quads = _layout()
+    a = np.abs(v)
+    with np.errstate(divide="ignore"):
+        k = np.floor(np.log10(a))
+    fast = (k >= _K_MIN) & (k <= 16)  # False for 0, NaN, inf and subnormals
+    row = np.where(fast, k, 0.0).astype(np.intp) - _K_MIN
+    x = np.where(fast, a, 1.0)
+    # X = x * 10^p with p = 16 - k, rounded to an integer.  Dekker's product
+    # gives hi + lo = x * head exactly, and r = lo + x * tail.  hi >= 2^53
+    # is an even integer, so N = hi + rint(r) rounds half to even, as
+    # "%.17g" does.  Where tail = 0, r = lo exactly.  Elsewhere, with
+    # u = 2^-53 and X < 1e17: rounding x * tail errs by at most
+    # u * |x tail| <= u^2 X < 1.3e-15; 10^p - head - tail, below u |tail|
+    # <= u^2 head, adds at most as much; and |lo + x tail| < 8 + 12 rounds
+    # by at most 2^-49 < 1.8e-15.  So |X - hi - r| < 4.4e-15 < 2^-47, and N
+    # is X rounded wherever r lies further than _TIE_MARGIN from a half-integer.
+    hi = x * head.take(row)
+    xh, xl = _veltkamp(x)
+    bh, bl = head_hi.take(row), head_lo.take(row)
+    lo = ((xh * bh - hi) + xh * bl + xl * bh) + xl * bl
+    r = lo + x * tail.take(row)
+    near = np.rint(r)
+    m = margin.take(row)
+    fast &= np.abs(np.abs(r - near) - 0.5) >= m
+    # log10 may put k one off near a power of ten, so X must be checked to
+    # lie in [1e16, 1e17); N = 1e17, a carry into the next decade, falls
+    # back too.  hi - 1e16 is exact wherever the sum is near m.
+    fast &= (hi - 1e16) + r >= m
+    n = hi.astype(np.int64) + near.astype(np.int64)
+    fast &= n < 10**17
+    row[~fast] = head.size
+    lead, rest = np.divmod(n, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    quad = np.stack((*np.divmod(upper, 10**4), *np.divmod(lower, 10**4)), axis=1)
+    digits = np.empty((v.size, 17), np.uint8)
+    digits[:, 0] = lead + ord("0")
+    digits[:, 1:] = quads.take(quad).view(np.uint8).reshape(-1, 16)
+    # The leading digit is never "0", so argmax always finds a digit.
+    zeros = np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    cells = chars.take(row, axis=0).view(np.uint8)
+    cells[:, 6:39:2] = digits
+    cells[:, 44] = seps
+    stripped = np.minimum(zeros, fraction.take(row))
+    mask = (keep.take(row, axis=0) & strip.take(stripped, axis=0)).view(bool)
+    mask[:, 0] = fast & (v < 0.0)
+    return np.compress(mask.ravel(), cells.ravel()), ~fast
+
+
 def _csv(header: str, table: np.ndarray) -> str:
     """The header line, then one line per row of a 2-d float table.
 
-    Every value is written "%.17g", which is format(x, ".17g"): 17
-    significant digits round-trip any double exactly.  The body is one
-    %-format over the whole flattened table.
+    Every value is written as format(x, ".17g"): 17 significant digits
+    round-trip any double exactly.  numpy forms the digits of every finite
+    value with 1e-280 <= |x| < 1e17 by exact arithmetic, a few hundred rows
+    at a time (_cells); the values it cannot decide, and all others (0, NaN,
+    inf, subnormals, huge and tiny magnitudes), are formatted by "%.17g"
+    itself in one % pass over the body.
     """
     rows, cols = table.shape
-    line = ",".join(["%.17g"] * cols) + "\n"
-    return header + "\n" + (line * rows) % tuple(table.ravel().tolist())
+    values = np.ascontiguousarray(table, dtype=float).ravel()
+    seps = np.tile(np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8), _BLOCK_ROWS)
+    step = _BLOCK_ROWS * cols
+    blocks, fallback = [], []
+    for start in range(0, values.size, step):
+        block = values[start : start + step]
+        text, slow = _cells(block, seps[: block.size])
+        blocks.append(text.tobytes().decode("ascii"))
+        fallback += block[slow].tolist()
+    body = "".join(blocks)
+    if fallback:
+        body %= tuple(fallback)
+    return header + "\n" + body
 
 
 def _connection_from_args(args: argparse.Namespace) -> ConnectionParams:
@@ -84,10 +219,12 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
         ratio = (args.sweep_stop / args.sweep_start) ** (1.0 / (args.sweep_count - 1))
         if not math.isfinite(ratio):
             raise ValueError("log spacing requires a finite --sweep-stop/--sweep-start ratio")
+        # Python's pow, not np.power: on AVX-512 hosts the two differ in the last bit.
         values = [args.sweep_start * ratio**i for i in range(args.sweep_count)]
     else:
         step = (args.sweep_stop - args.sweep_start) / (args.sweep_count - 1)
-        values = [args.sweep_start + step * i for i in range(args.sweep_count)]
+        # The same two IEEE operations per entry as start + step * i.
+        values = (args.sweep_start + step * np.arange(args.sweep_count)).tolist()
     # Endpoints are part of the contract; never leave them to rounding.
     values[0] = args.sweep_start
     values[-1] = args.sweep_stop

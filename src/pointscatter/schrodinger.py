@@ -234,8 +234,13 @@ def _strengths(p: ConnectionParams, a, m: float):
         # 2ma underflows to 0 only where 4m^2a^2 does.
         centre = 4.0 * m * m * a * a
         _require_quotient(a, p.beta, centre, ("beta", "4 m^2 a^2"))
-        v_plus = -1.0 / (2.0 * m * a) + (p.delta + 1.0) / p.beta
-        v_minus = -1.0 / (2.0 * m * a) + (p.alpha + 1.0) / p.beta
+        plus, minus = (p.delta + 1.0) / p.beta, (p.alpha + 1.0) / p.beta
+        # Float division overflows to inf without a warning: a tiny beta
+        # makes v± infinite at every a.
+        if math.isinf(plus) or math.isinf(minus):
+            raise ValueError(f"{'v_plus' if math.isinf(plus) else 'v_minus'} must be finite")
+        v_plus = -1.0 / (2.0 * m * a) + plus
+        v_minus = -1.0 / (2.0 * m * a) + minus
         v_zero = p.beta / centre
     else:
         denom = p.alpha + p.delta + 2.0
@@ -253,6 +258,62 @@ def _strengths(p: ConnectionParams, a, m: float):
     width = 2.0 * a
     _require_quotient(a, p.theta, width, ("theta", "2 a"))
     return v_plus, v_zero, v_minus, p.theta / width
+
+
+def _kernel_overflow(p: ConnectionParams, m: float, k: float, spacings):
+    """The first of the spacings at which convergence_error's products could overflow, or None.
+
+    With |cos ka| <= 1 and |sin(ka)/k| <= a, t, g and h bound the entries
+    of H, w bounds |v± ∓ iA/2m| and z bounds |v0|; h is formed as _hop forms
+    its entry, so A*A and its quotient by 2m are checked too.  Each product of
+    _three_delta is then bounded by the same sums and products of these
+    bounds that form it.  As t >= 1, each is at most one of the bounds on
+    the four entries after the second H (row0 adds row 0's, row1 row 1's)
+    or w times one of row 0's.  Twice the sum of all six and of the target's
+    entries, for the two terms of each part of a complex product, bounds
+    every intermediate of the kernel and of its distance from the target.
+    """
+    half_theta = 0.5 * abs(p.theta)
+    t = 1.0 + half_theta
+    target = abs(p.alpha) + abs(p.beta) + abs(p.gamma) + abs(p.delta)
+    # |v± ∓ iA/2m| <= c/2ma + w0 and |v0| <= z2/4m^2a^2 + z0, by scheme.
+    if p.beta != 0.0:
+        c, w0 = t, max(abs(p.delta + 1.0), abs(p.alpha + 1.0)) / abs(p.beta)
+        z2, z0 = abs(p.beta), 0.0
+    else:
+        c, w0 = 0.5 * max(abs(p.delta - 1.0), abs(p.alpha - 1.0)) + half_theta, 0.0
+        z2, z0 = 0.0, abs(4.0 * p.gamma / (p.alpha + p.delta + 2.0))
+    for a in spacings:
+        g = 2.0 * m * a
+        A = half_theta / a
+        h = (A * A + k * k) / (2.0 * m) * a
+        w = c / g + w0
+        # 4m^2a^2 is nonzero wherever z2 is: _strengths has checked it.
+        z = z2 / (4.0 * m * m * a * a) if z2 else z0
+        p0 = t + g * w  # H D(v- + edge), column 0
+        q1, q2 = h + t * w + z * p0, t + z * g  # then D(v0), row 1
+        row0 = t * p0 + g * (q1 + t + q2)  # then H
+        row1 = h * (p0 + g) + t * (q1 + q2)
+        if not 2.0 * ((1.0 + w) * row0 + row1 + target) < math.inf:
+            return a
+    return None
+
+
+def _require_finite_kernel(p: ConnectionParams, m: float, k: float, a: np.ndarray) -> None:
+    """Raise ValueError, naming the largest failing a, where convergence_error could overflow.
+
+    a is a column in descending order.  The strengths grow as a shrinks, so
+    one check of the smallest a covers the small-spacing end.  The few terms
+    of the bound that grow with a, such as 2ma w0^2 and (ka)^2, are left
+    unchecked: they overflow only for extreme inputs, such as |q±| near
+    1e154 at ma near 1.
+    """
+    if _kernel_overflow(p, m, k, (a.item(-1),)) is None:
+        return
+    largest = _kernel_overflow(p, m, k, a.tolist())
+    raise ValueError(
+        f"half-spacing a={largest!r} is out of range: the three-delta products overflow"
+    )
 
 
 def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTriple:
@@ -286,8 +347,9 @@ def convergence_error(p: ConnectionParams, m: float, k: float, a: np.ndarray) ->
     M(a) is three_delta_transfer of renormalized_strengths(p, a, m) at wave
     number k, evaluated over the whole column (positive, finite, largest
     first) in one kernel call.  Raises ValueError for a bad m or k first,
-    then as renormalized_strengths does.  The errors are not checked for
-    finiteness.
+    then as renormalized_strengths does, then, naming the largest such a,
+    where the kernel's products could overflow.  The errors are not checked
+    for finiteness.
     """
     # The medium before the scheme: a bad m or k outranks SingularRenormalization.
     rho(m, k)
@@ -295,6 +357,7 @@ def convergence_error(p: ConnectionParams, m: float, k: float, a: np.ndarray) ->
         if not math.isfinite(value):
             raise ValueError(f"{name}={value!r} must be finite for a convergence sweep")
     strengths = _strengths(p, a, m)
+    _require_finite_kernel(p, m, k, a)
     return _chebyshev(*_three_delta(a, m, k, *strengths), as_matrix(p))
 
 

@@ -176,6 +176,48 @@ class TestNonrelConvergence:
                 ConnectionParams(1, 1e10, 0, 1), 1.0, 1.0, [1e-200, 1e-3, 1e-160, 1e-155]
             )
 
+    # Finite strengths whose kernel products overflow: A*A with A = theta/2a
+    # at a of 1e-200, and at m = 1000 a band of a about two decades below
+    # the v0 guard.
+    @pytest.mark.parametrize(
+        "conn, m, a",
+        [((2, 0, 1.3, 0.5, 0.3), 1.0, 1e-200), ((2, 1, 1, 1, 0.3), 1000.0, 1e-157)],
+        ids=["beta_zero", "heavy"],
+    )
+    def test_overflowing_kernel_names_the_spacing(self, conn, m, a):
+        message = re.escape(f"half-spacing a={a!r} is out of range: the three-delta products")
+        with pytest.raises(ValueError, match=message):
+            nonrel_convergence(ConnectionParams(*conn), m, 1.0, [1e-3, a])
+
+    @pytest.mark.parametrize("beta", [1e10, 1.0, 1e-3, 0.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    @pytest.mark.parametrize("m", [1e-3, 1.0, 1e3])
+    def test_tiny_spacings_are_rejected_or_finite(self, beta, theta, m):
+        # No spacing down to the subnormals leaks a numpy warning, which
+        # pytest would raise: each is either rejected or gives a finite error.
+        if beta:
+            p = ConnectionParams(2, beta, 1 / beta, 1, theta)
+        else:
+            p = ConnectionParams(2, 0, 1.3, 0.5, theta)
+        for a in 10.0 ** np.arange(-320.0, -99.0, 0.5):
+            try:
+                value = nonrel_convergence(p, m, 1.0, [a]).value
+            except ValueError:
+                continue
+            assert np.isfinite(value).all()
+
+    @pytest.mark.parametrize(
+        "conn, name",
+        [((1e-10, 1e-300, 0, 1e10), "v_plus"), ((1e10, 1e-300, 0, 1e-10), "v_minus")],
+    )
+    def test_tiny_beta_names_the_infinite_strength(self, conn, name):
+        # (delta + 1)/beta or (alpha + 1)/beta overflows at every spacing.
+        p = ConnectionParams(*conn)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            nonrel_convergence(p, 1.0, 1.0, [1e-3])
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            schrodinger.renormalized_strengths(p, 1e-3, 1.0)
+
 
 class TestDiracConvergence:
     def test_zero_barrier_error_vanishes_with_width(self):

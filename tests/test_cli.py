@@ -1,6 +1,9 @@
 """Command-line contract: CSV shape, round-trip formatting, exit codes."""
 
+import argparse
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -570,3 +573,124 @@ class TestOnePassFormatting:
             ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist()
         )
         assert cli._csv("a,b,c", table) == want
+
+    # _csv forms most values' digits in numpy; each family below must come
+    # out exactly as format(x, ".17g") of each value and of its negation.
+
+    @staticmethod
+    def assert_each_value_formatted(*parts, negated=True):
+        values = np.concatenate([np.ravel(np.asarray(part, dtype=float)) for part in parts])
+        if negated:
+            values = np.concatenate((values, -values))
+        table = np.resize(values, (-(-values.size // 4), 4))
+        want = "a,b,c,d\n" + "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist()
+        )
+        assert cli._csv("a,b,c,d", table) == want
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261018)
+        bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+        self.assert_each_value_formatted(bits.view(np.float64), negated=False)
+
+    def test_powers_of_ten_with_neighbours(self):
+        decades = np.array([float(f"1e{n}") for n in range(-300, 309)])
+        below, above = np.nextafter(decades, 0.0), np.nextafter(decades, math.inf)
+        self.assert_each_value_formatted(below, decades, above)
+
+    def test_exact_ties_round_half_to_even(self):
+        # m / 2^e with m odd ends in the digit 5 at the e-th decimal place;
+        # with floor(log10 x) = 17 - e it has 18 significant digits, so its
+        # rounding to 17 is an exact tie.  e = 2..25 takes x from 1e15 down
+        # to 3e-8, where 10^(16 - k) is no longer a double.  The halves
+        # (2j + 1)/2 have 17 digits up to 2^52 and are rounded beyond.
+        rng = np.random.default_rng(5)
+        ties = []
+        for e in range(2, 26):
+            lo = math.ceil(Fraction(10) ** (17 - e) * 2**e)
+            hi = min(math.ceil(Fraction(10) ** (18 - e) * 2**e), 2**53)
+            m = rng.integers(lo // 2, (hi - 1) // 2, 2000) * 2 + 1
+            ties.append(m.astype(float) / 2.0**e)
+        ties = np.concatenate(ties)
+        for x in ties[::97].tolist():
+            digits = Decimal(x).normalize().as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        j = rng.integers(10**15, 10**16, 20000)
+        self.assert_each_value_formatted(ties, (2 * j + 1) / 2)
+
+    def test_near_ties_past_the_exact_powers_of_ten(self):
+        # Past 10^22, |x| 10^p is formed with an error below 2^-47.  x =
+        # m 2^-(j+p) has |x| 10^p = m 5^p / 2^j, and m = (2^(j-1) + o) 5^-p
+        # mod 2^j puts it o / 2^j from a half-integer: within that error for
+        # j >= 48, so the rounding must be left to "%.17g".
+        near = []
+        for p in range(23, 40):
+            for j in range(40, 54):
+                inverse = pow(5**p, -1, 2**j)
+                for offset in (-3, -2, -1, 1, 2, 3):
+                    first = (2 ** (j - 1) + offset) * inverse % 2**j
+                    for m in range(first, 2**53, 2**j):
+                        if 10**16 * 2**j <= m * 5**p < 10**17 * 2**j:
+                            near.append(float(m) * 2.0 ** (-j - p))
+        assert len(near) > 500
+        self.assert_each_value_formatted(near)
+
+    def test_rounding_that_carries_into_the_leading_digit(self):
+        # d * 10^n and the two doubles below it: several round up to d, the
+        # carry running through all sixteen 9s below the leading digit.
+        values, carries = [], 0
+        for n in range(-300, 308):
+            for d in range(1, 10):
+                x = float(f"{d}e{n}")
+                for _ in range(3):
+                    values.append(x)
+                    mantissa = format(x, ".17g").split("e")[0].replace(".", "").strip("0")
+                    carries += mantissa == str(d) and Fraction(x) < d * Fraction(10) ** n
+                    x = float(np.nextafter(x, 0.0))
+        assert carries > 100
+        self.assert_each_value_formatted(values)
+
+    def test_notation_switches(self):
+        # Fixed notation from exponent -4 up to 16, exponent notation outside.
+        rng = np.random.default_rng(6)
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+        steps = [edges]
+        for _ in range(20):
+            steps = [np.nextafter(steps[0], 0.0), *steps, np.nextafter(steps[-1], math.inf)]
+        spread = 10.0 ** rng.uniform(-0.1, 0.1, (5000, 1)) * edges
+        self.assert_each_value_formatted(*steps, spread)
+
+    def test_three_digit_exponents(self):
+        rng = np.random.default_rng(7)
+        self.assert_each_value_formatted(10.0 ** rng.uniform(-307, -99, 20000))
+        self.assert_each_value_formatted(10.0 ** rng.uniform(100, 308, 20000))
+
+    def test_ends_of_the_fast_path(self):
+        # cli._K_MIN and 1e17 bound the values whose digits numpy forms.
+        rng = np.random.default_rng(8)
+        centres = np.array([10.0**cli._K_MIN, 1e17])
+        self.assert_each_value_formatted(10.0 ** rng.uniform(-1.5, 1.5, (20000, 1)) * centres)
+
+    def test_zeros_nan_infinities_and_subnormals(self):
+        rng = np.random.default_rng(9)
+        subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+        specials = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072009e-308,
+                    2.2250738585072014e-308, 1.7976931348623157e308]
+        self.assert_each_value_formatted(specials, subnormals)
+        assert cli._csv("a", np.array([[-0.0], [math.nan], [-math.inf]])) == "a\n-0\nnan\n-inf\n"
+
+
+class TestSweepValues:
+    def test_linear_spacing_is_start_plus_step_times_index(self):
+        # The same two IEEE operations per entry as start + step * i in Python.
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            start, stop = (float(v) for v in rng.uniform(-1, 1, 2) * 10.0 ** rng.integers(-8, 9, 2))
+            count = int(rng.integers(2, 3000))
+            args = argparse.Namespace(
+                sweep_start=start, sweep_stop=stop, sweep_count=count, spacing="linear"
+            )
+            step = (stop - start) / (count - 1)
+            want = [start + step * i for i in range(count)]
+            want[0], want[-1] = start, stop
+            assert [v.hex() for v in cli._sweep_values(args)] == [v.hex() for v in want]
