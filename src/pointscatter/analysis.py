@@ -130,8 +130,7 @@ def nonrel_convergence(
     beta = 0 targets with alpha + delta = -2.
     """
     a = _spacings(a_list)
-    value = schrodinger.convergence_error(p, m, k, a) if a.size else a
-    return Sweep(a, value, "schrodinger")
+    return Sweep(a, schrodinger.convergence_error(p, m, k, a), "schrodinger")
 
 
 def dirac_convergence(
@@ -141,11 +140,11 @@ def dirac_convergence(
 
     One point per half-width, largest first: the column of
     dirac.convergence_error.  Raises ValueError for a bad m or E first,
-    then, naming s and v, for a barrier whose limit overflows.
+    then, naming s and v, for a barrier whose limit overflows, then for any
+    half-width whose error is not finite, naming the largest such a.
     """
     a = _spacings(a_list)
-    value = dirac.convergence_error(b, E, m, a) if a.size else a
-    return Sweep(a, value, "dirac")
+    return Sweep(a, dirac.convergence_error(b, E, m, a), "dirac")
 
 
 def correspondence_table(

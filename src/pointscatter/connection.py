@@ -197,6 +197,21 @@ def _chebyshev(phase, entries, target: TransferMatrix) -> np.ndarray:
     return np.maximum(np.maximum(d00, d01), np.maximum(d10, d11))
 
 
+def _require_finite(a: np.ndarray, err: np.ndarray, why: str) -> np.ndarray:
+    """err if every entry is finite, else ValueError naming the largest a whose error is not.
+
+    err is a sweep's error column over a, both largest a first.  inf and
+    NaN propagate through the kernels' + and *, through abs and through
+    np.maximum, so a kernel that overflowed anywhere leaves a non-finite
+    error: checking after the kernel is exact.  NaN propagates through
+    ndarray.max too, so one max covers the finite case.
+    """
+    if not err.size or math.isfinite(err.max()):
+        return err
+    i = np.flatnonzero(~np.isfinite(err))[0]
+    raise ValueError(f"half-spacing a={float(a[i])!r} is out of range: {why}")
+
+
 def delta_connection(v: float) -> TransferMatrix:
     """Connection of a delta potential of strength v: [[1, 0], [v, 1]].
 
@@ -323,7 +338,8 @@ def transmission(p: ConnectionParams, rho2: float | np.ndarray) -> float | np.nd
     At rho2 = 0 and inf it is the limit: 0 if the diverging term is present.
     Entry-wise over an array rho2, giving an array of its shape; a scalar
     rho2 is the 0-d case and gives a float.  Where beta^2 or gamma^2
-    overflows, that term is formed as (beta*rho)^2 or (gamma/rho)^2.
+    overflows, that term is formed as (beta*rho)^2 or (gamma/rho)^2, squared
+    as q*q: ** 2 on a numpy scalar calls C pow, whose last bit can differ.
     """
     rho2 = np.asarray(rho2, dtype=float)
     bad = ~(rho2 >= 0.0)
@@ -334,10 +350,10 @@ def transmission(p: ConnectionParams, rho2: float | np.ndarray) -> float | np.nd
     with np.errstate(all="ignore"):
         if p.beta != 0.0:
             bb = p.beta * p.beta
-            bracket += bb * rho2 if bb < math.inf else (p.beta * np.sqrt(rho2)) ** 2
+            bracket += bb * rho2 if bb < math.inf else np.square(p.beta * np.sqrt(rho2))
         if p.gamma != 0.0:
             gg = p.gamma * p.gamma
-            bracket += gg / rho2 if gg < math.inf else (p.gamma / np.sqrt(rho2)) ** 2
+            bracket += gg / rho2 if gg < math.inf else np.square(p.gamma / np.sqrt(rho2))
         t = 4.0 / bracket
     # min(1.0, t) keeps 1.0 unless t < 1.0, NaN included.
     t = np.where(t < 1.0, t, 1.0)

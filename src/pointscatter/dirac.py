@@ -20,7 +20,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix
-from .connection import _chebyshev, _coerce_fields, _from_entries
+from .connection import _chebyshev, _coerce_fields, _from_entries, _require_finite
 
 __all__ = [
     "DiracMedium",
@@ -227,9 +227,12 @@ def _barrier(b: BarrierParams, a, E: float, m: float):
 def convergence_error(b: BarrierParams, E: float, m: float, a: np.ndarray) -> np.ndarray:
     """max_ij |finite_barrier_transfer(b, a, E, m) - barrier_limit(b)|_ij over a column a > 0.
 
-    Raises ValueError for a bad m or E first, then, naming s and v, for a
-    barrier whose limit overflows.  A width whose cosh overflows gives an
-    inf or NaN error, which is not checked here.
+    a is largest first; an empty column gives an empty one.  Raises
+    ValueError for a bad m or E first, then, naming s and v, for a barrier
+    whose limit overflows.  Overflow in the finite barrier (a cosh beyond
+    about 710) is left to IEEE arithmetic, without a numpy warning, and the
+    error column is checked afterwards: where an error is not finite,
+    ValueError names the largest such a.
     """
     _require_exterior(m, E)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -239,7 +242,8 @@ def convergence_error(b: BarrierParams, E: float, m: float, a: np.ndarray) -> np
                 f"barrier s={b.s!r}, v={b.v!r}: its zero-width limit is not finite in "
                 "double precision (cosh sqrt|s^2 - v^2| overflows beyond about 710)"
             )
-        return _chebyshev(*_barrier(b, a, E, m), target)
+        err = _chebyshev(*_barrier(b, a, E, m), target)
+    return _require_finite(a, err, "the finite barrier overflows")
 
 
 def transmission(p: ConnectionParams, E: float, m: float) -> float:

@@ -193,13 +193,15 @@ class TestNonrelConvergence:
     @pytest.mark.parametrize("theta", [0.0, 0.3])
     @pytest.mark.parametrize("m", [1e-3, 1.0, 1e3])
     def test_tiny_spacings_are_rejected_or_finite(self, beta, theta, m):
-        # No spacing down to the subnormals leaks a numpy warning, which
-        # pytest would raise: each is either rejected or gives a finite error.
+        # No spacing down to the subnormals or up to 1e307 leaks a numpy
+        # warning, which pytest would raise: each is either rejected or
+        # gives a finite error.
         if beta:
             p = ConnectionParams(2, beta, 1 / beta, 1, theta)
         else:
             p = ConnectionParams(2, 0, 1.3, 0.5, theta)
-        for a in 10.0 ** np.arange(-320.0, -99.0, 0.5):
+        tiny, large = np.arange(-320.0, -99.0, 0.5), np.arange(100.0, 307.6, 0.5)
+        for a in 10.0 ** np.concatenate((tiny, large)):
             try:
                 value = nonrel_convergence(p, m, 1.0, [a]).value
             except ValueError:
@@ -217,6 +219,79 @@ class TestNonrelConvergence:
             nonrel_convergence(p, 1.0, 1.0, [1e-3])
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             schrodinger.renormalized_strengths(p, 1e-3, 1.0)
+
+
+def single_outcomes(sweep, a_list):
+    """Each spacing's own outcome: its error alone, or the message it is rejected with."""
+    outcomes = {}
+    for a in a_list:
+        try:
+            outcomes[a] = sweep([a]).value[0]
+        except ValueError as exc:
+            outcomes[a] = str(exc)
+    return outcomes
+
+
+def assert_column_outcome_is_each_spacings_own(sweep, a_list):
+    """The column fails iff a spacing fails alone, with the message of the
+    largest spacing that fails alone for that reason; the spacings that pass
+    alone give the same bits as one column."""
+    outcomes = single_outcomes(sweep, a_list)
+    reasons = {a: re.sub(r"a=\S+ ", "", v) for a, v in outcomes.items() if isinstance(v, str)}
+    if reasons:
+        with pytest.raises(ValueError) as info:
+            sweep(a_list)
+        reason = re.sub(r"a=\S+ ", "", str(info.value))
+        assert str(info.value) == outcomes[max(a for a in reasons if reasons[a] == reason)]
+    accepted = sorted((a for a, v in outcomes.items() if not isinstance(v, str)), reverse=True)
+    if accepted:
+        assert np.array_equal(sweep(accepted).value, [outcomes[a] for a in accepted])
+
+
+# (connection, m, k) of the seeded columns below: both schemes, with and
+# without a phase, at light and heavy masses.
+COLUMN_MODELS = [
+    ((2.0, 1.0, 1.0, 1.0, 0.3), 1.0, 1.0),
+    ((2.0, 1e-3, 1000.0, 1.0, 0.0), 1.0, 1000.0),
+    ((0.5, 1e-3, -1000.0, 0.0, -2.5), 1e3, 1e-3),
+    ((2.0, 0.0, 1.3, 0.5, 0.0), 1e-3, 1.0),
+    ((-0.4, 0.0, 0.7, -2.5, 1.9), 1e3, 1e3),
+    ((2.0, 1e10, 1e-10, 1.0, 0.3), 1.0, 1e3),
+]
+
+
+@pytest.mark.filterwarnings("error")
+class TestColumnOutcome:
+    """Whether a spacing is accepted, and its error, do not depend on the rest of its column."""
+
+    def test_large_spacing_alone_and_beside_a_small_one(self):
+        # 10**149.5 at k = 1000 is in range both ways: a check that reads
+        # only the column's smallest spacing would decide it by its neighbour.
+        p = ConnectionParams(2, 1e-3, 1000, 1, 0)
+        alone = nonrel_convergence(p, 1.0, 1000.0, [10**149.5]).value
+        both = nonrel_convergence(p, 1.0, 1000.0, [10**149.5, 1e-3]).value
+        assert np.isfinite(both).all() and alone[0] == both[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_nonrel_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        conn, m, k = COLUMN_MODELS[seed]
+        p = ConnectionParams(*conn)
+        a_list = (10.0 ** rng.uniform(-330.0, 308.0, size=8)).tolist()
+        assert_column_outcome_is_each_spacings_own(
+            lambda a: nonrel_convergence(p, m, k, a), a_list
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_dirac_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        b = BarrierParams(rng.uniform(-1.0, 1.0), rng.choice([-1.0, 1.0]) * rng.uniform(50, 300))
+        # Near E - m = 1e-3, a large |v| puts half-widths of 1e4 and more on
+        # the hyperbolic branch with a cosh that overflows.
+        a_list = (10.0 ** rng.uniform(-8.0, 6.0, size=8)).tolist()
+        assert_column_outcome_is_each_spacings_own(
+            lambda a: dirac_convergence(b, 1.001, 1.0, a), a_list
+        )
 
 
 class TestDiracConvergence:
@@ -240,6 +315,20 @@ class TestDiracConvergence:
         # on the s = v boundary: the error names the barrier, not a sweep value.
         with pytest.raises(ValueError, match=re.escape(f"s={s!r}, v={v!r}")):
             dirac_convergence(BarrierParams(s, v), 2.0, 1.0, [1e-2, 1e-3, 1e-4])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_width_is_named(self):
+        # The limit is finite, but at this half-width the finite barrier's
+        # cosh overflows; the narrower widths around it are fine alone.
+        b = BarrierParams(-0.03249090995812371, 183.62771374892313)
+        E, m = 1.1503661775380474, 1.1499948238031545
+        message = re.escape("half-spacing a=21917.61871521 is out of range")
+        with pytest.raises(ValueError, match=message):
+            dirac_convergence(b, E, m, [1.0, 21917.61871521, 1e-3])
+        assert np.isfinite(dirac_convergence(b, E, m, [1.0, 1e-3]).value).all()
+        # Of several such half-widths, the largest is named.
+        with pytest.raises(ValueError, match=re.escape("a=40000.0 is out of range")):
+            dirac_convergence(b, E, m, [1.0, 21917.61871521, 4e4, 1e-3])
 
 
 # Both renormalization schemes, with and without a phase; beta = 1e-3 drives
@@ -325,6 +414,18 @@ class TestSweepInputContract:
         ),
         "dirac": lambda a_list: dirac_convergence(BarrierParams(1.0, 0.5, 0.2), 2.0, 1.0, a_list),
     }
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            lambda a: schrodinger.convergence_error(ConnectionParams(2, 1, 1, 1, 0.3), 1.0, 1.0, a),
+            lambda a: dirac.convergence_error(BarrierParams(1.0, 0.5, 0.2), 2.0, 1.0, a),
+        ],
+        ids=["schrodinger", "dirac"],
+    )
+    def test_empty_column_gives_empty_errors(self, error):
+        err = error(np.empty(0))
+        assert err.shape == (0,) and err.dtype == np.float64
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     def test_empty_sweep_has_no_rows(self, sweep):

@@ -347,6 +347,13 @@ HOSTILE_INPUTS = {
     "propagate-huge-mass-overflows": (["propagate", "--framework", "dirac", "--x", "1e-300",
                                        "--mass", "1e200", "--energy", "2e200"],
                                       2, "propagator overflows"),
+    "converge-dirac-width-overflows": (["converge", "--framework", "dirac",
+                                        "--s", "-0.03249090995812371", "--v", "183.62771374892313",
+                                        "--energy", "1.1503661775380474",
+                                        "--mass", "1.1499948238031545",
+                                        "--sweep-start", "21917.61871521", "--sweep-stop", "1",
+                                        "--sweep-count", "2"],
+                                       2, "half-spacing a=21917.61871521 is out of range"),
     "converge-dirac-energy-inf": (["converge", "--framework", "dirac", "--s", "1", "--v", "0.5",
                                    "--energy", "inf", *SPACINGS], 2, "finite"),
     "converge-k-nan": (["converge", "--framework", "schrodinger", *DELTA_FLAGS, "--k", "nan",

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EPS, five_factor_scale
@@ -116,8 +116,15 @@ def gated_connections(draw):
     return ConnectionParams(alpha, beta, gamma, 1.0 / alpha)
 
 
+# Found by these properties: squared by C pow at 0-d, (beta*rho)^2 came out
+# one ulp below the array's square here.
+OVERFLOWING_BETA = ConnectionParams(1, 1e160, 0, 1)
+OVERFLOWING_BETA_RHO2 = float.fromhex("0x1.55be57cdeea98p-40")
+
+
 @settings(deadline=None)
 @given(p=gated_connections(), rho2=st.lists(rho2_values, min_size=1, max_size=12))
+@example(p=OVERFLOWING_BETA, rho2=[OVERFLOWING_BETA_RHO2])
 def test_array_transmission_is_the_scalar_calls_bit_for_bit(p, rho2):
     column = np.array(rho2)
     want = np.array([transmission(p, r) for r in rho2])
@@ -143,6 +150,7 @@ def float_formula(p, rho2):
 
 @settings(deadline=None)
 @given(p=gated_connections(), rho2=rho2_values)
+@example(p=OVERFLOWING_BETA, rho2=OVERFLOWING_BETA_RHO2)
 def test_transmission_is_the_float_formula_bit_for_bit(p, rho2):
     t = transmission(p, rho2)
     assert type(t) is float
@@ -152,6 +160,7 @@ def test_transmission_is_the_float_formula_bit_for_bit(p, rho2):
 @settings(deadline=None)
 @given(p=gated_connections(), m=st.floats(1e-3, 1e3),
        eps=st.lists(st.floats(1e-9, 1e9), min_size=1, max_size=12))
+@example(p=OVERFLOWING_BETA, m=411.8176022709114, eps=[1.0000000000000003e-09])
 def test_correspondence_table_columns_are_the_scalar_transmissions(p, m, eps):
     assume(all(m + e != m for e in eps))
     table = correspondence_table(p, m, eps)
