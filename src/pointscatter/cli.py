@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, dirac, schrodinger
-from .connection import ConnectionParams, transmission
+from .connection import ConnectionParams, _unimodular_det, transmission
 from .dirac import BarrierParams, DiracMedium
 from .schrodinger import NonRelMedium, SingularRenormalization
 
@@ -36,8 +36,8 @@ EXIT_PARAMS = 2
 EXIT_SINGULAR = 3
 EXIT_IO = 4
 
-# Looser than the ConnectionParams invariant: flag values within 1e-9 of
-# SL(2,R) are accepted and rescaled onto determinant 1.
+# Looser than the ConnectionParams floor 1e-12: flag values whose determinant is 1 within
+# 1e-9 or its rounding error (connection._unimodular_det) are rescaled onto det 1.
 _CLI_DET_TOL = 1e-9
 
 
@@ -189,19 +189,9 @@ def _csv(header: str, table: np.ndarray) -> str:
 
 
 def _connection_from_args(args: argparse.Namespace) -> ConnectionParams:
-    det = args.alpha * args.delta - args.beta * args.gamma
-    if abs(det - 1.0) > _CLI_DET_TOL:
-        raise ValueError(
-            f"alpha*delta - beta*gamma = {det:.17g}; must be 1 within {_CLI_DET_TOL}"
-        )
-    scale = math.sqrt(det)
-    return ConnectionParams(
-        args.alpha / scale,
-        args.beta / scale,
-        args.gamma / scale,
-        args.delta / scale,
-        args.theta,
-    )
+    entries = (args.alpha, args.beta, args.gamma, args.delta)
+    scale = math.sqrt(_unimodular_det(*entries, _CLI_DET_TOL))
+    return ConnectionParams(*(x / scale for x in entries), args.theta)
 
 
 def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> None:
@@ -294,12 +284,13 @@ def cmd_propagate(args: argparse.Namespace) -> str:
     return _csv("re11,im11,re12,im12,re21,im21,re22,im22", cells)
 
 
-def _add_connection_flags(parser: argparse.ArgumentParser, required: bool) -> None:
+def _add_connection_flags(parser: argparse.ArgumentParser, required: bool, theta: str) -> None:
     for name in ("alpha", "beta", "gamma", "delta"):
         parser.add_argument(
             f"--{name}", type=float, required=required, default=None,
             help=f"connection parameter {name}",
         )
+    parser.add_argument("--theta", type=float, default=0.0, help=theta)
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser, what: str, spacing: str) -> None:
@@ -328,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("transmission", help="transmission/reflection probability sweep")
-    _add_connection_flags(t, required=True)
-    t.add_argument("--theta", type=float, default=0.0, help="connection phase (radians)")
+    _add_connection_flags(t, True, "connection phase (radians)")
     t.add_argument("--framework", choices=("schrodinger", "dirac"), required=True)
     t.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
     _add_sweep_flags(t, "wave number (schrodinger) or energy (dirac)", "linear")
@@ -338,10 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("converge", help="short-range model error vs its point limit")
     c.add_argument("--framework", choices=("schrodinger", "dirac"), required=True)
-    _add_connection_flags(c, required=False)
-    c.add_argument(
-        "--theta", type=float, default=0.0,
-        help="connection phase (schrodinger) or integrated spatial potential (dirac)",
+    _add_connection_flags(
+        c, False, "connection phase (schrodinger) or integrated spatial potential (dirac)"
     )
     c.add_argument("--s", type=float, default=None, help="integrated scalar strength (dirac)")
     c.add_argument("--v", type=float, default=None, help="integrated vector strength (dirac)")
@@ -353,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_converge)
 
     cp = sub.add_parser("compare", help="Schrodinger vs Dirac transmission vs kinetic energy")
-    _add_connection_flags(cp, required=True)
-    cp.add_argument("--theta", type=float, default=0.0, help="connection phase (radians)")
+    _add_connection_flags(cp, True, "connection phase (radians)")
     cp.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
     _add_sweep_flags(cp, "kinetic energy", "log")
     _add_output_flag(cp)

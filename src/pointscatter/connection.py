@@ -50,10 +50,16 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 _TWO_PI = 2.0 * math.pi
 
-_DET_TOL = 1e-12          # SL(2,R) membership at construction
+_DET_TOL = 1e-12          # SL(2,R) membership at construction: floor of the band
 _BIORTHO_TOL = 1e-12      # mode-pair projections at construction
 _UNITARITY_TOL = 1e-10    # |T|^2 + |R|^2 = 1 on scattering results
 _REAL_FORM_TOL = 1e-8     # admission tolerance for decompose
+# c*u, u = 2^-53, of the det band c u S, S = |alpha delta| + |beta gamma|.  fl(alpha*delta -
+# beta*gamma) is within gamma_2 S ~ 2uS of the floats' exact det (Higham 2002, sec. 3.1), and
+# rounding an SL(2,R) matrix's entries moves that det by ~2uS: c = 4.  Entries divided by r =
+# fl(sqrt(det)), as decompose and the CLI rescale, have an exact det within 2uS + 2u + 2uS <=
+# 6uS of 1 (det's, r's, the quotients' roundings); computing it adds 2uS: c = 8, 9 with O(u^2).
+_DET_BAND = 9 * 2.0**-53
 _PROJECTION_FLOOR = 1e-14
 
 
@@ -87,9 +93,10 @@ def wrap_angle(theta: float) -> float:
 class ConnectionParams:
     """Point-interaction parameters: e^{i*theta} [[alpha, beta], [gamma, delta]].
 
-    alpha*delta - beta*gamma must equal 1 within 1e-12.  theta must be
-    finite and is stored in (-pi, pi]; no canonical range is standard, this
-    one is the package convention and matches what decompose() returns.
+    alpha*delta - beta*gamma must equal 1 within 1e-12 or its rounding error
+    (_unimodular_det).  theta must be finite and is stored in (-pi, pi]; no
+    canonical range is standard, this one is the package convention and
+    matches what decompose() returns.
     """
 
     alpha: float
@@ -100,9 +107,7 @@ class ConnectionParams:
 
     def __post_init__(self) -> None:
         _coerce_fields(self, float, ("theta",))
-        det = self.alpha * self.delta - self.beta * self.gamma
-        if not math.isfinite(det) or abs(det - 1.0) > _DET_TOL:
-            raise ValueError(f"alpha*delta - beta*gamma = {det!r}, not 1 within {_DET_TOL}")
+        _unimodular_det(self.alpha, self.beta, self.gamma, self.delta, _DET_TOL)
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
@@ -166,6 +171,19 @@ class ScatteringResult:
         return abs(self.r_amp) ** 2
 
 
+def _unimodular_det(alpha: float, beta: float, gamma: float, delta: float, floor: float) -> float:
+    """alpha*delta - beta*gamma if finite, > 0 and 1 within max(floor, _DET_BAND S), floor < 1."""
+    ad, bc = alpha * delta, beta * gamma
+    det = ad - bc
+    if abs(det - 1.0) <= floor:  # the usual case; a NaN or infinite det fails it
+        return det
+    # Scaled before the sum, the band is finite wherever det is; an infinite det meets floor.
+    band = max(floor, _DET_BAND * abs(ad) + _DET_BAND * abs(bc)) if math.isfinite(det) else floor
+    if det > 0.0 and abs(det - 1.0) <= band:
+        return det
+    raise NotConnectionForm(f"alpha*delta - beta*gamma = {det!r}, not 1: must be 1 within {band:.3g}")
+
+
 def as_matrix(p: ConnectionParams) -> TransferMatrix:
     """Connection matrix e^{i*theta} [[alpha, beta], [gamma, delta]]."""
     phase = cmath.exp(1j * p.theta)
@@ -198,18 +216,18 @@ def _chebyshev(phase, entries, target: TransferMatrix) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, err: np.ndarray, why: str) -> np.ndarray:
-    """err if every entry is finite, else ValueError naming the largest a whose error is not.
+    """err if every entry is finite, else ValueError naming the largest a at a non-finite one.
 
-    err is a sweep's error column over a, both largest a first.  inf and
-    NaN propagate through the kernels' + and *, through abs and through
-    np.maximum, so a kernel that overflowed anywhere leaves a non-finite
-    error: checking after the kernel is exact.  NaN propagates through
-    ndarray.max too, so one max covers the finite case.
+    a broadcasts against err, in any order.  inf and NaN propagate through
+    the kernels' + and *, through abs and np.maximum, so a kernel that
+    overflowed anywhere leaves a non-finite error: checking after the
+    kernel is exact.  NaN propagates through ndarray.max too, so one max
+    covers the finite case; the failing entries are looked up only then.
     """
     if not err.size or math.isfinite(err.max()):
         return err
-    i = np.flatnonzero(~np.isfinite(err))[0]
-    raise ValueError(f"half-spacing a={float(a[i])!r} is out of range: {why}")
+    worst = np.broadcast_to(a, err.shape)[~np.isfinite(err)].max()
+    raise ValueError(f"half-spacing a={float(worst)!r} is out of range: {why}")
 
 
 def delta_connection(v: float) -> TransferMatrix:
@@ -242,11 +260,6 @@ def _entries(M: TransferMatrix) -> list[complex]:
     return M.ravel().tolist()
 
 
-def _finite(entries: list[complex]) -> bool:
-    """True iff no entry has a NaN or infinite part."""
-    return all(map(cmath.isfinite, entries))
-
-
 def conserves_current(M: TransferMatrix, tol: float) -> bool:
     """True iff M† sigma2 M = sigma2 componentwise within tol.
 
@@ -257,7 +270,7 @@ def conserves_current(M: TransferMatrix, tol: float) -> bool:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     entries = _entries(M)
-    if not _finite(entries):
+    if not all(map(cmath.isfinite, entries)):
         return False
     a, b, c, d = entries
     upper = 2.0 * (a.real * c.imag - a.imag * c.real)
@@ -274,11 +287,11 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
     """Split M = e^{i*theta} U into connection parameters.
 
     The split is two-valued, (theta, U) vs (theta + pi, -U); the canonical
-    representative makes the first nonzero entry of U in row-major order
-    positive, with theta in (-pi, pi].  Admission is looser than the
-    ConnectionParams invariant: entries may miss the real form and the
-    determinant may miss 1 by up to 1e-8, and U is rescaled onto det 1
-    before the parameters are built.
+    one has theta in (-pi, pi] and makes positive the first entry of U, in
+    row-major order, above 1e-8 max(1, max |U|).  Admission is looser than
+    the ConnectionParams invariant: entries may miss the real form, the
+    determinant may miss 1 by up to 1e-8 or its rounding error, and U is
+    rescaled onto det 1 before the parameters are built.
 
     Raises NotConnectionForm when the matrix is zero or has a NaN or
     infinite entry, when no global phase makes it real to tolerance, or
@@ -292,7 +305,7 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
         scale = abs(largest)
     except OverflowError:  # a finite entry whose modulus is beyond the float range
         scale = math.inf
-    if not (_finite(entries) and 0.0 < scale < math.inf):
+    if not (all(map(cmath.isfinite, entries)) and 0.0 < scale < math.inf):
         raise NotConnectionForm("matrix is zero or non-finite")
     # Read the phase off the largest entry; a tiny one would give a noisy
     # argument.  The sign scan below restores the canonical branch.
@@ -303,16 +316,13 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
     if max(abs(z.imag) for z in rotated) > floor:
         raise NotConnectionForm("no global phase makes all entries real")
     u = [z.real for z in rotated]
-    det = u[0] * u[3] - u[1] * u[2]
-    if abs(det - 1.0) > _REAL_FORM_TOL:
-        raise NotConnectionForm(f"determinant {det!r} is not 1 within {_REAL_FORM_TOL}")
+    root = math.sqrt(_unimodular_det(*u, _REAL_FORM_TOL))
     for entry in u:
         if abs(entry) > floor:
             if entry < 0.0:
                 u = [-x for x in u]
                 phase += math.pi
             break
-    root = math.sqrt(det)
     return ConnectionParams(*(x / root for x in u), wrap_angle(phase))
 
 
@@ -383,7 +393,7 @@ def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:
     entries = _entries(M)
     a, b, c, d = entries
     det = a * d - b * c
-    if not _finite(entries) or det == 0 or not cmath.isfinite(det):
+    if not all(map(cmath.isfinite, entries)) or det == 0 or not cmath.isfinite(det):
         raise ValueError("matrix is singular or not finite")
     v0, v1 = modes.v_minus.tolist()
     v0, v1 = v0.conjugate(), v1.conjugate()

@@ -207,14 +207,19 @@ def finite_barrier_transfer(
     max|finite - limit| = 2a max|L(P, Q)| + O(a^2), where L is the
     Frechet derivative of exp (scipy.linalg.expm_frechet computes it).
     An array of half-widths a gives a stack of shape a.shape + (2, 2), one
-    matrix per a by the scalar call's operations; every a must be positive.
+    matrix per a by the scalar call's operations; every a must be positive
+    and finite.  Overflow (a cosh beyond about 710) is left to IEEE
+    arithmetic, without a numpy warning, and checked afterwards: where an
+    entry is not finite, ValueError names the largest such a.
     """
-    if not np.greater(a, 0.0).all():
-        raise ValueError("half-width a must be positive")
-    if not np.less(a, math.inf).all():
-        raise ValueError("half-width a must be finite")
+    if not (np.greater(a, 0.0) & np.less(a, math.inf)).all():
+        raise ValueError("half-width a must be positive and finite")
     _require_exterior(m, E)
-    return _from_entries(*_barrier(b, a, E, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = _from_entries(*_barrier(b, a, E, m))
+    # Real and imaginary parts side by side: each a owns a (2, 4) block.
+    _require_finite(np.expand_dims(a, (-2, -1)), M.view(float), "the finite barrier overflows")
+    return M
 
 
 def _barrier(b: BarrierParams, a, E: float, m: float):
@@ -227,12 +232,10 @@ def _barrier(b: BarrierParams, a, E: float, m: float):
 def convergence_error(b: BarrierParams, E: float, m: float, a: np.ndarray) -> np.ndarray:
     """max_ij |finite_barrier_transfer(b, a, E, m) - barrier_limit(b)|_ij over a column a > 0.
 
-    a is largest first; an empty column gives an empty one.  Raises
-    ValueError for a bad m or E first, then, naming s and v, for a barrier
-    whose limit overflows.  Overflow in the finite barrier (a cosh beyond
-    about 710) is left to IEEE arithmetic, without a numpy warning, and the
-    error column is checked afterwards: where an error is not finite,
-    ValueError names the largest such a.
+    An empty column gives an empty one.  Raises ValueError for a bad m or E
+    first, then, naming s and v, for a barrier whose limit overflows, then,
+    as finite_barrier_transfer does, naming the largest a whose error is
+    not finite.
     """
     _require_exterior(m, E)
     with np.errstate(over="ignore", invalid="ignore"):

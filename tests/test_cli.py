@@ -17,6 +17,7 @@ from pointscatter.connection import ConnectionParams
 from pointscatter.schrodinger import NonRelMedium
 
 DELTA_FLAGS = ["--alpha", "1", "--beta", "0", "--gamma", "1", "--delta", "1"]
+CONNECTION_FLAGS = ("--alpha", "--beta", "--gamma", "--delta")
 
 
 def run_cli(capsys, argv):
@@ -86,13 +87,16 @@ class TestTransmission:
             assert format(1.0 - t2, ".17g") == r2_str
 
     def test_invalid_determinant_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, [
-            "transmission", "--framework", "schrodinger",
-            "--alpha", "2", "--beta", "0", "--gamma", "0", "--delta", "1",
-            "--sweep-start", "1", "--sweep-stop", "2", "--sweep-count", "2",
-        ])
-        assert code == 2
-        assert "must be 1" in err
+        # The computed det of 1e8 * 1e8 - 1e8 * 1e8 is 0: inside the rounding
+        # band, but not positive, so no sqrt(0) rescale is attempted.
+        for entries in [("2", "0", "0", "1"), ("1e8",) * 4]:
+            flags = [x for pair in zip(CONNECTION_FLAGS, entries) for x in pair]
+            code, _, err = run_cli(capsys, [
+                "transmission", "--framework", "schrodinger", *flags,
+                "--sweep-start", "1", "--sweep-stop", "2", "--sweep-count", "2",
+            ])
+            assert code == 2
+            assert "must be 1" in err
 
     def test_nonpositive_mass_exits_2(self, capsys):
         code, _, err = run_cli(capsys, [
@@ -135,15 +139,29 @@ class TestTransmission:
         assert "above the mass" in err
 
     def test_near_unimodular_parameters_are_rescaled(self, capsys):
-        # det off by 1e-10 sits inside the CLI tolerance but outside the
-        # library invariant; the CLI must project it back.
-        code, out, _ = run_cli(capsys, [
-            "transmission", "--framework", "schrodinger",
-            "--alpha", "1.0000000001", "--beta", "0", "--gamma", "1", "--delta", "1",
-            "--sweep-start", "1", "--sweep-stop", "2", "--sweep-count", "2",
-        ])
-        assert code == 0
-        assert len(out.splitlines()) == 3
+        # det off by 1e-10 sits inside the CLI's 1e-9 floor but outside the
+        # library's 1e-12; entries in the thousands put det 3.7e-9 off, inside
+        # the rounding band of alpha*delta - beta*gamma.  The CLI must project
+        # both onto det 1, and the rows are the library's for the projection.
+        for entries in [
+            (1.0000000001, 0.0, 1.0, 1.0),
+            (3295.6212316547953, 5458.915783827469, 5045.419583098643, 8357.307973883806),
+        ]:
+            flags = [x for pair in zip(CONNECTION_FLAGS, entries) for x in (pair[0], repr(pair[1]))]
+            code, out, _ = run_cli(capsys, [
+                "transmission", "--framework", "schrodinger", *flags,
+                "--sweep-start", "1", "--sweep-stop", "2", "--sweep-count", "5",
+            ])
+            assert code == 0
+            alpha, beta, gamma, delta = entries
+            scale = math.sqrt(alpha * delta - beta * gamma)
+            p = ConnectionParams(*(x / scale for x in entries))
+            lines = out.splitlines()
+            assert len(lines) == 6
+            for line in lines[1:]:
+                x_str, t2_str, r2_str = line.split(",")
+                t2 = schrodinger.transmission(p, NonRelMedium(m=1.0, k=float(x_str)))
+                assert (t2_str, r2_str) == (format(t2, ".17g"), format(1.0 - t2, ".17g"))
 
     def test_sweep_count_must_be_at_least_two(self, capsys):
         code, _, err = run_cli(capsys, [

@@ -26,13 +26,41 @@ from pointscatter.connection import (
 from pointscatter.schrodinger import NonRelMedium
 
 
+def band_edge(d):
+    """Entries whose computed det is exactly d: alpha delta = 2^45, beta gamma = 2^45 - d.
+
+    d must be a multiple of 2^-8, the spacing of the floats below 2^45.  The
+    band is 9u (2^46 - d), just under 18/256, so 1 ± 17/256 lies inside it
+    and 1 ± 18/256, one det step further, outside.
+    """
+    return 2.0**23, 2.0**22, 2.0**23 - d * 2.0**-22, 2.0**22
+
+
 class TestConnectionParams:
     def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError, match="not 1"):
-            ConnectionParams(2.0, 0.0, 0.0, 1.0)
+        for entries in [
+            (2.0, 0.0, 0.0, 1.0),
+            (1.0 + 1.1e-12, 0.0, 0.0, 1.0),  # just outside the 1e-12 floor, on both sides
+            (1.0 - 1.1e-12, 0.0, 0.0, 1.0),
+            band_edge(1.0 + 18 / 256),  # just outside the rounding band, on both sides
+            band_edge(1.0 - 18 / 256),
+            (math.inf, 0.0, 0.0, 1.0),  # det inf: an infinite band must not admit it
+            (1e200, 0.0, 0.0, 1e200),  # det overflows to inf
+            (1e8, 1e8, 1e8, 1e8),  # computed det 0, inside the band but not positive
+        ]:
+            with pytest.raises(ValueError, match="not 1"):
+                ConnectionParams(*entries)
 
     def test_accepts_tiny_det_slack(self):
-        ConnectionParams(1.0 + 5e-13, 0.0, 0.0, 1.0)
+        for entries in [
+            (1.0 + 5e-13, 0.0, 0.0, 1.0),
+            (1.0 + 0.9e-12, 0.0, 0.0, 1.0),  # just inside the 1e-12 floor, on both sides
+            (1.0 - 0.9e-12, 0.0, 0.0, 1.0),
+            band_edge(1.0 + 17 / 256),  # just inside the rounding band, on both sides
+            band_edge(1.0 - 17 / 256),
+        ]:
+            p = ConnectionParams(*entries)
+            assert [p.alpha, p.beta, p.gamma, p.delta] == list(entries)
 
     def test_theta_normalised_into_half_open_interval(self):
         assert ConnectionParams(1, 0, 0, 1, 3.0 * math.pi).theta == pytest.approx(math.pi)

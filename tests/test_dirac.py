@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -258,6 +259,19 @@ class TestFiniteBarrier:
     def test_rejects_bad_width_anywhere_in_a_column(self, a):
         with pytest.raises(ValueError, match="half-width"):
             finite_barrier_transfer(BarrierParams(1.0, 0.0, 0.0), a, 2.0, 1.0)
+
+    # A finite limit, but the finite barrier's cosh overflows at these half-widths.
+    @pytest.mark.parametrize("a, named", [
+        (21917.61871521, 21917.61871521),
+        (np.array([21917.61871521, 4e4]), 4e4),  # both overflow, smallest first
+        (np.array([[4e4], [21917.61871521], [1e-3]]), 4e4),
+    ], ids=["scalar", "unsorted", "column"])
+    def test_overflowing_half_width_is_named(self, a, named):
+        b = BarrierParams(-0.03249090995812371, 183.62771374892313)
+        E, m = 1.1503661775380474, 1.1499948238031545
+        with pytest.raises(ValueError, match=re.escape(f"a={named!r} is out of range")):
+            finite_barrier_transfer(b, a, E, m)
+        assert np.isfinite(finite_barrier_transfer(b, np.array([1.0, 1e-3]), E, m)).all()
 
     @pytest.mark.parametrize("svt", [(1.0, 1.0, 0.0), (0.0, 1.0, 0.2), (2.0, 0.0, 0.0)])
     def test_column_of_half_widths_is_the_scalar_calls(self, svt):
