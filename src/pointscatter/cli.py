@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, dirac, schrodinger
-from .connection import ConnectionParams, _unimodular_det, transmission
+from .connection import ConnectionParams, _onto_sl2, transmission
 from .dirac import BarrierParams, DiracMedium
 from .schrodinger import NonRelMedium, SingularRenormalization
 
@@ -37,7 +37,7 @@ EXIT_SINGULAR = 3
 EXIT_IO = 4
 
 # Looser than the ConnectionParams floor 1e-12: flag values whose determinant is 1 within
-# 1e-9 or its rounding error (connection._unimodular_det) are rescaled onto det 1.
+# 1e-9 are rescaled onto det 1, and within only its rounding error kept (connection._onto_sl2).
 _CLI_DET_TOL = 1e-9
 
 
@@ -189,9 +189,8 @@ def _csv(header: str, table: np.ndarray) -> str:
 
 
 def _connection_from_args(args: argparse.Namespace) -> ConnectionParams:
-    entries = (args.alpha, args.beta, args.gamma, args.delta)
-    scale = math.sqrt(_unimodular_det(*entries, _CLI_DET_TOL))
-    return ConnectionParams(*(x / scale for x in entries), args.theta)
+    entries = [args.alpha, args.beta, args.gamma, args.delta]
+    return ConnectionParams(*_onto_sl2(entries, _CLI_DET_TOL), args.theta)
 
 
 def _require(args: argparse.Namespace, names: tuple[str, ...], context: str) -> None:
@@ -284,13 +283,12 @@ def cmd_propagate(args: argparse.Namespace) -> str:
     return _csv("re11,im11,re12,im12,re21,im21,re22,im22", cells)
 
 
-def _add_connection_flags(parser: argparse.ArgumentParser, required: bool, theta: str) -> None:
+def _add_connection_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     for name in ("alpha", "beta", "gamma", "delta"):
         parser.add_argument(
             f"--{name}", type=float, required=required, default=None,
             help=f"connection parameter {name}",
         )
-    parser.add_argument("--theta", type=float, default=0.0, help=theta)
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser, what: str, spacing: str) -> None:
@@ -319,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("transmission", help="transmission/reflection probability sweep")
-    _add_connection_flags(t, True, "connection phase (radians)")
+    _add_connection_flags(t, required=True)
+    t.add_argument("--theta", type=float, default=0.0, help="connection phase (radians)")
     t.add_argument("--framework", choices=("schrodinger", "dirac"), required=True)
     t.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
     _add_sweep_flags(t, "wave number (schrodinger) or energy (dirac)", "linear")
@@ -328,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("converge", help="short-range model error vs its point limit")
     c.add_argument("--framework", choices=("schrodinger", "dirac"), required=True)
-    _add_connection_flags(
-        c, False, "connection phase (schrodinger) or integrated spatial potential (dirac)"
+    _add_connection_flags(c, required=False)
+    c.add_argument(
+        "--theta", type=float, default=0.0,
+        help="connection phase (schrodinger) or integrated spatial potential (dirac)",
     )
     c.add_argument("--s", type=float, default=None, help="integrated scalar strength (dirac)")
     c.add_argument("--v", type=float, default=None, help="integrated vector strength (dirac)")
@@ -341,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_converge)
 
     cp = sub.add_parser("compare", help="Schrodinger vs Dirac transmission vs kinetic energy")
-    _add_connection_flags(cp, True, "connection phase (radians)")
+    _add_connection_flags(cp, required=True)
+    cp.add_argument("--theta", type=float, default=0.0, help="connection phase (radians)")
     cp.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
     _add_sweep_flags(cp, "kinetic energy", "log")
     _add_output_flag(cp)

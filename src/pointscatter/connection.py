@@ -59,6 +59,8 @@ _REAL_FORM_TOL = 1e-8     # admission tolerance for decompose
 # rounding an SL(2,R) matrix's entries moves that det by ~2uS: c = 4.  Entries divided by r =
 # fl(sqrt(det)), as decompose and the CLI rescale, have an exact det within 2uS + 2u + 2uS <=
 # 6uS of 1 (det's, r's, the quotients' roundings); computing it adds 2uS: c = 8, 9 with O(u^2).
+# Past the floor det is no better than its rounding, which spans more than 1 from S ~ 1e15,
+# so only a det within the floor is rescaled (_onto_sl2); ConnectionParams admits the rest.
 _DET_BAND = 9 * 2.0**-53
 _PROJECTION_FLOOR = 1e-14
 
@@ -184,6 +186,15 @@ def _unimodular_det(alpha: float, beta: float, gamma: float, delta: float, floor
     raise NotConnectionForm(f"alpha*delta - beta*gamma = {det!r}, not 1: must be 1 within {band:.3g}")
 
 
+def _onto_sl2(entries: list[float], floor: float) -> list[float]:
+    """entries / sqrt(det) where det is 1 within floor; as given where only the band admits them."""
+    det = _unimodular_det(*entries, floor)
+    if abs(det - 1.0) > floor:  # sqrt(det) would be no correction: see _DET_BAND
+        return entries
+    root = math.sqrt(det)
+    return [x / root for x in entries]
+
+
 def as_matrix(p: ConnectionParams) -> TransferMatrix:
     """Connection matrix e^{i*theta} [[alpha, beta], [gamma, delta]]."""
     phase = cmath.exp(1j * p.theta)
@@ -260,6 +271,11 @@ def _entries(M: TransferMatrix) -> list[complex]:
     return M.ravel().tolist()
 
 
+def _finite(entries: list[complex]) -> bool:
+    """True iff no entry has a NaN or infinite part."""
+    return all(map(cmath.isfinite, entries))
+
+
 def conserves_current(M: TransferMatrix, tol: float) -> bool:
     """True iff M† sigma2 M = sigma2 componentwise within tol.
 
@@ -270,7 +286,7 @@ def conserves_current(M: TransferMatrix, tol: float) -> bool:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     entries = _entries(M)
-    if not all(map(cmath.isfinite, entries)):
+    if not _finite(entries):
         return False
     a, b, c, d = entries
     upper = 2.0 * (a.real * c.imag - a.imag * c.real)
@@ -289,9 +305,9 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
     The split is two-valued, (theta, U) vs (theta + pi, -U); the canonical
     one has theta in (-pi, pi] and makes positive the first entry of U, in
     row-major order, above 1e-8 max(1, max |U|).  Admission is looser than
-    the ConnectionParams invariant: entries may miss the real form, the
-    determinant may miss 1 by up to 1e-8 or its rounding error, and U is
-    rescaled onto det 1 before the parameters are built.
+    the ConnectionParams invariant: entries may miss the real form, and the
+    determinant may miss 1 by up to 1e-8, when U is rescaled onto det 1, or
+    by its rounding error, when U is kept as it is.
 
     Raises NotConnectionForm when the matrix is zero or has a NaN or
     infinite entry, when no global phase makes it real to tolerance, or
@@ -305,7 +321,7 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
         scale = abs(largest)
     except OverflowError:  # a finite entry whose modulus is beyond the float range
         scale = math.inf
-    if not (all(map(cmath.isfinite, entries)) and 0.0 < scale < math.inf):
+    if not (_finite(entries) and 0.0 < scale < math.inf):
         raise NotConnectionForm("matrix is zero or non-finite")
     # Read the phase off the largest entry; a tiny one would give a noisy
     # argument.  The sign scan below restores the canonical branch.
@@ -316,14 +332,13 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
     if max(abs(z.imag) for z in rotated) > floor:
         raise NotConnectionForm("no global phase makes all entries real")
     u = [z.real for z in rotated]
-    root = math.sqrt(_unimodular_det(*u, _REAL_FORM_TOL))
     for entry in u:
         if abs(entry) > floor:
             if entry < 0.0:
                 u = [-x for x in u]
                 phase += math.pi
             break
-    return ConnectionParams(*(x / root for x in u), wrap_angle(phase))
+    return ConnectionParams(*_onto_sl2(u, _REAL_FORM_TOL), wrap_angle(phase))
 
 
 def modes(rho: float) -> ModePair:
@@ -393,7 +408,7 @@ def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:
     entries = _entries(M)
     a, b, c, d = entries
     det = a * d - b * c
-    if not all(map(cmath.isfinite, entries)) or det == 0 or not cmath.isfinite(det):
+    if not _finite(entries) or det == 0 or not cmath.isfinite(det):
         raise ValueError("matrix is singular or not finite")
     v0, v1 = modes.v_minus.tolist()
     v0, v1 = v0.conjugate(), v1.conjugate()

@@ -140,12 +140,17 @@ class TestTransmission:
 
     def test_near_unimodular_parameters_are_rescaled(self, capsys):
         # det off by 1e-10 sits inside the CLI's 1e-9 floor but outside the
-        # library's 1e-12; entries in the thousands put det 3.7e-9 off, inside
-        # the rounding band of alpha*delta - beta*gamma.  The CLI must project
-        # both onto det 1, and the rows are the library's for the projection.
-        for entries in [
-            (1.0000000001, 0.0, 1.0, 1.0),
-            (3295.6212316547953, 5458.915783827469, 5045.419583098643, 8357.307973883806),
+        # library's 1e-12: the CLI projects it onto det 1.  Entries in the
+        # thousands put det 3.7e-9 off, and entries 2^27 with gamma 10 ulps
+        # low put it at 20: both only inside the rounding band of
+        # alpha*delta - beta*gamma, where a sqrt(det) rescale is no rounding-
+        # level correction, so the CLI keeps them.  The rows are the library's
+        # for the connection so formed.
+        for entries, rescaled in [
+            ((1.0000000001, 0.0, 1.0, 1.0), True),
+            ((3295.6212316547953, 5458.915783827469, 5045.419583098643, 8357.307973883806),
+             False),
+            ((2.0**27, 2.0**27, 2.0**27 - 10 * 2.0**-26, 2.0**27), False),
         ]:
             flags = [x for pair in zip(CONNECTION_FLAGS, entries) for x in (pair[0], repr(pair[1]))]
             code, out, _ = run_cli(capsys, [
@@ -154,7 +159,7 @@ class TestTransmission:
             ])
             assert code == 0
             alpha, beta, gamma, delta = entries
-            scale = math.sqrt(alpha * delta - beta * gamma)
+            scale = math.sqrt(alpha * delta - beta * gamma) if rescaled else 1.0
             p = ConnectionParams(*(x / scale for x in entries))
             lines = out.splitlines()
             assert len(lines) == 6

@@ -181,7 +181,9 @@ def assert_decompose_inverts_as_matrix(p):
     |beta gamma|) times the largest entry: the determinant's rounding, which
     the sqrt(det) rescale passes on to every entry, grows with those
     products.  Measured: at most 0.99 of that without the factor 4, over 2e5
-    log-uniform draws from 1e-6 to 1e6.  theta within 16 eps: the
+    log-uniform draws from 1e-6 to 1e6.  decompose rescales only a det
+    within 1e-8 of 1, moving each entry by at most half that, so the bound
+    stops at 1e-8 times the largest entry.  theta within 16 eps: the
     phase read off the largest entry, and the roundings of theta + pi and of
     the wrap into (-pi, pi] (measured: at most 4 eps).
     """
@@ -194,7 +196,7 @@ def assert_decompose_inverts_as_matrix(p):
     want_theta = p.theta
     if want[lead] < 0.0:
         want, want_theta = [-x for x in want], wrap_angle(want_theta + math.pi)
-    bound = 4 * EPS * (1.0 + abs(p.alpha * p.delta) + abs(p.beta * p.gamma)) * scale
+    bound = min(4 * EPS * (1.0 + abs(p.alpha * p.delta) + abs(p.beta * p.gamma)), 1e-8) * scale
     assert max(abs(x - y) for x, y in zip(got, want)) <= bound
     assert abs(wrap_angle(q.theta - want_theta)) <= 16 * EPS
 
@@ -215,8 +217,12 @@ def test_decompose_inverts_as_matrix(alpha, beta, gamma, theta):
 
 # Entries in the thousands: the computed det misses 1 by 4.7e-10, inside the
 # rounding band of alpha*delta - beta*gamma and far outside a 1e-12 floor.
+# Entries 2^27 with gamma 10 ulps low: ad = 2^54 and bc = 2^54 - 20 exactly,
+# so det is 20, inside a band of about 36.  A sqrt(det) rescale would move
+# every entry by a factor 4.5; decompose must keep them.
 def test_decompose_inverts_as_matrix_at_large_entries():
-    assert_decompose_inverts_as_matrix(ConnectionParams(
-        1473.5370541372733, 6062.63551806223, 575.2690219320189, 2366.854226715002,
-        1.8977517891033342,
-    ))
+    for entries in [
+        (1473.5370541372733, 6062.63551806223, 575.2690219320189, 2366.854226715002),
+        (2.0**27, 2.0**27, 2.0**27 - 10 * 2.0**-26, 2.0**27),
+    ]:
+        assert_decompose_inverts_as_matrix(ConnectionParams(*entries, 1.8977517891033342))
