@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from typing import Optional
 
@@ -39,6 +40,10 @@ EXIT_IO = 4
 # Looser than the ConnectionParams floor 1e-12: flag values whose determinant is 1 within
 # 1e-9 are rescaled onto det 1, and within only its rounding error kept (connection._onto_sl2).
 _CLI_DET_TOL = 1e-9
+
+# A negative number as "%.17g" prints it, -1e-05 say: argparse's own test admits only -5 and
+# -0.5 and reads the rest as flags ("expected one argument").
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 # The digits of _csv.  A value v with 1e-280 <= |v| < 1e17 has exponent
@@ -372,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flag(pr)
     pr.set_defaults(func=cmd_propagate)
 
+    for p in (parser, t, c, cp, cl, pr):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -62,6 +62,14 @@ _REAL_FORM_TOL = 1e-8     # admission tolerance for decompose
 # Past the floor det is no better than its rounding, which spans more than 1 from S ~ 1e15,
 # so only a det within the floor is rescaled (_onto_sl2); ConnectionParams admits the rest.
 _DET_BAND = 9 * 2.0**-53
+# c*u bounds modes(rho)'s projections v† u off 1 and 0 for every admitted rho.  s = fl(sqrt2) =
+# sqrt2 (1 + e), e = 0.62u; a = fl(1/s) has fl(a*a) = 1/2 - u exactly.  b = fl(rho/s), r =
+# fl(1/rho) and q = fl(r/s) err by u relative where normal.  At the ends one is subnormal, off
+# by at most 2^-1075: rho <= DBL_MAX puts r > 2^-1024 (4u) and q > 2^-1024/s (4 sqrt2 u ~ 5.7u);
+# 1/rho finite puts rho > 2^-1024, so b errs by 5.7u.  fl(b*q) = (1 + d)/2, |d| <= u + 4u + 5.7u
+# + u + 2e ~ 12.9u: v±† u± = fl(fl(a*a) + fl(b*q)) is within u + 6.45u + u of 1, v∓† u± =
+# fl(a*a) - fl(b*q), exact (Sterbenz), within 7.45u of 0.  c = 9 with O(u^2).
+_MODES_BIORTHO_ERR = 9 * 2.0**-53
 _PROJECTION_FLOOR = 1e-14
 
 
@@ -118,7 +126,8 @@ class ModePair:
     """Right/left movers u_plus/u_minus with their dual modes v_plus/v_minus.
 
     The duals project amplitudes out of two-component wave data:
-    v_s† u_s = 1 and v_s† u_{-s} = 0, checked to 1e-12 at construction.
+    v_s† u_s = 1 and v_s† u_{-s} = 0, checked to 1e-12 at construction;
+    modes() builds its pairs unchecked, within a derived bound instead.
     """
 
     u_plus: np.ndarray
@@ -342,18 +351,27 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
 
 
 def modes(rho: float) -> ModePair:
-    """Free modes u± = (1, ±i*rho)/sqrt2 and duals v± = (1, ±i/rho)/sqrt2, rho > 0."""
+    """Free modes u± = (1, ±i*rho)/sqrt2 and duals v± = (1, ±i/rho)/sqrt2, rho > 0.
+
+    The fields are read-only views of the rows of one (4, 2) block, built
+    bi-orthogonal within _MODES_BIORTHO_ERR and so not checked at run time.
+    """
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
     if not 1.0 / float(rho) < math.inf:
         raise ValueError(f"rho={rho!r} is too small: 1/rho overflows")
     rt2 = math.sqrt(2.0)
-    return ModePair(
-        u_plus=(1.0 / rt2, 1j * rho / rt2),
-        u_minus=(1.0 / rt2, -1j * rho / rt2),
-        v_plus=(1.0 / rt2, 1j / rho / rt2),
-        v_minus=(1.0 / rt2, -1j / rho / rt2),
+    # One flat np.array call and a (4, 2) view cost less than nested rows.
+    block = np.array(
+        (1.0 / rt2, 1j * rho / rt2, 1.0 / rt2, -1j * rho / rt2,
+         1.0 / rt2, 1j / rho / rt2, 1.0 / rt2, -1j / rho / rt2),
+        dtype=complex,
     )
+    block.setflags(write=False)  # on the owner: a view's flag could be set back
+    rows = block.reshape(4, 2)
+    pair = object.__new__(ModePair)
+    vars(pair).update(u_plus=rows[0], u_minus=rows[1], v_plus=rows[2], v_minus=rows[3])
+    return pair
 
 
 def transmission(p: ConnectionParams, rho2: float | np.ndarray) -> float | np.ndarray:

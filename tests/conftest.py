@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 from pathlib import Path
@@ -49,3 +50,30 @@ def five_factor_scale(v_plus, v_zero, v_minus, a, A, m, k) -> float:
 
     product = delta(v_plus - edge) @ hop @ delta(v_zero) @ hop @ delta(v_minus + edge)
     return float(product.max())
+
+
+def closed_form_transfer(cfg, med) -> np.ndarray:
+    """Entry-by-entry closed form of the three-delta transfer matrix.
+
+    Fully independent of the matrix product in three_delta_transfer, so the
+    two serve as mutual oracles (gate c1).  The magnetic contribution factors
+    out as the phase e^{2iAa} times a real unimodular matrix.
+    """
+    if med.A != cfg.A:
+        raise ValueError("medium vector potential must equal the triple's A")
+    m, k = med.m, med.k
+    a = cfg.a
+    vp, v0, vm = cfg.v_plus, cfg.v_zero, cfg.v_minus
+    sin2, cos2 = math.sin(2.0 * k * a), math.cos(2.0 * k * a)
+    sin1, cos1 = math.sin(k * a), math.cos(k * a)
+    u12 = 2.0 * m * sin2 / k + 4.0 * m * m * sin1 * sin1 / (k * k) * v0
+    u11 = cos2 + m * sin2 / k * v0 + u12 * vm
+    u22 = cos2 + m * sin2 / k * v0 + u12 * vp
+    u21 = (
+        cos1 * cos1 * (vp + v0 + vm)
+        - sin1 * sin1 * (vp + vm)
+        + m * sin2 / k * (v0 * (vp + vm) - k * k / (2.0 * m * m))
+        + u12 * vp * vm
+    )
+    real_part = np.array([[u11, u12], [u21, u22]], dtype=complex)
+    return cmath.exp(2j * cfg.A * a) * real_part

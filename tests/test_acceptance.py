@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm_frechet
 
-from conftest import random_connection
+from conftest import closed_form_transfer, random_connection
 from pointscatter import analysis, connection, dirac, schrodinger
 from pointscatter.connection import (
     ConnectionParams,
@@ -49,7 +49,7 @@ def test_c1_three_delta_algebra_oracle():
         )
         med = NonRelMedium(m=rng.uniform(0.05, 5.0), k=rng.uniform(0.05, 5.0), A=cfg.A)
         got = schrodinger.three_delta_transfer(cfg, med)
-        ref = schrodinger.closed_form_transfer(cfg, med)
+        ref = closed_form_transfer(cfg, med)
         scaled = np.max(np.abs(got - ref) / (1.0 + np.abs(ref)))
         worst_scaled = max(worst_scaled, float(scaled))
     # O(1)-entry regime: the stated 1e-12 holds in plain absolute terms.
@@ -62,7 +62,7 @@ def test_c1_three_delta_algebra_oracle():
         )
         med = NonRelMedium(m=rng.uniform(0.5, 1.5), k=rng.uniform(0.5, 1.5), A=cfg.A)
         got = schrodinger.three_delta_transfer(cfg, med)
-        ref = schrodinger.closed_form_transfer(cfg, med)
+        ref = closed_form_transfer(cfg, med)
         worst_abs = max(worst_abs, float(np.max(np.abs(got - ref))))
     ok = worst_scaled <= 1e-12 and worst_abs <= 1e-12
     _verdict(

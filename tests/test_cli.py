@@ -426,6 +426,31 @@ class TestHostileInput:
         assert fragment in err
         assert "Traceback" not in err
 
+    # argparse alone reads a negative value in exponent notation as a flag
+    # ("--alpha: expected one argument"), yet "%.17g" prints such values.
+    # Spaced or joined with "=", the flag must read the same value.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["transmission", "--framework", "schrodinger", "--alpha", "-1e-05", "--beta", "0",
+         "--gamma", "0", "--delta", "-1e+05", *SWEEP],
+        ["transmission", "--framework", "schrodinger", "--alpha", "-1.0000000000000001e-05",
+         "--beta", "-2.5E+3", "--gamma", "0", "--delta", "-99999.999999999985", *SWEEP],
+        ["classify", "--s", "-1e-05", "--v", "-.5e-4"],
+        ["propagate", "--framework", "dirac", "--x", "-1.5e-1", "--energy", "2", "--scalar", "-4e-1"],
+        [*DIRAC_CONVERGE, "--theta", "-3e-1", "--sweep-start", "1e-2", "--sweep-stop", "1e-4",
+         "--sweep-count", "3"],
+    ], ids=["transmission", "transmission-17g", "classify", "propagate", "converge"])
+    def test_negative_exponent_notation_is_a_value(self, capsys, argv):
+        spaced = run_cli(capsys, argv)
+        assert spaced[0] == 0 and spaced[2] == ""
+        joined = []
+        for arg in argv:
+            if arg.startswith("-") and not arg.startswith("--"):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        assert run_cli(capsys, joined) == spaced
+
     def test_huge_theta_wraps(self, capsys):
         # theta enters only through phases, so 1e300 is a valid (wrapped) angle.
         code, out, err = run_cli(capsys, [*DIRAC_CONVERGE, "--theta", "1e300", *SPACINGS])

@@ -13,9 +13,12 @@ correspondence table built on them, the scalar calls, at every rho^2,
 endpoints and extremes included.  decompose must invert as_matrix onto
 the canonical branch, to a rounding bound that grows with the products
 |alpha delta| and |beta gamma| whose difference is the determinant.
+modes(rho) must be bi-orthogonal within its derived bound at every
+admitted rho, both ends included.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,10 +26,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EPS, five_factor_scale
-from pointscatter import dirac, schrodinger
+from pointscatter import connection, dirac, schrodinger
 from pointscatter.analysis import correspondence_table
 from pointscatter.connection import (
-    SIGMA2, ConnectionParams, as_matrix, decompose, modes, scatter, transmission, wrap_angle,
+    SIGMA2, ConnectionParams, ModePair, as_matrix, decompose, modes, scatter, transmission,
+    wrap_angle,
 )
 from pointscatter.dirac import BarrierParams, DiracMedium
 from pointscatter.schrodinger import DeltaTriple, NonRelMedium
@@ -226,3 +230,48 @@ def test_decompose_inverts_as_matrix_at_large_entries():
         (2.0**27, 2.0**27, 2.0**27 - 10 * 2.0**-26, 2.0**27),
     ]:
         assert_decompose_inverts_as_matrix(ConnectionParams(*entries, 1.8977517891033342))
+
+
+# The admitted rho range from the smallest whose 1/rho is finite, 2^-1024 + 2^-1074
+# (subnormal), to DBL_MAX, where 1/rho and 1/rho/sqrt2 are subnormal.
+RHO_MIN = float.fromhex("0x0.4000000000001p-1022")
+RHO_MAX = sys.float_info.max
+MODE_FIELDS = ("u_plus", "u_minus", "v_plus", "v_minus")
+
+
+# exp(log(DBL_MAX)) falls short of DBL_MAX, so the ends are drawn as themselves.
+admitted_rho = st.one_of(
+    st.sampled_from([RHO_MIN, 1.0, RHO_MAX]),
+    st.floats(math.log(RHO_MIN), math.log(RHO_MAX)).map(
+        lambda t: min(max(math.exp(t), RHO_MIN), RHO_MAX)
+    ),
+)
+
+
+@settings(deadline=None)
+@given(rho=admitted_rho)
+@example(rho=RHO_MIN)
+@example(rho=RHO_MAX)
+@example(rho=1.0)
+def test_modes_are_biorthogonal_within_the_derived_bound(rho):
+    pair = modes(rho)
+    fields = [getattr(pair, name) for name in MODE_FIELDS]
+    u_plus, u_minus, v_plus, v_minus = (f.tolist() for f in fields)
+    for (d0, d1), (u0, u1), want in [
+        (v_plus, u_plus, 1.0), (v_minus, u_minus, 1.0), (v_plus, u_minus, 0.0), (v_minus, u_plus, 0.0),
+    ]:
+        got = d0.conjugate() * u0 + d1.conjugate() * u1
+        assert abs(got - want) <= connection._MODES_BIORTHO_ERR
+    checked = ModePair(*fields)
+    rt2 = math.sqrt(2.0)
+    old = ModePair(
+        u_plus=(1.0 / rt2, 1j * rho / rt2),
+        u_minus=(1.0 / rt2, -1j * rho / rt2),
+        v_plus=(1.0 / rt2, 1j / rho / rt2),
+        v_minus=(1.0 / rt2, -1j / rho / rt2),
+    )
+    for name, field in zip(MODE_FIELDS, fields):
+        assert field.tobytes() == getattr(checked, name).tobytes() == getattr(old, name).tobytes()
+        assert (field.dtype, field.shape) == (np.dtype(complex), (2,))
+        with pytest.raises(ValueError):
+            field.setflags(write=True)

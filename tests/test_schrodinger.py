@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_connection
+from conftest import closed_form_transfer, random_connection
 from pointscatter import connection, schrodinger
 from pointscatter.connection import ConnectionParams, as_matrix, conserves_current, scatter
 from pointscatter.schrodinger import (
@@ -15,7 +15,6 @@ from pointscatter.schrodinger import (
     ModesRequireFreeSpace,
     NonRelMedium,
     SingularRenormalization,
-    closed_form_transfer,
     mode_vectors,
     propagator,
     renormalized_strengths,
