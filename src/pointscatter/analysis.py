@@ -123,28 +123,33 @@ def _spacings(a_list: Iterable[float]) -> np.ndarray:
 def nonrel_convergence(
     p: ConnectionParams, m: float, k: float, a_list: Iterable[float]
 ) -> Sweep:
-    """Chebyshev error of the renormalized three-delta model against p.
+    """Chebyshev error max_ij |M(a) - as_matrix(p)|_ij of the renormalized three-delta model.
 
-    One point per half-spacing, largest spacing first: the column of
-    schrodinger.convergence_error.  Propagates SingularRenormalization for
-    beta = 0 targets with alpha + delta = -2.
+    M(a) is three_delta_transfer of renormalized_strengths(p, a, m) at wave
+    number k, over every spacing in one kernel call: one point per
+    half-spacing, largest first, each a's outcome its own.  Raises, in this
+    order: ValueError unless every spacing is positive and finite; for a
+    bad or infinite m or k; as renormalized_strengths does (naming the
+    largest a whose strengths overflow, or SingularRenormalization for
+    beta = 0 targets with alpha + delta = -2); naming the largest a whose
+    error is not finite.  Overflow raises no numpy warning.
     """
     a = _spacings(a_list)
-    return Sweep(a, schrodinger.convergence_error(p, m, k, a), "schrodinger")
+    return Sweep(a, schrodinger._convergence_error(p, m, k, a), "schrodinger")
 
 
 def dirac_convergence(
     b: BarrierParams, E: float, m: float, a_list: Iterable[float]
 ) -> Sweep:
-    """Chebyshev error of the finite step barrier against its zero-width limit.
+    """Chebyshev error max_ij |finite_barrier_transfer(b, a, E, m) - barrier_limit(b)|_ij.
 
-    One point per half-width, largest first: the column of
-    dirac.convergence_error.  Raises ValueError for a bad m or E first,
-    then, naming s and v, for a barrier whose limit overflows, then for any
-    half-width whose error is not finite, naming the largest such a.
+    One point per half-width, largest first.  Raises ValueError, in this
+    order: unless every half-width is positive and finite; for a bad m or
+    E; naming s and v, for a barrier whose limit overflows; naming the
+    largest a whose error is not finite.  Overflow raises no numpy warning.
     """
     a = _spacings(a_list)
-    return Sweep(a, dirac.convergence_error(b, E, m, a), "dirac")
+    return Sweep(a, dirac._convergence_error(b, E, m, a), "dirac")
 
 
 def correspondence_table(

@@ -283,8 +283,8 @@ def cmd_propagate(args: argparse.Namespace) -> str:
         matrix = dirac.propagator(args.x, med)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("propagator overflows or is undefined at these parameters")
-    # Row-major entries, each as its real and imaginary part.
-    cells = np.stack((matrix.real, matrix.imag), axis=-1).reshape(1, 8)
+    # Row-major entries, each as its real and imaginary part: a C-contiguous view.
+    cells = matrix.view(float).reshape(1, 8)
     return _csv("re11,im11,re12,im12,re21,im21,re22,im22", cells)
 
 

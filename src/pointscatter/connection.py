@@ -121,13 +121,14 @@ class ConnectionParams:
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModePair:
     """Right/left movers u_plus/u_minus with their dual modes v_plus/v_minus.
 
     The duals project amplitudes out of two-component wave data:
     v_s† u_s = 1 and v_s† u_{-s} = 0, checked to 1e-12 at construction;
     modes() builds its pairs unchecked, within a derived bound instead.
+    Compared and hashed by identity, as its fields are arrays.
     """
 
     u_plus: np.ndarray

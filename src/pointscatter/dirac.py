@@ -32,7 +32,6 @@ __all__ = [
     "free_mode_vectors",
     "barrier_limit",
     "finite_barrier_transfer",
-    "convergence_error",
     "transmission",
     "classify",
 ]
@@ -229,13 +228,12 @@ def _barrier(b: BarrierParams, a, E: float, m: float):
     return _propagate(x, k_plus, k_minus, b.theta / x)
 
 
-def convergence_error(b: BarrierParams, E: float, m: float, a: np.ndarray) -> np.ndarray:
-    """max_ij |finite_barrier_transfer(b, a, E, m) - barrier_limit(b)|_ij over a column a > 0.
+def _convergence_error(b: BarrierParams, E: float, m: float, a: np.ndarray) -> np.ndarray:
+    """The column of analysis.dirac_convergence, for a column a as analysis._spacings gives it.
 
-    An empty column gives an empty one.  Raises ValueError for a bad m or E
-    first, then, naming s and v, for a barrier whose limit overflows, then,
-    as finite_barrier_transfer does, naming the largest a whose error is
-    not finite.
+    a is a 1-d float column, positive, finite and largest first, possibly
+    empty.  Overflow is left to IEEE arithmetic, without a numpy warning,
+    and the error column is checked afterwards.
     """
     _require_exterior(m, E)
     with np.errstate(over="ignore", invalid="ignore"):

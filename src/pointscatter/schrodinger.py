@@ -30,7 +30,6 @@ __all__ = [
     "mode_vectors",
     "three_delta_transfer",
     "renormalized_strengths",
-    "convergence_error",
     "transmission",
 ]
 
@@ -258,18 +257,12 @@ def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTrip
     return DeltaTriple(v_plus, v_zero, v_minus, a, A)
 
 
-def convergence_error(p: ConnectionParams, m: float, k: float, a: np.ndarray) -> np.ndarray:
-    """max_ij |M(a) - as_matrix(p)|_ij of the renormalized three-delta model, over a column a.
+def _convergence_error(p: ConnectionParams, m: float, k: float, a: np.ndarray) -> np.ndarray:
+    """The column of analysis.nonrel_convergence, for a column a as analysis._spacings gives it.
 
-    M(a) is three_delta_transfer of renormalized_strengths(p, a, m) at wave
-    number k, evaluated over the whole column (positive, finite, largest
-    first) in one kernel call; an empty column gives an empty one.  Raises
-    ValueError for a bad m or k first, then as renormalized_strengths does.
-    Overflow in the strengths or the kernel is left to IEEE arithmetic,
-    without a numpy warning (a 4m^2a^2 that overflows only rounds v0 to 0),
-    and the error column is checked afterwards: where an error is not
-    finite, ValueError names the largest such a.
-    Each a's outcome is its own, whatever the rest of the column holds.
+    a is a 1-d float column, positive, finite and largest first, possibly
+    empty.  Overflow is left to IEEE arithmetic, without a numpy warning,
+    and the error column is checked afterwards.
     """
     # The medium before the scheme: a bad m or k outranks SingularRenormalization.
     rho(m, k)

@@ -146,9 +146,11 @@ class TestNonrelConvergence:
             nonrel_convergence(ConnectionParams(-1, 0, 3, -1, 0), 1.0, 1.0, [1e-2])
 
     def test_underflowing_spacing_is_named(self):
-        # 4 m^2 a^2 underflows to 0 below a of about 1e-162.
-        with pytest.raises(ValueError, match="a=1e-200 is too small"):
-            nonrel_convergence(ConnectionParams(2, 1, 1, 1), 1.0, 1.0, [1e-3, 1e-200])
+        # 4 m^2 a^2 underflows to 0 below a of about 1e-162.  The sweep sorts
+        # its spacings, so the message does not depend on their order.
+        for a_list in ([1e-3, 1e-200], [1e-200, 1e-3]):
+            with pytest.raises(ValueError, match="a=1e-200 is too small"):
+                nonrel_convergence(ConnectionParams(2, 1, 1, 1), 1.0, 1.0, a_list)
 
     # A divisor that is small but not 0 makes its quotient overflow; numpy
     # would warn on the division, and pytest turns the warning into an error.
@@ -418,8 +420,8 @@ class TestSweepInputContract:
     @pytest.mark.parametrize(
         "error",
         [
-            lambda a: schrodinger.convergence_error(ConnectionParams(2, 1, 1, 1, 0.3), 1.0, 1.0, a),
-            lambda a: dirac.convergence_error(BarrierParams(1.0, 0.5, 0.2), 2.0, 1.0, a),
+            lambda a: schrodinger._convergence_error(ConnectionParams(2, 1, 1, 1, 0.3), 1.0, 1.0, a),
+            lambda a: dirac._convergence_error(BarrierParams(1.0, 0.5, 0.2), 2.0, 1.0, a),
         ],
         ids=["schrodinger", "dirac"],
     )

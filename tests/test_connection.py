@@ -237,6 +237,12 @@ class TestModePair:
         with pytest.raises(ValueError, match="bi-orthogonal"):
             ModePair(u, u, u, u)
 
+    # Array fields make a dataclass's field-wise == ambiguous and its hash fail.
+    def test_compares_and_hashes_by_identity(self):
+        pair, other = modes(1.0), modes(1.0)
+        assert (pair == other) is False and (pair == pair) is True
+        assert len({pair, other, pair}) == 2
+
 
 class TestScatteringResult:
     def test_rejects_non_unitary(self):
