@@ -225,6 +225,14 @@ def _from_entries(phase, entries) -> np.ndarray:
     return np.asarray(phase)[..., None, None] * out
 
 
+def _from_scalars(phase: complex, entries, name: str, value: float, why: str) -> np.ndarray:
+    """_from_entries of a 0-d kernel's Python numbers, which overflow silently: checked finite."""
+    if not _finite(entries):
+        raise ValueError(f"{name}={value!r} is out of range: {why}")
+    # Still an array multiply: numpy's may round unlike a scalar complex multiply.
+    return phase * np.array(entries, dtype=complex).reshape(2, 2)
+
+
 def _chebyshev(phase, entries, target: TransferMatrix) -> np.ndarray:
     """max_ij |phase * m_ij - target_ij|: the Chebyshev distance of _from_entries from target.
 
@@ -348,7 +356,10 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
                 u = [-x for x in u]
                 phase += math.pi
             break
-    return ConnectionParams(*_onto_sl2(u, _REAL_FORM_TOL), wrap_angle(phase))
+    params = object.__new__(ConnectionParams)  # unchecked: _DET_BAND derives that these pass
+    alpha, beta, gamma, delta = _onto_sl2(u, _REAL_FORM_TOL)
+    vars(params).update(alpha=alpha, beta=beta, gamma=gamma, delta=delta, theta=wrap_angle(phase))
+    return params
 
 
 def modes(rho: float) -> ModePair:

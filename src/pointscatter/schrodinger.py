@@ -18,7 +18,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix, as_matrix
-from .connection import _chebyshev, _coerce_fields, _from_entries, _require_finite
+from .connection import _chebyshev, _coerce_fields, _from_scalars, _require_finite
 
 __all__ = [
     "NonRelMedium",
@@ -76,27 +76,29 @@ class DeltaTriple:
 def _hop(x, m, k, A):
     """Phase e^{iAx} and the four entries of the bracket of propagator().
 
-    cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]], entry-wise over
-    any broadcast of the arguments.
+    cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]], entry-wise over an
+    array x; for a float x, Python numbers past numpy's cos, sin and exp.
     """
-    c = np.cos(k * x)
-    s = np.sin(k * x) / k
+    c, s, phase = np.cos(k * x), np.sin(k * x) / k, np.exp(1j * A * x)
+    if not c.ndim:  # Python arithmetic rounds as numpy scalars do, without their dispatch
+        c, s, phase = float(c), float(s), complex(phase)
     # "+ 0.0" turns the -0.0 that s = ±0 leaves off the diagonal into +0.0,
     # so the identity at x = 0 carries no signed zeros.
     off_upper = 2.0 * m * s + 0.0
     off_lower = (A * A - k * k) / (2.0 * m) * s + 0.0
     entries = (c - 1j * A * s, off_upper, off_lower, c + 1j * A * s)
-    return np.exp(1j * A * x), entries
+    return phase, entries
 
 
 def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
-    """Transfer matrix over displacement x at constant vector potential.
+    """Transfer matrix over a float displacement x at constant vector potential.
 
-    e^{iAx} [cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]]].
-    At A = 0 this reduces to the free propagator
-    [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
+    e^{iAx} [cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]]], in Python
+    numbers (_hop); ValueError where an entry is not finite.  At A = 0 this is
+    the free propagator [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
     """
-    return _from_entries(*_hop(x, med.m, med.k, med.A))
+    phase, entries = _hop(x, med.m, med.k, med.A)
+    return _from_scalars(phase, entries, "displacement x", x, "the propagator overflows")
 
 
 def rho(m: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
@@ -161,14 +163,13 @@ def three_delta_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     Five factors: delta at -a, propagation over a, delta at 0, propagation
     over a, delta at +a.  The side deltas pick up extra imaginary strengths
     ∓iA/2m from the vector potential switching on and off at x = ∓a.  The
-    scalar call is the 0-d case of the kernel that the convergence sweeps
-    evaluate over a whole array of a at once.
+    convergence sweeps' kernel at one a, in Python numbers (_hop), with
+    their ValueError where an entry is not finite.
     """
     if med.A != cfg.A:
         raise ValueError("medium vector potential must equal the triple's A")
-    return _from_entries(
-        *_three_delta(cfg.a, med.m, med.k, cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.A)
-    )
+    phase, entries = _three_delta(cfg.a, med.m, med.k, cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.A)
+    return _from_scalars(phase, entries, "half-spacing a", cfg.a, "the three-delta products overflow")
 
 
 def _require_quotient(a, numerator: float, divisor, names: tuple[str, str]) -> None:

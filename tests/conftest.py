@@ -77,3 +77,35 @@ def closed_form_transfer(cfg, med) -> np.ndarray:
     )
     real_part = np.array([[u11, u12], [u21, u22]], dtype=complex)
     return cmath.exp(2j * cfg.A * a) * real_part
+
+
+def numpy_scalar_transfer(x, m, k, A, strengths=None) -> np.ndarray:
+    """The 0-d Schrodinger kernels evaluated in numpy-scalar arithmetic.
+
+    The propagator over x, or with strengths = (v_plus, v_zero, v_minus) the
+    three-delta transfer over half-spacing x.  The kernels' operations in
+    their order on np.float64 and np.complex128 scalars, then the phase times
+    the matrix as a broadcast array multiply: the evaluation whose bits the
+    0-d kernels must keep.  Overflow is left to IEEE arithmetic, without a
+    numpy warning.
+    """
+    x, m, k, A = map(np.float64, (x, m, k, A))
+    with np.errstate(all="ignore"):
+        c, s = np.cos(k * x), np.sin(k * x) / k
+        h = (c - 1j * A * s, 2.0 * m * s + 0.0, (A * A - k * k) / (2.0 * m) * s + 0.0, c + 1j * A * s)
+        phase, entries = np.exp(1j * A * x), h
+        if strengths is not None:
+            v_plus, v_zero, v_minus = map(np.float64, strengths)
+            edge = 1j * A / (2.0 * m)
+            w = v_minus + edge
+            p00, p01, p10, p11 = h[0] + h[1] * w, h[1], h[2] + h[3] * w, h[3]
+            p10, p11 = p10 + v_zero * p00, p11 + v_zero * p01
+            p00, p01, p10, p11 = (
+                h[0] * p00 + h[1] * p10, h[0] * p01 + h[1] * p11,
+                h[2] * p00 + h[3] * p10, h[2] * p01 + h[3] * p11,
+            )
+            w = v_plus - edge
+            phase, entries = phase * phase, (p00, p01, p10 + w * p00, p11 + w * p01)
+        out = np.empty((2, 2), dtype=complex)
+        out[0, 0], out[0, 1], out[1, 0], out[1, 1] = entries
+        return np.asarray(phase)[..., None, None] * out

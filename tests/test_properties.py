@@ -12,12 +12,16 @@ closed form in Python floats bit for bit, and its columns, and the
 correspondence table built on them, the scalar calls, at every rho^2,
 endpoints and extremes included.  decompose must invert as_matrix onto
 the canonical branch, to a rounding bound that grows with the products
-|alpha delta| and |beta gamma| whose difference is the determinant.
-modes(rho) must be bi-orthogonal within its derived bound at every
-admitted rho, both ends included.
+|alpha delta| and |beta gamma| whose difference is the determinant,
+and ConnectionParams must accept its output unchanged.  modes(rho) must be
+bi-orthogonal within its derived bound at every admitted rho, both ends
+included.  The 0-d propagator and three-delta transfer must equal their
+numpy-scalar evaluation byte for byte, or raise where it is not finite.
 """
 
+import cmath
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,12 +29,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EPS, five_factor_scale
+from conftest import EPS, five_factor_scale, numpy_scalar_transfer
 from pointscatter import connection, dirac, schrodinger
 from pointscatter.analysis import correspondence_table
 from pointscatter.connection import (
-    SIGMA2, ConnectionParams, ModePair, as_matrix, decompose, modes, scatter, transmission,
-    wrap_angle,
+    SIGMA2, ConnectionParams, ModePair, NotConnectionForm, as_matrix, decompose, modes, scatter,
+    transmission, wrap_angle,
 )
 from pointscatter.dirac import BarrierParams, DiracMedium
 from pointscatter.schrodinger import DeltaTriple, NonRelMedium
@@ -232,6 +236,37 @@ def test_decompose_inverts_as_matrix_at_large_entries():
         assert_decompose_inverts_as_matrix(ConnectionParams(*entries, 1.8977517891033342))
 
 
+def assert_decompose_output_is_admitted(q):
+    """ConnectionParams accepts decompose's fields as they are: decompose builds
+    its result past the construction check, which they pass by derivation."""
+    fields = (q.alpha, q.beta, q.gamma, q.delta, q.theta)
+    assert all(type(x) is float for x in fields)
+    again = ConnectionParams(*fields)
+    got = (again.alpha, again.beta, again.gamma, again.delta, again.theta)
+    assert [x.hex() for x in got] == [x.hex() for x in fields]
+
+
+# Log-uniform entries with det within 1e-8 of 1, the branch decompose rescales
+# by sqrt(det); where the det's rounding band is wider, the branch that keeps them.
+@settings(deadline=None)
+@given(alpha=signed, beta=signed, gamma=signed, miss=st.floats(-1e-8, 1e-8),
+       theta=st.floats(-math.pi, math.pi))
+def test_decompose_output_is_admitted(alpha, beta, gamma, miss, theta):
+    delta = (1.0 + miss + beta * gamma) / alpha
+    try:
+        q = decompose(cmath.exp(1j * theta) * np.array([[alpha, beta], [gamma, delta]]))
+    except NotConnectionForm:  # det's rounding past the band: nothing is built
+        assume(False)
+    assert_decompose_output_is_admitted(q)
+
+
+def test_decompose_output_is_admitted_at_large_entries():
+    # The band-only 2^27 example above: det 20, kept as given.
+    u = np.array([[2.0**27, 2.0**27], [2.0**27 - 10 * 2.0**-26, 2.0**27]])
+    assert_decompose_output_is_admitted(decompose(cmath.exp(1.8977517891033342j) * u))
+    assert_decompose_output_is_admitted(decompose(u))
+
+
 # The admitted rho range from the smallest whose 1/rho is finite, 2^-1024 + 2^-1074
 # (subnormal), to DBL_MAX, where 1/rho and 1/rho/sqrt2 are subnormal.
 RHO_MIN = float.fromhex("0x0.4000000000001p-1022")
@@ -275,3 +310,45 @@ def test_modes_are_biorthogonal_within_the_derived_bound(rho):
         assert (field.dtype, field.shape) == (np.dtype(complex), (2,))
         with pytest.raises(ValueError):
             field.setflags(write=True)
+
+
+# The 0-d kernels against numpy-scalar arithmetic: signed zeros (x = 0, A = 0,
+# zero strengths), negative x, and strengths or a vector potential whose
+# products overflow, where the kernels must raise instead.
+zeros = st.sampled_from([0.0, -0.0])
+moderate = st.floats(-1e3, 1e3)
+huge = st.sampled_from([1e200, -1e200, 1e155, -1e300])
+scales = st.floats(-3.0, 3.0).map(lambda t: 10.0**t)
+
+
+@settings(deadline=None)
+@given(x=st.one_of(zeros, moderate), m=st.one_of(scales, st.just(1e308)), k=scales,
+       A=st.one_of(zeros, moderate, huge))
+@example(x=0.0, m=1.0, k=1.0, A=0.0)
+@example(x=-0.0, m=1.0, k=1.0, A=-0.0)
+def test_propagator_is_the_numpy_scalar_evaluation_bit_for_bit(x, m, k, A):
+    want = numpy_scalar_transfer(x, m, k, A)
+    med = NonRelMedium(m, k, A)
+    if np.isfinite(want).all():
+        assert schrodinger.propagator(x, med).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"displacement x={x!r} is out of range")):
+            schrodinger.propagator(x, med)
+
+
+kernel_strength = st.one_of(zeros, st.floats(-1e4, 1e4), huge)
+
+
+@settings(deadline=None)
+@given(a=st.floats(1e-6, 10.0), v_plus=kernel_strength, v_zero=kernel_strength,
+       v_minus=kernel_strength, A=st.one_of(zeros, moderate), m=scales, k=scales)
+@example(a=0.1, v_plus=0.0, v_zero=-0.0, v_minus=0.0, A=0.0, m=1.0, k=1.0)
+@example(a=0.1, v_plus=-0.0, v_zero=0.0, v_minus=-0.0, A=-0.0, m=1.0, k=1.0)
+def test_three_delta_is_the_numpy_scalar_evaluation_bit_for_bit(a, v_plus, v_zero, v_minus, A, m, k):
+    want = numpy_scalar_transfer(a, m, k, A, (v_plus, v_zero, v_minus))
+    cfg, med = DeltaTriple(v_plus, v_zero, v_minus, a, A), NonRelMedium(m, k, A)
+    if np.isfinite(want).all():
+        assert schrodinger.three_delta_transfer(cfg, med).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"half-spacing a={a!r} is out of range")):
+            schrodinger.three_delta_transfer(cfg, med)

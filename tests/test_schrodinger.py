@@ -108,6 +108,13 @@ class TestPropagator:
             med = NonRelMedium(m=rng.uniform(0.05, 5.0), k=rng.uniform(0.05, 5.0))
             assert conserves_current(propagator(rng.uniform(-3.0, 3.0), med), 1e-12)
 
+    # A^2 overflows to inf in Python arithmetic, silently; 2m overflows and
+    # the phase multiply meets inf * 0.  Neither may return a non-finite matrix.
+    @pytest.mark.parametrize("med", [NonRelMedium(1.0, 1.0, 1e200), NonRelMedium(1e308, 1.0)])
+    def test_overflowing_entries_raise(self, med):
+        with pytest.raises(ValueError, match=r"displacement x=0\.5 is out of range: the propagator overflows"):
+            propagator(0.5, med)
+
 
 class TestModeVectors:
     def test_values_at_k_twice_mass(self):
@@ -153,6 +160,14 @@ class TestThreeDeltaTransfer:
         cfg = DeltaTriple(1.0, 1.0, 1.0, 0.1, A=0.5)
         with pytest.raises(ValueError, match="vector potential"):
             three_delta_transfer(cfg, NonRelMedium(m=1.0, k=1.0, A=0.0))
+
+    def test_overflowing_products_raise_as_in_the_sweeps(self):
+        # The strengths at a = 1e-157 make the products overflow to inf - inf.
+        cfg = renormalized_strengths(ConnectionParams(2, 1, 1, 1, 0.3), 1e-157, 1000.0)
+        with pytest.raises(
+            ValueError, match=r"half-spacing a=1e-157 is out of range: the three-delta products overflow"
+        ):
+            three_delta_transfer(cfg, NonRelMedium(1000.0, 1.0, cfg.A))
 
     def test_matches_closed_form_absolute(self):
         # O(1)-scale regime: the two independent routes agree to 1e-12
