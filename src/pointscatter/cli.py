@@ -281,8 +281,6 @@ def cmd_propagate(args: argparse.Namespace) -> str:
         _require(args, ("energy",), "for --framework dirac")
         med = DiracMedium(m=args.mass, E=args.energy, S=args.scalar, V=args.vector, A=args.avec)
         matrix = dirac.propagator(args.x, med)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("propagator overflows or is undefined at these parameters")
     # Row-major entries, each as its real and imaginary part: a C-contiguous view.
     cells = matrix.view(float).reshape(1, 8)
     return _csv("re11,im11,re12,im12,re21,im21,re22,im22", cells)

@@ -211,34 +211,27 @@ def as_matrix(p: ConnectionParams) -> TransferMatrix:
     return phase * np.array([[p.alpha, p.beta], [p.gamma, p.delta]], dtype=complex)
 
 
-def _from_entries(phase, entries) -> np.ndarray:
-    """Complex 2x2 matrices phase * [[m00, m01], [m10, m11]] over the broadcast shape.
+def _from_scalars(phase, entries, message: str, *args) -> np.ndarray:
+    """The 2x2 matrix phase * [[m00, m01], [m10, m11]] of a 0-d kernel's (phase, entries).
 
-    entries is (m00, m01, m10, m11), as a kernel returns it with its phase.
+    The one builder of every transfer-matrix kernel.  ValueError(message %
+    args), formatted only then, unless the phase and every entry are
+    finite: the scalars overflow without a warning, Python's silently and
+    numpy's under the kernel's np.errstate.  The kernels' entries are real
+    up to rounding or have a real part in [-1, 1], so a unit phase leaves
+    a finite entry finite.
     """
-    m00, m01, m10, m11 = entries
-    out = np.empty(np.broadcast(m00, m01, m10, m11).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = m00
-    out[..., 0, 1] = m01
-    out[..., 1, 0] = m10
-    out[..., 1, 1] = m11
-    return np.asarray(phase)[..., None, None] * out
-
-
-def _from_scalars(phase: complex, entries, name: str, value: float, why: str) -> np.ndarray:
-    """_from_entries of a 0-d kernel's Python numbers, which overflow silently: checked finite."""
-    if not _finite(entries):
-        raise ValueError(f"{name}={value!r} is out of range: {why}")
+    if not (cmath.isfinite(phase) and _finite(entries)):
+        raise ValueError(message % args)
     # Still an array multiply: numpy's may round unlike a scalar complex multiply.
     return phase * np.array(entries, dtype=complex).reshape(2, 2)
 
 
 def _chebyshev(phase, entries, target: TransferMatrix) -> np.ndarray:
-    """max_ij |phase * m_ij - target_ij|: the Chebyshev distance of _from_entries from target.
+    """max_ij |phase * m_ij - target_ij| over the broadcast shape of a kernel's phase and entries.
 
-    Entry by entry over the broadcast shape, with no stack of matrices:
-    each element goes through the same numpy operations as on the stack,
-    so the distances are the same bits.  Not checked for finiteness.
+    Each product is an array multiply, as in _from_scalars.  Not checked
+    for finiteness.
     """
     d00, d01, d10, d11 = (np.abs(phase * m - t) for m, t in zip(entries, _entries(target)))
     return np.maximum(np.maximum(d00, d01), np.maximum(d10, d11))
@@ -247,7 +240,7 @@ def _chebyshev(phase, entries, target: TransferMatrix) -> np.ndarray:
 def _require_finite(a: np.ndarray, err: np.ndarray, why: str) -> np.ndarray:
     """err if every entry is finite, else ValueError naming the largest a at a non-finite one.
 
-    a broadcasts against err, in any order.  inf and NaN propagate through
+    a and err are columns of one length.  inf and NaN propagate through
     the kernels' + and *, through abs and np.maximum, so a kernel that
     overflowed anywhere leaves a non-finite error: checking after the
     kernel is exact.  NaN propagates through ndarray.max too, so one max
@@ -255,7 +248,7 @@ def _require_finite(a: np.ndarray, err: np.ndarray, why: str) -> np.ndarray:
     """
     if not err.size or math.isfinite(err.max()):
         return err
-    worst = np.broadcast_to(a, err.shape)[~np.isfinite(err)].max()
+    worst = a[~np.isfinite(err)].max()
     raise ValueError(f"half-spacing a={float(worst)!r} is out of range: {why}")
 
 

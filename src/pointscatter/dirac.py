@@ -20,7 +20,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix
-from .connection import _chebyshev, _coerce_fields, _from_entries, _require_finite
+from .connection import _chebyshev, _coerce_fields, _from_scalars, _require_finite
 
 __all__ = [
     "DiracMedium",
@@ -146,16 +146,18 @@ def _propagate(x, w_plus, w_minus, A):
 
 
 def propagator(x: float, med: DiracMedium) -> TransferMatrix:
-    """Spinor transfer matrix over displacement x in constant potentials.
+    """Spinor transfer matrix over a float displacement x in constant potentials.
 
     Oscillatory when k_plus*k_minus > 0, cosh/sinh when it is negative, and
     the linear limit [[1, k_plus x], [-k_minus x, 1]] when either
     coefficient vanishes.  The spatial vector potential only contributes
-    the phase e^{iAx}; the determinant is e^{2iAx} on every branch.  The
-    scalar call is the 0-d case of the kernel that dirac convergence
-    sweeps evaluate over a whole array of barrier widths at once.
+    the phase e^{iAx}; the determinant is e^{2iAx} on every branch.  Where
+    an entry is not finite (a cosh beyond about 710), ValueError, with no
+    numpy warning.
     """
-    return _from_entries(*_propagate(x, med.k_plus, med.k_minus, med.A))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase, entries = _propagate(x, med.k_plus, med.k_minus, med.A)
+    return _from_scalars(phase, entries, "displacement x=%r is out of range: the propagator overflows", x)
 
 
 def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
@@ -189,14 +191,18 @@ def barrier_limit(b: BarrierParams) -> TransferMatrix:
     s^2 < v^2, hyperbolic for s^2 > v^2, and on the boundary s^2 = v^2 the
     linear matrix [[1, p_plus], [-p_minus, 1]], which is the delta
     connection of strength 2s at s = v and the epsilon connection of
-    strength 2s at s = -v.
+    strength 2s at s = -v.  Where an entry is not finite, ValueError naming
+    s and v, with no numpy warning.
     """
-    return _from_entries(*_propagate(1.0, b.p_plus, b.p_minus, b.theta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase, entries = _propagate(1.0, b.p_plus, b.p_minus, b.theta)
+    return _from_scalars(
+        phase, entries, "barrier s=%r, v=%r: its zero-width limit is not finite in double precision "
+        "(cosh sqrt|s^2 - v^2| overflows beyond about 710)", b.s, b.v,
+    )
 
 
-def finite_barrier_transfer(
-    b: BarrierParams, a: float | np.ndarray, E: float, m: float
-) -> TransferMatrix:
+def finite_barrier_transfer(b: BarrierParams, a: float, E: float, m: float) -> TransferMatrix:
     """Transfer matrix of the width-2a step barrier carrying strengths b.
 
     Propagation over x = 2a with S = s/x, V = v/x, A = theta/x; converges to
@@ -205,20 +211,18 @@ def finite_barrier_transfer(
     Q = [[0, m+E], [-(E-m), 0]], and the limit is e^{i theta} exp(P), so
     max|finite - limit| = 2a max|L(P, Q)| + O(a^2), where L is the
     Frechet derivative of exp (scipy.linalg.expm_frechet computes it).
-    An array of half-widths a gives a stack of shape a.shape + (2, 2), one
-    matrix per a by the scalar call's operations; every a must be positive
-    and finite.  Overflow (a cosh beyond about 710) is left to IEEE
-    arithmetic, without a numpy warning, and checked afterwards: where an
-    entry is not finite, ValueError names the largest such a.
+    The half-width a is a positive, finite scalar; analysis.dirac_convergence
+    sweeps many.  Where an entry is not finite (a cosh beyond about 710),
+    ValueError naming a, with no numpy warning.
     """
-    if not (np.greater(a, 0.0) & np.less(a, math.inf)).all():
-        raise ValueError("half-width a must be positive and finite")
+    if np.ndim(a) or not 0.0 < a < math.inf:
+        raise ValueError("half-width a must be a positive, finite scalar")
     _require_exterior(m, E)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _from_entries(*_barrier(b, a, E, m))
-    # Real and imaginary parts side by side: each a owns a (2, 4) block.
-    _require_finite(np.expand_dims(a, (-2, -1)), M.view(float), "the finite barrier overflows")
-    return M
+        phase, entries = _barrier(b, a, E, m)
+    return _from_scalars(
+        phase, entries, "half-spacing a=%r is out of range: the finite barrier overflows", a
+    )
 
 
 def _barrier(b: BarrierParams, a, E: float, m: float):
@@ -236,13 +240,8 @@ def _convergence_error(b: BarrierParams, E: float, m: float, a: np.ndarray) -> n
     and the error column is checked afterwards.
     """
     _require_exterior(m, E)
+    target = barrier_limit(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        target = barrier_limit(b)
-        if not np.all(np.isfinite(target)):
-            raise ValueError(
-                f"barrier s={b.s!r}, v={b.v!r}: its zero-width limit is not finite in "
-                "double precision (cosh sqrt|s^2 - v^2| overflows beyond about 710)"
-            )
         err = _chebyshev(*_barrier(b, a, E, m), target)
     return _require_finite(a, err, "the finite barrier overflows")
 

@@ -11,6 +11,7 @@ transmission are the shared scattering core of connection at rho = k/2m.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -77,11 +78,17 @@ def _hop(x, m, k, A):
     """Phase e^{iAx} and the four entries of the bracket of propagator().
 
     cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]], entry-wise over an
-    array x; for a float x, Python numbers past numpy's cos, sin and exp.
+    array x; for a float x, Python numbers past numpy's cos, sin and exp,
+    and NaN where kx or Ax is not finite, on which those would warn.
     """
-    c, s, phase = np.cos(k * x), np.sin(k * x) / k, np.exp(1j * A * x)
-    if not c.ndim:  # Python arithmetic rounds as numpy scalars do, without their dispatch
-        c, s, phase = float(c), float(s), complex(phase)
+    kx, iax = k * x, 1j * A * x
+    if not isinstance(kx, float):  # an array
+        c, s, phase = np.cos(kx), np.sin(kx) / k, np.exp(iax)
+    elif math.isfinite(kx) and cmath.isfinite(iax):
+        # Python arithmetic rounds as numpy scalars do, without their dispatch.
+        c, s, phase = float(np.cos(kx)), float(np.sin(kx) / k), complex(np.exp(iax))
+    else:
+        c = s = phase = math.nan
     # "+ 0.0" turns the -0.0 that s = ±0 leaves off the diagonal into +0.0,
     # so the identity at x = 0 carries no signed zeros.
     off_upper = 2.0 * m * s + 0.0
@@ -98,7 +105,7 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     the free propagator [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
     """
     phase, entries = _hop(x, med.m, med.k, med.A)
-    return _from_scalars(phase, entries, "displacement x", x, "the propagator overflows")
+    return _from_scalars(phase, entries, "displacement x=%r is out of range: the propagator overflows", x)
 
 
 def rho(m: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
@@ -169,7 +176,9 @@ def three_delta_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     if med.A != cfg.A:
         raise ValueError("medium vector potential must equal the triple's A")
     phase, entries = _three_delta(cfg.a, med.m, med.k, cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.A)
-    return _from_scalars(phase, entries, "half-spacing a", cfg.a, "the three-delta products overflow")
+    return _from_scalars(
+        phase, entries, "half-spacing a=%r is out of range: the three-delta products overflow", cfg.a
+    )
 
 
 def _require_quotient(a, numerator: float, divisor, names: tuple[str, str]) -> None:

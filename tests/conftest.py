@@ -109,3 +109,26 @@ def numpy_scalar_transfer(x, m, k, A, strengths=None) -> np.ndarray:
         out = np.empty((2, 2), dtype=complex)
         out[0, 0], out[0, 1], out[1, 0], out[1, 1] = entries
         return np.asarray(phase)[..., None, None] * out
+
+
+def numpy_dirac_transfer(x, w_plus, w_minus, A) -> np.ndarray:
+    """The Dirac kernel e^{iAx} exp(x [[0, w_plus], [-w_minus, 0]]) in numpy's array arithmetic.
+
+    The branch is chosen with np.where on 0-d arrays, as over a column:
+    cos/sin where w_plus*w_minus > 0, cosh/sinh where it is negative, and
+    c = 1, s = x where it is 0.  Then the phase times the matrix as a
+    broadcast array multiply: the evaluation whose bits dirac.propagator and
+    barrier_limit must keep.  Overflow is left to IEEE arithmetic, without
+    a numpy warning.
+    """
+    with np.errstate(all="ignore"):
+        product = w_plus * w_minus
+        trig, hyper = product > 0.0, product < 0.0
+        w = np.sqrt(np.abs(product))
+        t, h = np.where(trig, w * x, 0.0), np.where(hyper, w * x, 0.0)
+        w = np.where(trig | hyper, w, 1.0)
+        c = np.where(trig, np.cos(t), np.where(hyper, np.cosh(h), 1.0))
+        s = np.where(trig, np.sin(t) / w, np.where(hyper, np.sinh(h) / w, x))
+        out = np.empty((2, 2), dtype=complex)
+        out[0, 0], out[0, 1], out[1, 0], out[1, 1] = c, w_plus * s, -w_minus * s, c
+        return np.asarray(np.exp(1j * A * x))[..., None, None] * out

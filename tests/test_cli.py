@@ -361,7 +361,8 @@ HOSTILE_INPUTS = {
     "propagate-k-inf": (["propagate", "--framework", "schrodinger", "--x", "1", "--k", "inf"],
                         2, "propagator"),
     "propagate-overflows": (["propagate", "--framework", "dirac", "--x", "1e3", "--energy", "2",
-                             "--scalar", "10"], 2, "propagator"),
+                             "--scalar", "10"], 2,
+                            "displacement x=1000.0 is out of range: the propagator overflows"),
     "converge-dirac-s-1e308": (["converge", "--framework", "dirac", "--s", "1e308", "--v", "0.5",
                                 "--energy", "2", *SPACINGS], 2, "finite"),
     "converge-dirac-limit-overflows": (["converge", "--framework", "dirac", "--s", "1000",

@@ -16,7 +16,10 @@ the canonical branch, to a rounding bound that grows with the products
 and ConnectionParams must accept its output unchanged.  modes(rho) must be
 bi-orthogonal within its derived bound at every admitted rho, both ends
 included.  The 0-d propagator and three-delta transfer must equal their
-numpy-scalar evaluation byte for byte, or raise where it is not finite.
+numpy-scalar evaluation byte for byte, and the Dirac propagator and
+barrier limit their numpy-array evaluation, or raise where it is not
+finite.  Every transfer-matrix kernel raises ValueError, with no numpy
+warning, on inputs that overflow it.
 """
 
 import cmath
@@ -29,7 +32,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EPS, five_factor_scale, numpy_scalar_transfer
+from conftest import EPS, five_factor_scale, numpy_dirac_transfer, numpy_scalar_transfer
 from pointscatter import connection, dirac, schrodinger
 from pointscatter.analysis import correspondence_table
 from pointscatter.connection import (
@@ -352,3 +355,95 @@ def test_three_delta_is_the_numpy_scalar_evaluation_bit_for_bit(a, v_plus, v_zer
     else:
         with pytest.raises(ValueError, match=re.escape(f"half-spacing a={a!r} is out of range")):
             schrodinger.three_delta_transfer(cfg, med)
+
+
+# The Dirac kernels against numpy's array evaluation: every branch, signed
+# zeros of x, A, s and v, and cosh arguments far beyond 710.
+LINEAR = ("k_plus", "k_minus")
+
+
+@settings(deadline=None)
+@given(x=st.one_of(zeros, moderate), m=scales, excess=scales, sign=st.sampled_from([1.0, -1.0]),
+       S=st.one_of(zeros, moderate), V=st.one_of(zeros, moderate), A=st.one_of(zeros, moderate),
+       branch=st.sampled_from(("any",) + LINEAR))
+@example(x=0.0, m=1.0, excess=1.0, sign=1.0, S=0.0, V=0.0, A=0.0, branch="any")
+@example(x=-0.0, m=1.0, excess=1.0, sign=1.0, S=-0.0, V=-0.0, A=-0.0, branch="any")
+@example(x=-0.0, m=1.0, excess=1.0, sign=-1.0, S=0.0, V=0.0, A=-0.0, branch="k_plus")
+@example(x=1e3, m=1.0, excess=1.0, sign=1.0, S=100.0, V=0.0, A=0.0, branch="any")
+def test_dirac_propagator_is_the_numpy_array_evaluation_bit_for_bit(x, m, excess, sign, S, V, A, branch):
+    E = sign * (m + excess)
+    if branch in LINEAR:  # k_plus = m+E+S-V or k_minus = E-m-S-V exactly 0
+        V = m + E + S if branch == "k_plus" else E - m - S
+    med = DiracMedium(m, E, S, V, A)
+    assert branch not in LINEAR or med.k_plus * med.k_minus == 0.0
+    want = numpy_dirac_transfer(x, med.k_plus, med.k_minus, A)
+    if np.isfinite(want).all():
+        assert dirac.propagator(x, med).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"displacement x={x!r} is out of range")):
+            dirac.propagator(x, med)
+
+
+@settings(deadline=None)
+@given(s=st.one_of(zeros, moderate, huge), v=st.one_of(zeros, moderate, huge),
+       theta=st.one_of(zeros, moderate), branch=st.sampled_from(("any", "delta", "epsilon")))
+@example(s=0.0, v=-0.0, theta=-0.0, branch="any")
+@example(s=-0.0, v=0.0, theta=0.0, branch="delta")
+@example(s=1000.0, v=0.0, theta=0.0, branch="any")
+def test_barrier_limit_is_the_numpy_array_evaluation_bit_for_bit(s, v, theta, branch):
+    if branch != "any":  # s = v or s = -v: p_minus or p_plus is exactly 0
+        v = s if branch == "delta" else -s
+    b = BarrierParams(s, v, theta)
+    want = numpy_dirac_transfer(1.0, b.p_plus, b.p_minus, theta)
+    if np.isfinite(want).all():
+        assert dirac.barrier_limit(b).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"barrier s={s!r}, v={v!r}: its zero-width limit")):
+            dirac.barrier_limit(b)
+
+
+# One contract for the five kernels: a finite matrix or ValueError, no warning.
+OVERFLOWING_BARRIER = BarrierParams(-0.03249090995812371, 183.62771374892313)
+KERNEL_FAILURES = {
+    "propagator-kx": (lambda: schrodinger.propagator(1e300, NonRelMedium(1.0, 1e10)),
+                      "displacement x=1e+300 is out of range: the propagator overflows"),
+    "propagator-Ax": (lambda: schrodinger.propagator(1e300, NonRelMedium(1.0, 1.0, 1e10)),
+                      "displacement x=1e+300 is out of range: the propagator overflows"),
+    "three-delta-ka": (
+        lambda: schrodinger.three_delta_transfer(DeltaTriple(1, 1, 1, 1e300), NonRelMedium(1.0, 1e10)),
+        "half-spacing a=1e+300 is out of range: the three-delta products overflow",
+    ),
+    "three-delta-Aa": (
+        lambda: schrodinger.three_delta_transfer(
+            DeltaTriple(1, 1, 1, 1e300, 1e10), NonRelMedium(1.0, 1.0, 1e10)
+        ),
+        "half-spacing a=1e+300 is out of range: the three-delta products overflow",
+    ),
+    "dirac-propagator-cosh": (lambda: dirac.propagator(1e3, DiracMedium(1.0, 2.0, S=100.0)),
+                              "displacement x=1000.0 is out of range: the propagator overflows"),
+    "dirac-propagator-nan": (lambda: dirac.propagator(math.nan, DiracMedium(1.0, 2.0)),
+                             "displacement x=nan is out of range: the propagator overflows"),
+    "barrier-limit-cosh": (
+        lambda: dirac.barrier_limit(BarrierParams(1000.0, 0.0)),
+        "barrier s=1000.0, v=0.0: its zero-width limit is not finite in double precision "
+        "(cosh sqrt|s^2 - v^2| overflows beyond about 710)",
+    ),
+    "finite-barrier-cosh": (
+        lambda: dirac.finite_barrier_transfer(
+            OVERFLOWING_BARRIER, 21917.61871521, 1.1503661775380474, 1.1499948238031545
+        ),
+        "half-spacing a=21917.61871521 is out of range: the finite barrier overflows",
+    ),
+    "finite-barrier-nan": (
+        lambda: dirac.finite_barrier_transfer(BarrierParams(1e308, 1e308), 1e-3, 2.0, 1.0),
+        "half-spacing a=0.001 is out of range: the finite barrier overflows",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", KERNEL_FAILURES.values(), ids=KERNEL_FAILURES.keys())
+def test_kernels_raise_value_error_without_a_warning(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
