@@ -71,6 +71,7 @@ _DET_BAND = 9 * 2.0**-53
 # fl(a*a) - fl(b*q), exact (Sterbenz), within 7.45u of 0.  c = 9 with O(u^2).
 _MODES_BIORTHO_ERR = 9 * 2.0**-53
 _PROJECTION_FLOOR = 1e-14
+_MODE_FIELDS = ("u_plus", "u_minus", "v_plus", "v_minus")
 
 
 class NotConnectionForm(ValueError):
@@ -81,13 +82,10 @@ class SingularProjection(ValueError):
     """Projection v-† M u- vanished for a non-current-conserving matrix."""
 
 
-def _coerce_fields(obj, convert, finite=()) -> None:
-    """Store each dataclass field of obj as convert(value); fields in finite must be finite."""
-    fields = vars(obj)
-    for name, value in fields.items():
-        fields[name] = convert(value)
-    for name in finite:
-        if not cmath.isfinite(fields[name]):
+def _require_finite_fields(obj, names) -> None:
+    """ValueError naming the first field of obj in names that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
             raise ValueError(f"{name} must be finite")
 
 
@@ -99,7 +97,7 @@ def wrap_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConnectionParams:
     """Point-interaction parameters: e^{i*theta} [[alpha, beta], [gamma, delta]].
 
@@ -115,19 +113,25 @@ class ConnectionParams:
     delta: float
     theta: float = 0.0
 
+    def __init__(self, alpha: float, beta: float, gamma: float, delta: float, theta: float = 0.0) -> None:
+        vars(self).update(alpha=float(alpha), beta=float(beta), gamma=float(gamma), delta=float(delta),
+                          theta=wrap_angle(float(theta)))  # a non-finite theta wraps to NaN
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        _coerce_fields(self, float, ("theta",))
+        _require_finite_fields(self, ("theta",))
         _unimodular_det(self.alpha, self.beta, self.gamma, self.delta, _DET_TOL)
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ModePair:
     """Right/left movers u_plus/u_minus with their dual modes v_plus/v_minus.
 
     The duals project amplitudes out of two-component wave data:
     v_s† u_s = 1 and v_s† u_{-s} = 0, checked to 1e-12 at construction;
     modes() builds its pairs unchecked, within a derived bound instead.
+    scatter reads the Python complex entries a pair holds; its read-only
+    fields, the rows of one (4, 2) block, are built when one is first read.
     Compared and hashed by identity, as its fields are arrays.
     """
 
@@ -136,16 +140,18 @@ class ModePair:
     v_plus: np.ndarray
     v_minus: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, u_plus, u_minus, v_plus, v_minus) -> None:
         entries = []
-        for name in ("u_plus", "u_minus", "v_plus", "v_minus"):
-            vec = np.array(getattr(self, name), dtype=complex)
+        for name, vec in zip(_MODE_FIELDS, (u_plus, u_minus, v_plus, v_minus)):
+            vec = np.asarray(vec, dtype=complex)
             if vec.shape != (2,):
                 raise ValueError(f"{name} must be a 2-component vector")
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
             entries.append(vec.tolist())
-        u_plus, u_minus, v_plus, v_minus = entries
+        vars(self)["_entries"] = tuple(entries)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        u_plus, u_minus, v_plus, v_minus = self._entries
         projections = (
             ("v_plus† u_plus", v_plus, u_plus, 1.0),
             ("v_minus† u_minus", v_minus, u_minus, 1.0),
@@ -157,16 +163,31 @@ class ModePair:
             if not abs(got - want) <= _BIORTHO_TOL:
                 raise ValueError(f"modes not bi-orthogonal: {label} = {got!r}")
 
+    def __getattr__(self, name: str):
+        # Reached only for what the instance dict lacks: the fields before their first read.
+        if name not in _MODE_FIELDS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        block = np.array(self._entries, dtype=complex)
+        block.setflags(write=False)  # on the owner: a view's flag could be set back
+        vars(self).update(zip(_MODE_FIELDS, block))
+        return vars(self)[name]
 
-@dataclass(frozen=True)
+    def __getstate__(self) -> dict:  # a copy builds its own block, so its fields are views of one
+        return {"_entries": self._entries}
+
+
+@dataclass(frozen=True, init=False)
 class ScatteringResult:
     """Transmission/reflection amplitudes t, r with |t|^2 + |r|^2 = 1 within 1e-10."""
 
     t_amp: complex
     r_amp: complex
 
+    def __init__(self, t_amp: complex, r_amp: complex) -> None:
+        vars(self).update(t_amp=complex(t_amp), r_amp=complex(r_amp))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        _coerce_fields(self, complex)
         try:
             total = self.t_prob + self.r_prob
         except OverflowError:  # a modulus or its square beyond the float range
@@ -358,24 +379,21 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
 def modes(rho: float) -> ModePair:
     """Free modes u± = (1, ±i*rho)/sqrt2 and duals v± = (1, ±i/rho)/sqrt2, rho > 0.
 
-    The fields are read-only views of the rows of one (4, 2) block, built
-    bi-orthogonal within _MODES_BIORTHO_ERR and so not checked at run time.
+    Python complex entries, bi-orthogonal within _MODES_BIORTHO_ERR and so
+    not checked at run time; the fields' block is built when one is read.
     """
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
     if not 1.0 / float(rho) < math.inf:
         raise ValueError(f"rho={rho!r} is too small: 1/rho overflows")
     rt2 = math.sqrt(2.0)
-    # One flat np.array call and a (4, 2) view cost less than nested rows.
-    block = np.array(
-        (1.0 / rt2, 1j * rho / rt2, 1.0 / rt2, -1j * rho / rt2,
-         1.0 / rt2, 1j / rho / rt2, 1.0 / rt2, -1j / rho / rt2),
-        dtype=complex,
-    )
-    block.setflags(write=False)  # on the owner: a view's flag could be set back
-    rows = block.reshape(4, 2)
+    h = complex(1.0 / rt2)
+    # -1j * rho and -(1j * rho) differ in the sign of the real zero: keep these expressions.
+    entries = ((h, 1j * rho / rt2), (h, -1j * rho / rt2), (h, 1j / rho / rt2), (h, -1j / rho / rt2))
+    if rho.__class__ is not float:  # a numpy scalar may compute in its own precision
+        entries = np.array(entries, dtype=complex).tolist()
     pair = object.__new__(ModePair)
-    vars(pair).update(u_plus=rows[0], u_minus=rows[1], v_plus=rows[2], v_minus=rows[3])
+    vars(pair)["_entries"] = entries
     return pair
 
 
@@ -433,10 +451,9 @@ def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:
     det = a * d - b * c
     if not _finite(entries) or det == 0 or not cmath.isfinite(det):
         raise ValueError("matrix is singular or not finite")
-    v0, v1 = modes.v_minus.tolist()
+    (p0, p1), (m0, m1), _, (v0, v1) = modes._entries
     v0, v1 = v0.conjugate(), v1.conjugate()
     row0, row1 = v0 * a + v1 * c, v0 * b + v1 * d  # v-† M
-    (p0, p1), (m0, m1) = modes.u_plus.tolist(), modes.u_minus.tolist()
     plus = row0 * p0 + row1 * p1
     minus = row0 * m0 + row1 * m1
     try:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix
-from .connection import _chebyshev, _coerce_fields, _from_scalars, _require_finite
+from .connection import _chebyshev, _from_scalars, _require_finite, _require_finite_fields
 
 __all__ = [
     "DiracMedium",
@@ -55,7 +55,7 @@ def _coefficients(m, E, S, V):
     return m + E + S - V, E - m - S - V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiracMedium:
     """Mass, energy, and the three constant potentials S, V, A.
 
@@ -70,8 +70,12 @@ class DiracMedium:
     V: float = 0.0
     A: float = 0.0
 
+    def __init__(self, m: float, E: float, S: float = 0.0, V: float = 0.0, A: float = 0.0) -> None:
+        vars(self).update(m=float(m), E=float(E), S=float(S), V=float(V), A=float(A))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        _coerce_fields(self, float, ("S", "V", "A"))
+        _require_finite_fields(self, ("S", "V", "A"))
         _require_exterior(self.m, self.E)
 
     @property
@@ -87,7 +91,7 @@ class DiracMedium:
         return math.sqrt(abs(self.k_plus * self.k_minus))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BarrierParams:
     """Integrated strengths of a vanishing-width barrier.
 
@@ -100,8 +104,12 @@ class BarrierParams:
     v: float
     theta: float = 0.0
 
+    def __init__(self, s: float, v: float, theta: float = 0.0) -> None:
+        vars(self).update(s=float(s), v=float(v), theta=float(theta))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        _coerce_fields(self, float, ("s", "v", "theta"))
+        _require_finite_fields(self, ("s", "v", "theta"))
 
     @property
     def p_plus(self) -> float:
@@ -128,13 +136,14 @@ def _propagate(x, w_plus, w_minus, A):
 
     In closed form, entry-wise over arrays.  The branch is chosen per element by the sign of w_plus*w_minus:
     cos/sin when positive, cosh/sinh when negative, and the truncated
-    series c = 1, s = x when either coefficient vanishes.  Each branch only
-    sees its own elements' arguments (the others get 0), so a cosh that
-    would overflow where another branch is taken is never evaluated.
+    series c = 1, s = x when either coefficient vanishes or x = ±0, where
+    w*x may be inf*0.  Each branch only sees its own elements' arguments
+    (the others get 0), so a cosh that would overflow where another branch
+    is taken is never evaluated.
     """
     product = w_plus * w_minus
-    trig = product > 0.0
-    hyper = product < 0.0
+    nonzero = x != 0.0
+    trig, hyper = (product > 0.0) & nonzero, (product < 0.0) & nonzero
     w = np.sqrt(np.abs(product))
     wx = w * x
     t = np.where(trig, wx, 0.0)
@@ -151,10 +160,12 @@ def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     Oscillatory when k_plus*k_minus > 0, cosh/sinh when it is negative, and
     the linear limit [[1, k_plus x], [-k_minus x, 1]] when either
     coefficient vanishes.  The spatial vector potential only contributes
-    the phase e^{iAx}; the determinant is e^{2iAx} on every branch.  Where
-    an entry is not finite (a cosh beyond about 710), ValueError, with no
-    numpy warning.
+    the phase e^{iAx}; the determinant is e^{2iAx} on every branch, and
+    at x = ±0 the matrix is I.  Where an entry is not finite (a cosh beyond
+    about 710), or for an array x, ValueError, with no numpy warning.
     """
+    if np.ndim(x):
+        raise ValueError("displacement x must be a scalar")
     with np.errstate(over="ignore", invalid="ignore"):
         phase, entries = _propagate(x, med.k_plus, med.k_minus, med.A)
     return _from_scalars(phase, entries, "displacement x=%r is out of range: the propagator overflows", x)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix, as_matrix
-from .connection import _chebyshev, _coerce_fields, _from_scalars, _require_finite
+from .connection import _chebyshev, _from_scalars, _require_finite, _require_finite_fields
 
 __all__ = [
     "NonRelMedium",
@@ -43,7 +43,7 @@ class SingularRenormalization(ValueError):
     """No renormalization scheme covers beta = 0 with alpha + delta = -2."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NonRelMedium:
     """Mass, wave number k = sqrt(2mE) with E > 0, and vector potential A."""
 
@@ -51,14 +51,18 @@ class NonRelMedium:
     k: float
     A: float = 0.0
 
+    def __init__(self, m: float, k: float, A: float = 0.0) -> None:
+        vars(self).update(m=float(m), k=float(k), A=float(A))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        _coerce_fields(self, float, ("A",))
+        _require_finite_fields(self, ("A",))
         rho(self.m, self.k)
         if self.m == math.inf:
             raise ValueError("mass must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DeltaTriple:
     """Delta strengths at x = +a, 0, -a and the vector potential between them."""
 
@@ -68,8 +72,13 @@ class DeltaTriple:
     a: float
     A: float = 0.0
 
+    def __init__(self, v_plus: float, v_zero: float, v_minus: float, a: float, A: float = 0.0) -> None:
+        vars(self).update(v_plus=float(v_plus), v_zero=float(v_zero), v_minus=float(v_minus),
+                          a=float(a), A=float(A))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        _coerce_fields(self, float, ("v_plus", "v_zero", "v_minus", "a", "A"))
+        _require_finite_fields(self, ("v_plus", "v_zero", "v_minus", "a", "A"))
         if not self.a > 0.0:
             raise ValueError("half-spacing a must be positive")
 
@@ -101,9 +110,11 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     """Transfer matrix over a float displacement x at constant vector potential.
 
     e^{iAx} [cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]]], in Python
-    numbers (_hop); ValueError where an entry is not finite.  At A = 0 this is
-    the free propagator [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
+    numbers (_hop); ValueError where an entry is not finite, or for an array x.
+    At A = 0 this is the free propagator [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
     """
+    if np.ndim(x):
+        raise ValueError("displacement x must be a scalar")
     phase, entries = _hop(x, med.m, med.k, med.A)
     return _from_scalars(phase, entries, "displacement x=%r is out of range: the propagator overflows", x)
 

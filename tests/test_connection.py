@@ -1,6 +1,8 @@
 """Connection matrices: construction, decomposition, conservation, scattering."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -242,6 +244,64 @@ class TestModePair:
         pair, other = modes(1.0), modes(1.0)
         assert (pair == other) is False and (pair == pair) is True
         assert len({pair, other, pair}) == 2
+
+
+# A pair's fields are built on first read, from modes() or from ModePair(...).
+MODE_FIELDS = ("u_plus", "u_minus", "v_plus", "v_minus")
+RT2 = math.sqrt(2.0)
+HALF = {"u_plus": np.array([1.0, 0.5j]) / RT2, "u_minus": np.array([1.0, -0.5j]) / RT2,
+        "v_plus": np.array([1.0, 2.0j]) / RT2, "v_minus": np.array([1.0, -2.0j]) / RT2}
+BUILDERS = {"modes": lambda: modes(0.5), "ModePair": lambda: ModePair(*HALF.values())}
+
+
+def assert_one_read_only_block(pair):
+    fields = [getattr(pair, name) for name in MODE_FIELDS]
+    block = fields[0].base
+    assert block.shape == (4, 2) and block.dtype == complex and not block.flags.writeable
+    for row, field in zip(block, fields):
+        assert field.base is block and field.shape == (2,) and np.array_equal(field, row)
+        assert not field.flags.writeable
+        with pytest.raises(ValueError):
+            field.setflags(write=True)
+        with pytest.raises(ValueError):
+            field[0] = 0.0
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+class TestLazyModePair:
+    @pytest.mark.parametrize("first", MODE_FIELDS)
+    def test_fields_read_in_any_order(self, build, first):
+        pair = build()
+        order = [first] + [name for name in reversed(MODE_FIELDS) if name != first]
+        got = {name: getattr(pair, name) for name in order}
+        for name in MODE_FIELDS:
+            assert np.array_equal(got[name], HALF[name])
+            assert getattr(pair, name) is got[name]
+        assert_one_read_only_block(pair)
+
+    def test_only_the_fields_are_built(self, build):
+        pair = build()
+        with pytest.raises(AttributeError, match="'ModePair' object has no attribute 'w_plus'"):
+            pair.w_plus
+        assert not hasattr(pair, "w_plus") and hasattr(pair, "v_minus")
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_repr_copy_and_pickle(self, build, read_first):
+        pair = build()
+        M = as_matrix(ConnectionParams(2.0, 1.0, 1.0, 1.0, 0.3))
+        if read_first:
+            assert_one_read_only_block(pair)
+        want = scatter(M, pair)
+        for twin in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(pickle.dumps(pair))):
+            assert type(twin) is ModePair and twin is not pair
+            got = scatter(M, twin)
+            assert (got.t_amp, got.r_amp) == (want.t_amp, want.r_amp)
+            assert repr(twin) == repr(pair) == "ModePair({})".format(
+                ", ".join(f"{name}={getattr(pair, name)!r}" for name in MODE_FIELDS)
+            )
+            assert_one_read_only_block(twin)
+            for name in MODE_FIELDS:
+                assert getattr(twin, name).tobytes() == getattr(pair, name).tobytes()
 
 
 class TestScatteringResult:

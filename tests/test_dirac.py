@@ -102,6 +102,15 @@ class TestPropagator:
         med = DiracMedium(m=1.0, E=2.0, S=0.3, V=-0.4, A=1.1)
         assert np.allclose(propagator(0.0, med), np.eye(2), atol=1e-15)
 
+    # Every branch gives c = 1, s = x at x = ±0, though w*x would be inf*0 there.
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    @pytest.mark.parametrize("S, V", [(1e200, 0.0), (-1e200, 0.0), (0.0, 1e200), (1e200, 1e150)])
+    def test_zero_displacement_is_identity_where_the_product_overflows(self, x, S, V):
+        med = DiracMedium(1.0, 2.0, S=S, V=V)
+        assert math.isinf(med.k_plus * med.k_minus)
+        want = np.array([[1.0, med.k_plus * x], [-med.k_minus * x, 1.0]], dtype=complex)
+        assert propagator(x, med).tobytes() == want.tobytes()
+
     def test_free_quarter_period(self):
         # m = 3, E = 5: k+ = 8, k- = 2, k = 4; at kx = pi/2 the diagonal dies.
         med = DiracMedium(m=3.0, E=5.0)

@@ -15,7 +15,8 @@ the canonical branch, to a rounding bound that grows with the products
 |alpha delta| and |beta gamma| whose difference is the determinant,
 and ConnectionParams must accept its output unchanged.  modes(rho) must be
 bi-orthogonal within its derived bound at every admitted rho, both ends
-included.  The 0-d propagator and three-delta transfer must equal their
+included, and scatter must give the same bits from its unread entries as
+from a checked ModePair of its fields.  The 0-d propagator and three-delta transfer must equal their
 numpy-scalar evaluation byte for byte, and the Dirac propagator and
 barrier limit their numpy-array evaluation, or raise where it is not
 finite.  Every transfer-matrix kernel raises ValueError, with no numpy
@@ -315,6 +316,29 @@ def test_modes_are_biorthogonal_within_the_derived_bound(rho):
             field.setflags(write=True)
 
 
+def scattered(M, pair):
+    """scatter's amplitudes as bytes, or the type and message of what it raised."""
+    try:
+        result = scatter(M, pair)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return np.array([result.t_amp, result.r_amp]).tobytes()
+
+
+@settings(deadline=None)
+@given(p=connections(), rho=admitted_rho)
+@example(p=ConnectionParams(2.0, 1.0, 1.0, 1.0, 0.3), rho=RHO_MIN)
+@example(p=ConnectionParams(2.0, 1.0, 1.0, 1.0, 0.3), rho=RHO_MAX)
+@example(p=ConnectionParams(1.0, 0.0, 0.0, 1.0, -0.0), rho=1.0)
+def test_scatter_gives_the_same_bits_before_and_after_the_fields_are_built(p, rho):
+    M = as_matrix(p)
+    pair = modes(rho)
+    lazy = scattered(M, pair)  # reads the entries alone: no field is built yet
+    assert not set(MODE_FIELDS) & set(vars(pair))
+    checked = ModePair(*(getattr(pair, name) for name in MODE_FIELDS))
+    assert scattered(M, checked) == lazy == scattered(M, pair)
+
+
 # The 0-d kernels against numpy-scalar arithmetic: signed zeros (x = 0, A = 0,
 # zero strengths), negative x, and strengths or a vector potential whose
 # products overflow, where the kernels must raise instead.
@@ -423,6 +447,17 @@ KERNEL_FAILURES = {
                               "displacement x=1000.0 is out of range: the propagator overflows"),
     "dirac-propagator-nan": (lambda: dirac.propagator(math.nan, DiracMedium(1.0, 2.0)),
                              "displacement x=nan is out of range: the propagator overflows"),
+    # k_plus*k_minus overflows: only x = ±0 gives a finite matrix, the identity.
+    "dirac-propagator-product": (lambda: dirac.propagator(1e-300, DiracMedium(1.0, 2.0, S=1e200)),
+                                 "displacement x=1e-300 is out of range: the propagator overflows"),
+    "propagator-array": (lambda: schrodinger.propagator(np.array([0.5, 1.0]), NonRelMedium(1.0, 1.0)),
+                         "displacement x must be a scalar"),
+    "propagator-list": (lambda: schrodinger.propagator([0.5], NonRelMedium(1.0, 1.0)),
+                        "displacement x must be a scalar"),
+    "dirac-propagator-array": (lambda: dirac.propagator(np.array([0.5]), DiracMedium(1.0, 2.0)),
+                               "displacement x must be a scalar"),
+    "dirac-propagator-2-d": (lambda: dirac.propagator(np.zeros((2, 2)), DiracMedium(1.0, 2.0)),
+                             "displacement x must be a scalar"),
     "barrier-limit-cosh": (
         lambda: dirac.barrier_limit(BarrierParams(1000.0, 0.0)),
         "barrier s=1000.0, v=0.0: its zero-width limit is not finite in double precision "
