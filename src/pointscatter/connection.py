@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,7 +71,6 @@ _DET_BAND = 9 * 2.0**-53
 # fl(a*a) - fl(b*q), exact (Sterbenz), within 7.45u of 0.  c = 9 with O(u^2).
 _MODES_BIORTHO_ERR = 9 * 2.0**-53
 _PROJECTION_FLOOR = 1e-14
-_MODE_FIELDS = ("u_plus", "u_minus", "v_plus", "v_minus")
 
 
 class NotConnectionForm(ValueError):
@@ -123,57 +122,42 @@ class ConnectionParams:
         _unimodular_det(self.alpha, self.beta, self.gamma, self.delta, _DET_TOL)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True)
 class ModePair:
     """Right/left movers u_plus/u_minus with their dual modes v_plus/v_minus.
 
-    The duals project amplitudes out of two-component wave data:
+    Each field is a tuple of two Python complex numbers, which scatter
+    reads; np.asarray(pair.u_plus) gives it as a complex (2,) array.  The
+    duals project amplitudes out of two-component wave data:
     v_s† u_s = 1 and v_s† u_{-s} = 0, checked to 1e-12 at construction;
     modes() builds its pairs unchecked, within a derived bound instead.
-    scatter reads the Python complex entries a pair holds; its read-only
-    fields, the rows of one (4, 2) block, are built when one is first read.
-    Compared and hashed by identity, as its fields are arrays.
     """
 
-    u_plus: np.ndarray
-    u_minus: np.ndarray
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-
-    def __init__(self, u_plus, u_minus, v_plus, v_minus) -> None:
-        entries = []
-        for name, vec in zip(_MODE_FIELDS, (u_plus, u_minus, v_plus, v_minus)):
-            vec = np.asarray(vec, dtype=complex)
-            if vec.shape != (2,):
-                raise ValueError(f"{name} must be a 2-component vector")
-            entries.append(vec.tolist())
-        vars(self)["_entries"] = tuple(entries)
-        self.__post_init__()
+    u_plus: tuple[complex, complex]
+    u_minus: tuple[complex, complex]
+    v_plus: tuple[complex, complex]
+    v_minus: tuple[complex, complex]
 
     def __post_init__(self) -> None:
-        u_plus, u_minus, v_plus, v_minus = self._entries
+        for field in fields(self):
+            vec = np.asarray(getattr(self, field.name), dtype=complex)
+            if vec.shape != (2,):
+                raise ValueError(f"{field.name} must be a 2-component vector")
+            vars(self)[field.name] = tuple(vec.tolist())
         projections = (
-            ("v_plus† u_plus", v_plus, u_plus, 1.0),
-            ("v_minus† u_minus", v_minus, u_minus, 1.0),
-            ("v_plus† u_minus", v_plus, u_minus, 0.0),
-            ("v_minus† u_plus", v_minus, u_plus, 0.0),
+            ("v_plus† u_plus", self.v_plus, self.u_plus, 1.0),
+            ("v_minus† u_minus", self.v_minus, self.u_minus, 1.0),
+            ("v_plus† u_minus", self.v_plus, self.u_minus, 0.0),
+            ("v_minus† u_plus", self.v_minus, self.u_plus, 0.0),
         )
         for label, (d0, d1), (u0, u1), want in projections:
             got = d0.conjugate() * u0 + d1.conjugate() * u1
-            if not abs(got - want) <= _BIORTHO_TOL:
+            try:
+                off = abs(got - want)
+            except OverflowError:  # a modulus beyond the float range is not within tolerance
+                off = math.inf
+            if not off <= _BIORTHO_TOL:
                 raise ValueError(f"modes not bi-orthogonal: {label} = {got!r}")
-
-    def __getattr__(self, name: str):
-        # Reached only for what the instance dict lacks: the fields before their first read.
-        if name not in _MODE_FIELDS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        block = np.array(self._entries, dtype=complex)
-        block.setflags(write=False)  # on the owner: a view's flag could be set back
-        vars(self).update(zip(_MODE_FIELDS, block))
-        return vars(self)[name]
-
-    def __getstate__(self) -> dict:  # a copy builds its own block, so its fields are views of one
-        return {"_entries": self._entries}
 
 
 @dataclass(frozen=True, init=False)
@@ -379,21 +363,20 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
 def modes(rho: float) -> ModePair:
     """Free modes u± = (1, ±i*rho)/sqrt2 and duals v± = (1, ±i/rho)/sqrt2, rho > 0.
 
-    Python complex entries, bi-orthogonal within _MODES_BIORTHO_ERR and so
-    not checked at run time; the fields' block is built when one is read.
+    Computed in Python floats from float(rho), whatever its type, and
+    bi-orthogonal within _MODES_BIORTHO_ERR, so not checked at run time.
     """
+    rho = float(rho)  # before the checks: a long double can round to 0 or inf
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
-    if not 1.0 / float(rho) < math.inf:
+    if not 1.0 / rho < math.inf:
         raise ValueError(f"rho={rho!r} is too small: 1/rho overflows")
     rt2 = math.sqrt(2.0)
     h = complex(1.0 / rt2)
-    # -1j * rho and -(1j * rho) differ in the sign of the real zero: keep these expressions.
-    entries = ((h, 1j * rho / rt2), (h, -1j * rho / rt2), (h, 1j / rho / rt2), (h, -1j / rho / rt2))
-    if rho.__class__ is not float:  # a numpy scalar may compute in its own precision
-        entries = np.array(entries, dtype=complex).tolist()
     pair = object.__new__(ModePair)
-    vars(pair)["_entries"] = entries
+    # -1j * rho and -(1j * rho) differ in the sign of the real zero: keep these expressions.
+    vars(pair).update(u_plus=(h, 1j * rho / rt2), u_minus=(h, -1j * rho / rt2),
+                      v_plus=(h, 1j / rho / rt2), v_minus=(h, -1j / rho / rt2))
     return pair
 
 
@@ -451,7 +434,7 @@ def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:
     det = a * d - b * c
     if not _finite(entries) or det == 0 or not cmath.isfinite(det):
         raise ValueError("matrix is singular or not finite")
-    (p0, p1), (m0, m1), _, (v0, v1) = modes._entries
+    (p0, p1), (m0, m1), (v0, v1) = modes.u_plus, modes.u_minus, modes.v_minus
     v0, v1 = v0.conjugate(), v1.conjugate()
     row0, row1 = v0 * a + v1 * c, v0 * b + v1 * d  # v-† M
     plus = row0 * p0 + row1 * p1

@@ -165,13 +165,14 @@ class TestPropagator:
 class TestFreeModeVectors:
     def test_values_at_mass_three_energy_five(self):
         modes = free_mode_vectors(5.0, 3.0)
-        assert np.allclose(modes.u_plus, np.array([1.0, 0.5j]) / math.sqrt(2.0), atol=1e-15)
-        assert np.allclose(modes.v_plus, np.array([1.0, 2.0j]) / math.sqrt(2.0), atol=1e-15)
+        assert np.allclose(np.asarray(modes.u_plus), np.array([1.0, 0.5j]) / math.sqrt(2.0), atol=1e-15)
+        assert np.allclose(np.asarray(modes.v_plus), np.array([1.0, 2.0j]) / math.sqrt(2.0), atol=1e-15)
 
     def test_biorthogonality(self):
         modes = free_mode_vectors(1.8, 0.6)
-        assert complex(np.vdot(modes.v_plus, modes.u_plus)) == pytest.approx(1.0, abs=1e-14)
-        assert complex(np.vdot(modes.v_plus, modes.u_minus)) == pytest.approx(0.0, abs=1e-14)
+        v_plus, u_plus, u_minus = map(np.asarray, (modes.v_plus, modes.u_plus, modes.u_minus))
+        assert complex(np.vdot(v_plus, u_plus)) == pytest.approx(1.0, abs=1e-14)
+        assert complex(np.vdot(v_plus, u_minus)) == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_energy_at_mass(self):
         with pytest.raises(DegenerateModes):
@@ -189,7 +190,7 @@ class TestFreeModeVectors:
         rel = free_mode_vectors(E, m)
         nonrel = schrodinger.mode_vectors(NonRelMedium(m=m, k=math.sqrt(E * E - m * m)))
         for name in ("u_plus", "u_minus", "v_plus", "v_minus"):
-            a, b = getattr(rel, name), getattr(nonrel, name)
+            a, b = np.asarray(getattr(rel, name)), np.asarray(getattr(nonrel, name))
             assert np.max(np.abs(a - b) / np.abs(b)) < 1e-7
 
 

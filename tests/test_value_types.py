@@ -1,13 +1,18 @@
-"""The six value types: what they reject, convert and compare, pinned whole.
+"""The seven value types: what they reject, convert and compare, pinned whole.
 
 ConnectionParams, ScatteringResult, NonRelMedium, DeltaTriple, DiracMedium
 and BarrierParams store their converted fields in one pass and then check
-them in __post_init__.  Each rejection below is pinned with its exception
-type and whole message, checks that can both fail report the first in the
-order the fields are declared, and the dataclass protocols (replace, ==,
-hash, repr, pickle) behave as for a generated dataclass.
+them in __post_init__; ModePair converts its four vectors to tuples of two
+Python complex numbers and checks them there.  Each rejection below is
+pinned with its exception type and whole message, checks that can both
+fail report the first in the order the fields are declared, and the
+dataclass protocols (replace, ==, hash, repr, copy, pickle) behave as for
+a generated dataclass.  __post_init__ runs exactly where a construction
+is checked, which is what bench/tracer.py counts.
 """
 
+import collections
+import copy
 import dataclasses
 import math
 import pickle
@@ -15,11 +20,17 @@ import pickle
 import numpy as np
 import pytest
 
-from pointscatter.connection import ConnectionParams, NotConnectionForm, ScatteringResult
+import pointscatter
+from pointscatter import dirac, schrodinger
+from pointscatter.connection import (
+    ConnectionParams, ModePair, NotConnectionForm, ScatteringResult, as_matrix, conserves_current,
+    decompose, modes, scatter,
+)
 from pointscatter.dirac import BarrierParams, DiracMedium
 from pointscatter.schrodinger import DeltaTriple, NonRelMedium
 
 inf, nan = math.inf, math.nan
+H, Q, W = 0.7071067811865475, 0.35355339059327373, 1.414213562373095  # 1, 0.5 and 2 over sqrt2
 
 
 def conversion_error(convert, value) -> str:
@@ -82,6 +93,19 @@ REJECTIONS = [
     (ScatteringResult, ("x", 0), ValueError, conversion_error(complex, "x")),
     (ScatteringResult, (0, 1, 2), TypeError,
      "ScatteringResult.__init__() takes 3 positional arguments but 4 were given"),
+    (ModePair, ((1, 0, 0), (1, 0), (1, 0), (1, 0)), ValueError, "u_plus must be a 2-component vector"),
+    (ModePair, ((1, 0), (0, 1), (1, 0), ((0, 1),)), ValueError, "v_minus must be a 2-component vector"),
+    (ModePair, ((1, 0), (0, 1), (0, 1), (1, 0)), ValueError,
+     "modes not bi-orthogonal: v_plus† u_plus = 0j"),
+    (ModePair, ((1, 0), (0, 1), (1, 0), (1, 0)), ValueError,
+     "modes not bi-orthogonal: v_minus† u_minus = 0j"),
+    (ModePair, ((1, nan), (1, 0), (1, 0), (1, 0)), ValueError,
+     "modes not bi-orthogonal: v_plus† u_plus = (nan+nanj)"),
+    # v_plus† u_plus is finite, but its distance from 1 has no float modulus.
+    (ModePair, ((1.5e308 + 1.5e308j, 0), (0, 1), (1, 0), (0, 1)), ValueError,
+     "modes not bi-orthogonal: v_plus† u_plus = (1.5e+308+1.5e+308j)"),
+    (ModePair, ((1, 0), (0, 1), (1, 0)), TypeError,
+     "ModePair.__init__() missing 1 required positional argument: 'v_minus'"),
 ]
 
 
@@ -108,6 +132,15 @@ INSTANCES = [
      "BarrierParams(s=0.5, v=-0.25, theta=3.0)"),
     (ScatteringResult(0.6, 0.8j), (np.complex128(0.6), "0.8j"), (0.6 + 0j, 0.8j),
      "ScatteringResult(t_amp=(0.6+0j), r_amp=0.8j)"),
+    (ModePair(np.array([H, Q * 1j]), np.array([H, -Q * 1j]), np.array([H, W * 1j]),
+              np.array([H, -W * 1j])),
+     ([H, Q * 1j], (np.complex128(H), -Q * 1j), [np.float64(H), complex(0, W)],
+      (H, np.complex128(-W * 1j))),
+     ((H + 0j, Q * 1j), (H + 0j, -Q * 1j), (H + 0j, W * 1j), (H + 0j, -W * 1j)),
+     "ModePair(u_plus=((0.7071067811865475+0j), 0.35355339059327373j), "
+     "u_minus=((0.7071067811865475+0j), (-0-0.35355339059327373j)), "
+     "v_plus=((0.7071067811865475+0j), 1.414213562373095j), "
+     "v_minus=((0.7071067811865475+0j), (-0-1.414213562373095j)))"),
 ]
 
 
@@ -115,18 +148,27 @@ def fields_of(obj):
     return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
 
 
+def scalars_of(obj):
+    """The fields of obj, those of a ModePair flattened after checking that each is a 2-tuple."""
+    values = fields_of(obj)
+    if type(obj) is ModePair:
+        assert {(type(v), len(v)) for v in values} == {(tuple, 2)}
+        values = sum(values, ())
+    return values
+
+
 @pytest.mark.parametrize("obj, other_types, stored, text", INSTANCES,
                          ids=[type(case[0]).__name__ for case in INSTANCES])
 def test_conversion_and_dataclass_protocols(obj, other_types, stored, text):
     cls = type(obj)
-    kind = complex if cls is ScatteringResult else float
-    assert fields_of(obj) == stored and {type(x) for x in fields_of(obj)} == {kind}
+    kind = complex if cls in (ScatteringResult, ModePair) else float
+    assert fields_of(obj) == stored and {type(x) for x in scalars_of(obj)} == {kind}
     converted = cls(*other_types)
-    assert fields_of(converted) == stored and {type(x) for x in fields_of(converted)} == {kind}
+    assert fields_of(converted) == stored and {type(x) for x in scalars_of(converted)} == {kind}
     assert converted == obj and converted is not obj and hash(converted) == hash(obj) == hash(stored)
     assert repr(obj) == text
-    back = pickle.loads(pickle.dumps(obj))
-    assert type(back) is cls and back == obj and fields_of(back) == stored
+    for back in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(back) is cls and back == obj and fields_of(back) == stored
     first = dataclasses.fields(obj)[0].name
     changed = dataclasses.replace(obj, **{first: getattr(obj, first)})
     assert changed == obj and changed is not obj
@@ -142,3 +184,70 @@ def test_replace_converts_and_checks_again():
     with pytest.raises(NotConnectionForm):
         dataclasses.replace(p, alpha=3)
     assert dataclasses.replace(NonRelMedium(1, 2), A=np.float64(0.5)).A.__class__ is float
+    pair = modes(0.5)
+    with pytest.raises(ValueError, match=r"^modes not bi-orthogonal: v_minus† u_minus = 0j$"):
+        dataclasses.replace(pair, v_minus=pair.v_plus)
+    assert type(dataclasses.replace(pair, u_plus=np.array(pair.u_plus)).u_plus) is tuple
+
+
+def test_modes_holds_what_a_checked_pair_holds():
+    pair, checked = modes(0.5), INSTANCES[-1][0]
+    assert {type(x) for x in scalars_of(pair)} == {complex}
+    assert pair == checked and hash(pair) == hash(checked) and pair is not checked
+
+
+# Every dataclass the package exports: the value types whose checks bench/tracer.py counts.
+VALUE_TYPES = [obj for obj in map(pointscatter.__dict__.get, pointscatter.__all__)
+               if dataclasses.is_dataclass(obj)]
+
+
+def test_each_value_type_checks_in_its_own_hook():
+    assert {cls.__name__ for cls in VALUE_TYPES} == {type(case[0]).__name__ for case in INSTANCES}
+    for cls in VALUE_TYPES:
+        assert "__post_init__" in vars(cls), cls
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Calls of each value type's __post_init__, by class, counted where bench/tracer.py counts them."""
+    counts = collections.Counter()
+    for cls in VALUE_TYPES:
+        def counted(self, check=vars(cls)["__post_init__"], owner=cls):
+            counts[owner] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+def scattering_point():
+    """One point of the benchmark's scatter_points workload, calling the library as its unit does."""
+    p = ConnectionParams(2, 1, 1, 1, 0.3)
+    med = NonRelMedium(1.0, 0.5)
+    M = as_matrix(p)
+    scatter(M, schrodinger.mode_vectors(med))
+    scatter(M, dirac.free_mode_vectors(2.0, 1.0))
+    cfg = schrodinger.renormalized_strengths(p, 0.05, 1.0)
+    M3 = schrodinger.three_delta_transfer(cfg, NonRelMedium(1.0, 0.5, cfg.A))
+    scatter(M3, schrodinger.mode_vectors(med))
+    decompose(M)
+    conserves_current(M3, 1e-6)
+
+
+MATRIX = as_matrix(ConnectionParams(2, 1, 1, 1, 0.3))
+PAIR = modes(0.5)
+COUNTED = {
+    "ModePair": (lambda: ModePair(*INSTANCES[-1][2]), {ModePair: 1}),
+    "replace": (lambda: dataclasses.replace(PAIR, u_plus=PAIR.u_plus), {ModePair: 1}),
+    "modes": (lambda: modes(0.5), {}),
+    "decompose": (lambda: decompose(MATRIX), {}),
+    "scatter": (lambda: scatter(MATRIX, PAIR), {ScatteringResult: 1}),
+    "scattering_point": (scattering_point, {ConnectionParams: 1, NonRelMedium: 2, DeltaTriple: 1,
+                                            ScatteringResult: 3}),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_checks_run_once_per_checked_construction(checks, name):
+    call, want = COUNTED[name]
+    call()
+    assert checks == want
