@@ -17,6 +17,7 @@ T_schrodinger, T_dirac, diff) per kinetic energy.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from typing import Iterable, NamedTuple
 
@@ -160,8 +161,10 @@ def correspondence_table(
     An (n, 4) float array, one row per kinetic energy eps (ascending):
     eps, T_schrodinger (at k = sqrt(2 m eps)), T_dirac (at E = m + eps)
     and diff = |T_schrodinger - T_dirac|.  Only rho^2 differs: eps/2m
-    against eps/(2m + eps).  Raises ValueError for an eps that is not
-    positive or so small against m that m + eps == m.
+    against eps/(2m + eps).  The Schrodinger rho^2 is (k/2m)^2 where
+    2 m eps is a normal float, and eps/2m itself where it is not.  Raises
+    ValueError for an eps that is not positive or so small against m that
+    m + eps == m.
     """
     eps = np.sort(_column(kinetic_list))
     if eps.size == 0:
@@ -176,8 +179,16 @@ def correspondence_table(
                 f"kinetic energy {float(lost[0])!r} is below the resolution of the mass {m!r}"
             )
     t_d = transmission(p, dirac.rho2(E, m))
-    rho = schrodinger.rho(m, np.sqrt(2.0 * m * eps))
-    t_s = transmission(p, rho * rho)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: the limit rho^2 = inf
+        k2 = 2.0 * m * eps
+        rho = np.sqrt(k2) / (2.0 * m)  # schrodinger.rho(m, k): m > 0 and eps > 0 are checked
+        rho2 = rho * rho
+        # Where 2 m eps is subnormal, 0 or inf, sqrt loses rho^2 = eps/2m: it is formed directly,
+        # rounded once (where 2m overflows, m + eps != m puts eps/m above 2^-54).  k2 is sorted.
+        if not sys.float_info.min <= k2[0] <= k2[-1] < math.inf:
+            odd = ~((k2 >= sys.float_info.min) & (k2 < math.inf))
+            rho2[odd] = (eps / (2.0 * m) if 2.0 * m < math.inf else eps / m * 0.5)[odd]
+    t_s = transmission(p, rho2)
     return np.column_stack((eps, t_s, t_d, np.abs(t_s - t_d)))
 
 

@@ -389,7 +389,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # Every printed value is checked finite; numpy's warnings would only
+        # numpy warns on some accepted inputs too: a Schrodinger transmission
+        # sweep's rho * rho overflows to the limit rho^2 = inf, and T = 0, with
+        # a warning.  The block keeps those off stderr, and the ones that would
         # precede the error line of a rejected input.
         with np.errstate(all="ignore"):
             text = args.func(args)

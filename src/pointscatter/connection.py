@@ -221,10 +221,10 @@ def _from_scalars(phase, entries, message: str, *args) -> np.ndarray:
 
     The one builder of every transfer-matrix kernel.  ValueError(message %
     args), formatted only then, unless the phase and every entry are
-    finite: the scalars overflow without a warning, Python's silently and
-    numpy's under the kernel's np.errstate.  The kernels' entries are real
-    up to rounding or have a real part in [-1, 1], so a unit phase leaves
-    a finite entry finite.
+    finite.  It owns no np.errstate: Python's scalars overflow silently,
+    the Dirac kernels' numpy ones under dirac._propagate's and _barrier's.
+    The kernels' entries are real up to rounding or have a real part in
+    [-1, 1], so a unit phase leaves a finite entry finite.
     """
     if not (cmath.isfinite(phase) and _finite(entries)):
         raise ValueError(message % args)
@@ -232,29 +232,22 @@ def _from_scalars(phase, entries, message: str, *args) -> np.ndarray:
     return phase * np.array(entries, dtype=complex).reshape(2, 2)
 
 
-def _chebyshev(phase, entries, target: TransferMatrix) -> np.ndarray:
-    """max_ij |phase * m_ij - target_ij| over the broadcast shape of a kernel's phase and entries.
+def _sweep_error(a: np.ndarray, phase, entries, target: TransferMatrix, why: str) -> np.ndarray:
+    """The column max_ij |phase * m_ij - target_ij| of a convergence sweep over the column a.
 
-    Each product is an array multiply, as in _from_scalars.  Not checked
-    for finiteness.
+    The column counterpart of _from_scalars: each product is an array
+    multiply, and ValueError names the largest a at an error that is not
+    finite.  inf and NaN propagate through the kernels' + and *, abs,
+    np.maximum and ndarray.max, so checking after the kernel is exact; the
+    failing entries are looked up only then.  The caller's np.errstate
+    keeps the column arithmetic's overflow silent.
     """
     d00, d01, d10, d11 = (np.abs(phase * m - t) for m, t in zip(entries, _entries(target)))
-    return np.maximum(np.maximum(d00, d01), np.maximum(d10, d11))
-
-
-def _require_finite(a: np.ndarray, err: np.ndarray, why: str) -> np.ndarray:
-    """err if every entry is finite, else ValueError naming the largest a at a non-finite one.
-
-    a and err are columns of one length.  inf and NaN propagate through
-    the kernels' + and *, through abs and np.maximum, so a kernel that
-    overflowed anywhere leaves a non-finite error: checking after the
-    kernel is exact.  NaN propagates through ndarray.max too, so one max
-    covers the finite case; the failing entries are looked up only then.
-    """
-    if not err.size or math.isfinite(err.max()):
-        return err
-    worst = a[~np.isfinite(err)].max()
-    raise ValueError(f"half-spacing a={float(worst)!r} is out of range: {why}")
+    err = np.maximum(np.maximum(d00, d01), np.maximum(d10, d11))
+    if err.size and not math.isfinite(err.max()):
+        worst = a[~np.isfinite(err)].max()
+        raise ValueError(f"half-spacing a={float(worst)!r} is out of range: {why}")
+    return err
 
 
 def delta_connection(v: float) -> TransferMatrix:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix
-from .connection import _chebyshev, _from_scalars, _require_finite, _require_finite_fields
+from .connection import _from_scalars, _require_finite_fields, _sweep_error
 
 __all__ = [
     "DiracMedium",
@@ -131,6 +131,7 @@ class BarrierClass(NamedTuple):
     strength: Optional[float] = None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _propagate(x, w_plus, w_minus, A):
     """The phase e^{iAx} and the four entries of exp(x [[0, w_plus], [-w_minus, 0]]).
 
@@ -139,7 +140,8 @@ def _propagate(x, w_plus, w_minus, A):
     series c = 1, s = x when either coefficient vanishes or x = ±0, where
     w*x may be inf*0.  Each branch only sees its own elements' arguments
     (the others get 0), so a cosh that would overflow where another branch
-    is taken is never evaluated.
+    is taken is never evaluated.  It owns the Dirac kernels' np.errstate:
+    overflow stays silent here, for _from_scalars or _sweep_error to reject.
     """
     product = w_plus * w_minus
     nonzero = x != 0.0
@@ -166,16 +168,16 @@ def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     """
     if np.ndim(x):
         raise ValueError("displacement x must be a scalar")
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase, entries = _propagate(x, med.k_plus, med.k_minus, med.A)
-    return _from_scalars(phase, entries, "displacement x=%r is out of range: the propagator overflows", x)
+    return _from_scalars(*_propagate(x, med.k_plus, med.k_minus, med.A),
+                         "displacement x=%r is out of range: the propagator overflows", x)
 
 
 def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
     """The rho^2 = (E-m)/(E+m) of connection.modes and connection.transmission.
 
     Raises ValueError unless 0 < m < E < inf (DegenerateModes for E).
-    Entry-wise over ndarray arguments, each checked as a whole.
+    Entry-wise over ndarray arguments, each checked as a whole.  Where
+    E + m overflows, the ratio is formed from E/2 and m/2, exact there.
     """
     # Plain floats stay on float comparisons: np.all costs microseconds a call.
     floats = E.__class__ is m.__class__ is float
@@ -183,7 +185,13 @@ def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("mass must be positive")
     if not (m < E < math.inf if floats else np.all((m < E) & (E < math.inf))):
         raise DegenerateModes("energy must be finite and above the mass")
-    return (E - m) / (E + m)
+    # The ratio is at least 2^-54 where E + m is finite, and 0 exactly where it overflows.
+    if floats:
+        r = (E - m) / (E + m)
+        return r if r else (0.5 * E - 0.5 * m) / (0.5 * E + 0.5 * m)
+    with np.errstate(over="ignore"):
+        r = (E - m) / (E + m)
+    return r if np.all(r) else np.where(r, r, (0.5 * E - 0.5 * m) / (0.5 * E + 0.5 * m))[()]
 
 
 def free_mode_vectors(E: float, m: float) -> ModePair:
@@ -205,11 +213,9 @@ def barrier_limit(b: BarrierParams) -> TransferMatrix:
     strength 2s at s = -v.  Where an entry is not finite, ValueError naming
     s and v, with no numpy warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase, entries = _propagate(1.0, b.p_plus, b.p_minus, b.theta)
     return _from_scalars(
-        phase, entries, "barrier s=%r, v=%r: its zero-width limit is not finite in double precision "
-        "(cosh sqrt|s^2 - v^2| overflows beyond about 710)", b.s, b.v,
+        *_propagate(1.0, b.p_plus, b.p_minus, b.theta), "barrier s=%r, v=%r: its zero-width limit "
+        "is not finite in double precision (cosh sqrt|s^2 - v^2| overflows beyond about 710)", b.s, b.v,
     )
 
 
@@ -229,13 +235,12 @@ def finite_barrier_transfer(b: BarrierParams, a: float, E: float, m: float) -> T
     if np.ndim(a) or not 0.0 < a < math.inf:
         raise ValueError("half-width a must be a positive, finite scalar")
     _require_exterior(m, E)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase, entries = _barrier(b, a, E, m)
     return _from_scalars(
-        phase, entries, "half-spacing a=%r is out of range: the finite barrier overflows", a
+        *_barrier(b, a, E, m), "half-spacing a=%r is out of range: the finite barrier overflows", a
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _propagate: 2a, s/2a, v/2a of numpy scalars too
 def _barrier(b: BarrierParams, a, E: float, m: float):
     """Phase and entries of finite_barrier_transfer, for checked arguments."""
     x = 2.0 * a
@@ -253,8 +258,7 @@ def _convergence_error(b: BarrierParams, E: float, m: float, a: np.ndarray) -> n
     _require_exterior(m, E)
     target = barrier_limit(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        err = _chebyshev(*_barrier(b, a, E, m), target)
-    return _require_finite(a, err, "the finite barrier overflows")
+        return _sweep_error(a, *_barrier(b, a, E, m), target, "the finite barrier overflows")
 
 
 def transmission(p: ConnectionParams, E: float, m: float) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix, as_matrix
-from .connection import _chebyshev, _from_scalars, _require_finite, _require_finite_fields
+from .connection import _from_scalars, _require_finite_fields, _sweep_error
 
 __all__ = [
     "NonRelMedium",
@@ -132,7 +132,10 @@ def rho(m: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("mass must be positive")
     if not (k > 0.0 if floats else np.all(k > 0.0)):
         raise ValueError("wave number must be positive (scattering states only)")
-    return k / (2.0 * m)
+    if floats:
+        return k / (2.0 * m)
+    with np.errstate(over="ignore"):  # to inf, as Python's floats overflow silently
+        return k / (2.0 * m)
 
 
 def mode_vectors(med: NonRelMedium) -> ModePair:
@@ -291,9 +294,8 @@ def _convergence_error(p: ConnectionParams, m: float, k: float, a: np.ndarray) -
         if not math.isfinite(value):
             raise ValueError(f"{name}={value!r} must be finite for a convergence sweep")
     with np.errstate(over="ignore", invalid="ignore"):
-        strengths = _strengths(p, a, m)
-        err = _chebyshev(*_three_delta(a, m, k, *strengths), as_matrix(p))
-    return _require_finite(a, err, "the three-delta products overflow")
+        phase, entries = _three_delta(a, m, k, *_strengths(p, a, m))
+        return _sweep_error(a, phase, entries, as_matrix(p), "the three-delta products overflow")
 
 
 def transmission(p: ConnectionParams, med: NonRelMedium) -> float:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,17 @@ def random_connection(rng: np.random.Generator, bound: float = 10.0) -> Connecti
 
 
 EPS = float(np.finfo(float).eps)
+
+
+def exact_transmission(p: ConnectionParams, rho2: Fraction) -> Fraction:
+    """4 / (alpha^2 + delta^2 + 2 + beta^2 rho2 + gamma^2/rho2) in exact rational arithmetic."""
+    alpha, beta, gamma, delta = map(Fraction, (p.alpha, p.beta, p.gamma, p.delta))
+    return 4 / (alpha**2 + delta**2 + 2 + beta**2 * rho2 + (gamma**2 / rho2 if gamma else 0))
+
+
+def ulps_from(x: float, exact: Fraction) -> float:
+    """|x - exact| in units in the last place of the double nearest to exact."""
+    return float(abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact))))
 
 
 def five_factor_scale(v_plus, v_zero, v_minus, a, A, m, k) -> float:

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import EPS, five_factor_scale, random_connection
+from conftest import EPS, exact_transmission, five_factor_scale, random_connection, ulps_from
 from pointscatter import analysis, connection, dirac, schrodinger
 from pointscatter.analysis import (
     Sweep,
@@ -575,6 +575,22 @@ class TestCorrespondenceTable:
     def test_negative_mass_is_named_before_resolution(self):
         with pytest.raises(ValueError, match="mass must be positive"):
             correspondence_table(ConnectionParams(1, 0, 0, 1, 0), -1.0, [1e-20])
+
+    # 2 m eps is subnormal, 0, infinite, and infinite through 2m: sqrt(2 m eps) lost rho^2 =
+    # eps/2m to 1.2e-6, raised "wave number must be positive", gave 0 with a numpy warning, and
+    # raised "rho2 must be non-negative, got nan".
+    @pytest.mark.parametrize("m, eps", [(1e-160, 1e-160), (1e-300, 1e-300), (1.0, 1e308), (1e308, 1e307)],
+                             ids=["subnormal", "zero", "infinite", "two-m-infinite"])
+    def test_schrodinger_column_where_two_m_eps_is_not_normal(self, m, eps):
+        p = ConnectionParams(1, 1, 0, 1)
+        [(_, t_s, _, _)] = correspondence_table(p, m, [eps])
+        rho2 = fractions.Fraction(eps) / (2 * fractions.Fraction(m))
+        assert ulps_from(t_s, exact_transmission(p, rho2)) <= 4
+
+    def test_schrodinger_column_keeps_the_limit_where_eps_over_two_m_overflows(self):
+        # 2 m eps is subnormal and eps/2m beyond the float range: T_s is the rho^2 = inf limit.
+        [(_, t_s, t_d, _)] = correspondence_table(ConnectionParams(1, 1, 0, 1), 1e-315, [1e-5])
+        assert (t_s, t_d) == (0.0, 0.8)
 
 
 class TestHighEnergyAsymptote:

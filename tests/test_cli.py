@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import EPS, five_factor_scale
+from conftest import EPS, exact_transmission, five_factor_scale, ulps_from
 from pointscatter import cli, dirac, schrodinger
 from pointscatter.cli import main
 from pointscatter.connection import ConnectionParams
@@ -121,6 +121,19 @@ class TestTransmission:
         ])
         assert code == 0
         assert out.splitlines()[1:] == ["9.9999999999999998e-171,0,1", "1,0.5,0.5"]
+
+    def test_dirac_energies_where_e_plus_m_overflows(self, capsys):
+        # Both rows printed T2 = 0, R2 = 1.
+        code, out, _ = run_cli(capsys, [
+            "transmission", "--alpha=1", "--beta=0", "--gamma=1", "--delta=1", "--framework=dirac",
+            "--mass=1e308", "--sweep-start=1.5e308", "--sweep-stop=1.7e308", "--sweep-count=2",
+        ])
+        assert code == 0
+        p, m = ConnectionParams(1, 0, 1, 1), Fraction(1e308)
+        for line in out.splitlines()[1:]:
+            E, t2, _ = map(float, line.split(","))
+            exact = exact_transmission(p, (Fraction(E) - m) / (Fraction(E) + m))
+            assert ulps_from(t2, exact) <= 4
 
     def test_dirac_infinite_energy_exits_2(self, capsys):
         code, _, err = run_cli(capsys, [
@@ -255,6 +268,22 @@ class TestCompare:
             assert format(ts, ".17g") == ts_str
             assert format(td, ".17g") == td_str
             assert format(abs(ts - td), ".17g") == diff_str
+
+
+    # 2 m eps is subnormal, 0 and infinite: T2_schrodinger read 0.88888998842776179, exit 2
+    # ("wave number must be positive") and 0.
+    @pytest.mark.parametrize("m, eps", [("1e-160", "1e-160"), ("1e-300", "1e-300"), ("1", "1e308")],
+                             ids=["subnormal", "zero", "infinite"])
+    def test_schrodinger_column_where_two_m_eps_is_not_normal(self, capsys, m, eps):
+        code, out, _ = run_cli(capsys, [
+            "compare", "--alpha=1", "--beta=1", "--gamma=0", "--delta=1", f"--mass={m}",
+            f"--sweep-start={eps}", f"--sweep-stop={eps}", "--sweep-count=2",
+        ])
+        assert code == 0
+        rho2 = Fraction(float(eps)) / (2 * Fraction(float(m)))
+        exact = exact_transmission(ConnectionParams(1, 1, 0, 1), rho2)
+        for line in out.splitlines()[1:]:
+            assert ulps_from(float(line.split(",")[1]), exact) <= 4
 
 
 class TestClassify:

@@ -3,13 +3,14 @@
 import cmath
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import EPS, random_connection
+from conftest import EPS, exact_transmission, random_connection, ulps_from
 from pointscatter import analysis, connection, dirac, schrodinger
 from pointscatter.connection import (
     as_matrix,
@@ -194,6 +195,32 @@ class TestFreeModeVectors:
             assert np.max(np.abs(a - b) / np.abs(b)) < 1e-7
 
 
+class TestRho2:
+    # E + m overflows in each: the ratio is formed from E/2 and m/2, where it used to be 0.
+    @pytest.mark.parametrize("E, m", [(1.7e308, 1e308), (1.5e308, 1e308), (sys.float_info.max, 1e308),
+                                      (sys.float_info.max, math.nextafter(sys.float_info.max, 0.0))])
+    def test_ratio_where_e_plus_m_overflows(self, E, m):
+        exact = (Fraction(E) - Fraction(m)) / (Fraction(E) + Fraction(m))
+        assert ulps_from(dirac.rho2(E, m), exact) <= 4
+
+    def test_column_where_e_plus_m_overflows_is_the_float_calls(self):
+        E, m = np.array([1.5e308, 1.7e308, 3.0]), np.array([1e308, 1e308, 1.0])
+        want = [dirac.rho2(e, mass) for e, mass in zip(E.tolist(), m.tolist())]
+        assert dirac.rho2(E, m).tolist() == want
+        assert dirac.rho2(E[:2], 1e308).tolist() == want[:2]
+
+    def test_transmission_where_e_plus_m_overflows(self):
+        p = connection.ConnectionParams(1, 0, 1, 1)
+        exact = exact_transmission(p, Fraction(7, 27))  # (1.7 - 1)/(1.7 + 1), as the floats hold it
+        assert ulps_from(transmission(p, 1.7e308, 1e308), exact) <= 4
+        assert abs(exact - Fraction(28, 55)) < Fraction(1, 10**15)
+
+    def test_free_modes_where_e_plus_m_overflows(self):
+        modes = free_mode_vectors(1.7e308, 1e308)
+        assert modes == connection.modes(math.sqrt(dirac.rho2(1.7e308, 1e308)))
+        assert modes.u_plus[1].imag * math.sqrt(2.0) == pytest.approx(math.sqrt(7 / 27), rel=4 * EPS)
+
+
 class TestBarrierLimit:
     def test_equal_strengths_give_delta_connection(self):
         assert np.array_equal(barrier_limit(BarrierParams(1.0, 1.0, 0.0)), delta_connection(2.0))
@@ -276,6 +303,14 @@ class TestFiniteBarrier:
     def test_rejects_an_array_of_half_widths(self, a):
         with pytest.raises(ValueError, match="half-width a must be a positive, finite scalar"):
             finite_barrier_transfer(BarrierParams(1.0, 0.0, 0.0), a, 2.0, 1.0)
+
+    # 2a, s/2a and v/2a overflow as numpy scalars here, in _barrier's guard.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [1e308, 5e-324], ids=["huge", "subnormal"])
+    def test_numpy_scalar_arguments_raise_without_a_warning(self, a):
+        args = map(np.float64, (a, 2.0, 1.0))
+        with pytest.raises(ValueError, match="is out of range: the finite barrier overflows"):
+            finite_barrier_transfer(BarrierParams(1.0, 2.0), *args)
 
     # A finite limit, but the finite barrier's cosh overflows at this half-width.
     @pytest.mark.parametrize("a", [21917.61871521], ids=["scalar"])

@@ -28,6 +28,7 @@ import cmath
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +184,65 @@ def test_correspondence_table_columns_are_the_scalar_transmissions(p, m, eps):
     ])
     t_d = np.array([dirac.transmission(p, m + e, m) for e in ordered])
     assert np.array_equal(table, np.column_stack((ordered, t_s, t_d, np.abs(t_s - t_d))))
+
+
+# Every positive finite double, subnormals included, with the ends of the normal range and
+# of the float range, and their neighbours, drawn as themselves.
+DBL_MIN, DBL_MAX = sys.float_info.min, sys.float_info.max
+FLOAT_EDGES = [5e-324, 1e-323, math.nextafter(DBL_MIN, 0.0), DBL_MIN, math.nextafter(DBL_MIN, 1.0),
+               DBL_MAX / 2, math.nextafter(DBL_MAX / 2, DBL_MAX), math.nextafter(DBL_MAX, 0.0), DBL_MAX]
+positive_doubles = st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(5e-324, DBL_MAX))
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(deadline=None)
+@given(pairs=st.lists(st.tuples(positive_doubles, positive_doubles), min_size=1, max_size=12))
+def test_rho_and_rho2_columns_are_the_float_calls_bit_for_bit(pairs):
+    m, k = map(np.array, zip(*pairs))
+    assert bits(schrodinger.rho(m, k)) == bits([schrodinger.rho(*pair) for pair in pairs])
+    pairs = [(max(pair), min(pair)) for pair in pairs if pair[0] != pair[1]]
+    assume(pairs)
+    E, m = map(np.array, zip(*pairs))
+    assert bits(dirac.rho2(E, m)) == bits([dirac.rho2(*pair) for pair in pairs])
+    # A column of energies over one mass, as correspondence_table passes them.
+    E = E[E > m[0]]
+    assert bits(dirac.rho2(E, m[0])) == bits([dirac.rho2(e, m[0]) for e in E.tolist()])
+
+
+def admits(m: float, eps: float) -> bool:
+    """correspondence_table accepts eps at m: m + eps is finite and not m."""
+    return m != m + eps < math.inf
+
+
+@settings(deadline=None)
+@given(p=gated_connections(), m=positive_doubles, eps=st.lists(positive_doubles, min_size=1, max_size=12))
+def test_correspondence_schrodinger_column_keeps_its_bits_where_two_m_eps_is_normal(p, m, eps):
+    eps = sorted(e for e in eps if admits(m, e) and DBL_MIN <= 2.0 * m * e < math.inf)
+    assume(eps)
+    # The column's expression before 2 m eps was checked, through k = sqrt(2 m eps).
+    with np.errstate(over="ignore"):
+        rho = np.sqrt(2.0 * m * np.array(eps)) / (2.0 * m)
+        want = transmission(p, rho * rho)
+    assert bits(correspondence_table(p, m, eps)[:, 1]) == bits(want)
+
+
+@settings(deadline=None)
+@given(p=gated_connections(), m=positive_doubles, eps=positive_doubles)
+@example(p=ConnectionParams(1, 1, 0, 1), m=1e-160, eps=1e-160)
+@example(p=ConnectionParams(1, 1, 0, 1), m=1e-300, eps=1e-300)
+@example(p=ConnectionParams(1, 1, 0, 1), m=1.0, eps=1e308)
+@example(p=ConnectionParams(1, 1, 0, 1), m=1e308, eps=1e307)
+@example(p=ConnectionParams(1, 1, 0, 1), m=1e-315, eps=1e-5)
+def test_correspondence_schrodinger_column_rounds_eps_over_two_m_once_elsewhere(p, m, eps):
+    assume(admits(m, eps) and not DBL_MIN <= 2.0 * m * eps < math.inf)
+    try:
+        rho2 = float(Fraction(eps) / (2 * Fraction(m)))  # correctly rounded
+    except OverflowError:
+        rho2 = math.inf
+    assert correspondence_table(p, m, [eps])[0, 1] == transmission(p, rho2)
 
 
 def assert_decompose_inverts_as_matrix(p):

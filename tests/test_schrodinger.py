@@ -56,6 +56,12 @@ class TestMediumTypes:
     def test_rho_accepts_infinite_wave_number(self):
         assert schrodinger.rho(1.0, math.inf) == math.inf
 
+    def test_rho_column_overflows_as_the_float_calls_without_a_warning(self):
+        m, k = np.array([1e-300, 1.0]), np.array([1e10, 2.0])
+        want = [schrodinger.rho(mass, wave) for mass, wave in zip(m.tolist(), k.tolist())]
+        assert want == [math.inf, 1.0]
+        assert schrodinger.rho(m, k).tolist() == want
+
     def test_rejects_infinite_mass(self):
         # rho(inf, k) = 0 passes the exterior check; the propagator would be NaN.
         with pytest.raises(ValueError, match="mass must be finite"):
