@@ -5,12 +5,12 @@ models approach their target connection, how the two frameworks'
 transmission probabilities track each other across kinetic energy, and the
 closed-form high-energy limits.  Matrix error is the Chebyshev norm (max
 componentwise modulus) so sweep values compare directly with per-entry
-tolerances.  The sweeps are columnar: each validates its input column
-once and evaluates its model in one call over the whole column, the
-call the scalar transfer-matrix functions are the 0-d case of.  A
-convergence sweep returns one Sweep: read-only float columns x and value
-and a label, which also reads as a sequence of SweepRow tuples built on
-demand.  A correspondence table is one float array, one row (eps,
+tolerances.  The sweeps are columnar: each validates its input column and
+medium, runs its model's kernel once over the whole column (the scalar
+transfer-matrix functions are its 0-d case) and checks the error column it
+forms.  A convergence sweep returns one Sweep: read-only float columns x
+and value and a label, which also reads as a sequence of SweepRow tuples
+built on demand.  A correspondence table is one float array, one row (eps,
 T_schrodinger, T_dirac, diff) per kinetic energy.
 """
 
@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import dirac, schrodinger
-from .connection import ConnectionParams, transmission
+from .connection import ConnectionParams, TransferMatrix, _entries, as_matrix, transmission
 from .dirac import BarrierParams
 
 __all__ = [
@@ -121,6 +121,20 @@ def _spacings(a_list: Iterable[float]) -> np.ndarray:
     return a
 
 
+def _error(a: np.ndarray, phase, entries, target: TransferMatrix, why: str) -> np.ndarray:
+    """The error column max_ij |phase * m_ij - target_ij| of a sweep over the column a.
+
+    Under the caller's np.errstate.  inf and NaN propagate through + and *, abs, np.maximum
+    and max, so one check is exact: ValueError names the largest a whose error is not finite.
+    """
+    d00, d01, d10, d11 = (np.abs(phase * m - t) for m, t in zip(entries, _entries(target)))
+    err = np.maximum(np.maximum(d00, d01), np.maximum(d10, d11))
+    if err.size and not math.isfinite(err.max()):
+        worst = a[~np.isfinite(err)].max()
+        raise ValueError(f"half-spacing a={float(worst)!r} is out of range: {why}")
+    return err
+
+
 def nonrel_convergence(
     p: ConnectionParams, m: float, k: float, a_list: Iterable[float]
 ) -> Sweep:
@@ -136,7 +150,15 @@ def nonrel_convergence(
     error is not finite.  Overflow raises no numpy warning.
     """
     a = _spacings(a_list)
-    return Sweep(a, schrodinger._convergence_error(p, m, k, a), "schrodinger")
+    # The medium before the scheme: a bad m or k outranks SingularRenormalization.
+    schrodinger.rho(m, k)
+    for name, value in (("mass m", m), ("wave number k", k)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value!r} must be finite for a convergence sweep")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase, entries = schrodinger._three_delta(a, m, k, *schrodinger._strengths(p, a, m))
+        err = _error(a, phase, entries, as_matrix(p), "the three-delta products overflow")
+    return Sweep(a, err, "schrodinger")
 
 
 def dirac_convergence(
@@ -150,7 +172,11 @@ def dirac_convergence(
     largest a whose error is not finite.  Overflow raises no numpy warning.
     """
     a = _spacings(a_list)
-    return Sweep(a, dirac._convergence_error(b, E, m, a), "dirac")
+    dirac._require_exterior(m, E)
+    target = dirac.barrier_limit(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = _error(a, *dirac._barrier(b, a, E, m), target, "the finite barrier overflows")
+    return Sweep(a, err, "dirac")
 
 
 def correspondence_table(

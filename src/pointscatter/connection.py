@@ -221,8 +221,8 @@ def _from_scalars(phase, entries, message: str, *args) -> np.ndarray:
 
     The one builder of every transfer-matrix kernel.  ValueError(message %
     args), formatted only then, unless the phase and every entry are
-    finite.  It owns no np.errstate: Python's scalars overflow silently,
-    the Dirac kernels' numpy ones under dirac._propagate's and _barrier's.
+    finite.  It owns no np.errstate: the kernels' float arguments overflow
+    silently, and the Dirac kernels' numpy arithmetic under dirac._propagate's.
     The kernels' entries are real up to rounding or have a real part in
     [-1, 1], so a unit phase leaves a finite entry finite.
     """
@@ -230,24 +230,6 @@ def _from_scalars(phase, entries, message: str, *args) -> np.ndarray:
         raise ValueError(message % args)
     # Still an array multiply: numpy's may round unlike a scalar complex multiply.
     return phase * np.array(entries, dtype=complex).reshape(2, 2)
-
-
-def _sweep_error(a: np.ndarray, phase, entries, target: TransferMatrix, why: str) -> np.ndarray:
-    """The column max_ij |phase * m_ij - target_ij| of a convergence sweep over the column a.
-
-    The column counterpart of _from_scalars: each product is an array
-    multiply, and ValueError names the largest a at an error that is not
-    finite.  inf and NaN propagate through the kernels' + and *, abs,
-    np.maximum and ndarray.max, so checking after the kernel is exact; the
-    failing entries are looked up only then.  The caller's np.errstate
-    keeps the column arithmetic's overflow silent.
-    """
-    d00, d01, d10, d11 = (np.abs(phase * m - t) for m, t in zip(entries, _entries(target)))
-    err = np.maximum(np.maximum(d00, d01), np.maximum(d10, d11))
-    if err.size and not math.isfinite(err.max()):
-        worst = a[~np.isfinite(err)].max()
-        raise ValueError(f"half-spacing a={float(worst)!r} is out of range: {why}")
-    return err
 
 
 def delta_connection(v: float) -> TransferMatrix:

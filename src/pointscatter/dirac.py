@@ -20,7 +20,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix
-from .connection import _from_scalars, _require_finite_fields, _sweep_error
+from .connection import _from_scalars, _require_finite_fields
 
 __all__ = [
     "DiracMedium",
@@ -141,7 +141,7 @@ def _propagate(x, w_plus, w_minus, A):
     w*x may be inf*0.  Each branch only sees its own elements' arguments
     (the others get 0), so a cosh that would overflow where another branch
     is taken is never evaluated.  It owns the Dirac kernels' np.errstate:
-    overflow stays silent here, for _from_scalars or _sweep_error to reject.
+    overflow stays silent here, for _from_scalars or analysis._error to reject.
     """
     product = w_plus * w_minus
     nonzero = x != 0.0
@@ -168,6 +168,7 @@ def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     """
     if np.ndim(x):
         raise ValueError("displacement x must be a scalar")
+    x = float(x)
     return _from_scalars(*_propagate(x, med.k_plus, med.k_minus, med.A),
                          "displacement x=%r is out of range: the propagator overflows", x)
 
@@ -235,30 +236,17 @@ def finite_barrier_transfer(b: BarrierParams, a: float, E: float, m: float) -> T
     if np.ndim(a) or not 0.0 < a < math.inf:
         raise ValueError("half-width a must be a positive, finite scalar")
     _require_exterior(m, E)
+    a, E, m = float(a), float(E), float(m)
     return _from_scalars(
         *_barrier(b, a, E, m), "half-spacing a=%r is out of range: the finite barrier overflows", a
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as _propagate: 2a, s/2a, v/2a of numpy scalars too
 def _barrier(b: BarrierParams, a, E: float, m: float):
-    """Phase and entries of finite_barrier_transfer, for checked arguments."""
+    """Phase and entries of finite_barrier_transfer, for checked floats or a column a under np.errstate."""
     x = 2.0 * a
     k_plus, k_minus = _coefficients(m, E, b.s / x, b.v / x)
     return _propagate(x, k_plus, k_minus, b.theta / x)
-
-
-def _convergence_error(b: BarrierParams, E: float, m: float, a: np.ndarray) -> np.ndarray:
-    """The column of analysis.dirac_convergence, for a column a as analysis._spacings gives it.
-
-    a is a 1-d float column, positive, finite and largest first, possibly
-    empty.  Overflow is left to IEEE arithmetic, without a numpy warning,
-    and the error column is checked afterwards.
-    """
-    _require_exterior(m, E)
-    target = barrier_limit(b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _sweep_error(a, *_barrier(b, a, E, m), target, "the finite barrier overflows")
 
 
 def transmission(p: ConnectionParams, E: float, m: float) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import connection
-from .connection import ConnectionParams, ModePair, TransferMatrix, as_matrix
-from .connection import _from_scalars, _require_finite_fields, _sweep_error
+from .connection import ConnectionParams, ModePair, TransferMatrix
+from .connection import _from_scalars, _require_finite_fields
 
 __all__ = [
     "NonRelMedium",
@@ -115,6 +115,7 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     """
     if np.ndim(x):
         raise ValueError("displacement x must be a scalar")
+    x = float(x)
     phase, entries = _hop(x, med.m, med.k, med.A)
     return _from_scalars(phase, entries, "displacement x=%r is out of range: the propagator overflows", x)
 
@@ -132,10 +133,12 @@ def rho(m: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("mass must be positive")
     if not (k > 0.0 if floats else np.all(k > 0.0)):
         raise ValueError("wave number must be positive (scattering states only)")
+    # Where 2m overflows, k/2m is (k/2)/m, rounded once: k/2 is exact unless k/2m rounds to 0.
     if floats:
-        return k / (2.0 * m)
-    with np.errstate(over="ignore"):  # to inf, as Python's floats overflow silently
-        return k / (2.0 * m)
+        return k / (2.0 * m) if 2.0 * m < math.inf else 0.5 * k / m
+    with np.errstate(over="ignore", invalid="ignore"):  # to inf as floats do; NaN at m = k = inf
+        fits = 2.0 * m < math.inf
+        return k / (2.0 * m) if np.all(fits) else np.where(fits, k / (2.0 * m), 0.5 * k / m)[()]
 
 
 def mode_vectors(med: NonRelMedium) -> ModePair:
@@ -279,23 +282,6 @@ def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTrip
         raise ValueError("half-spacing a must be positive")
     v_plus, v_zero, v_minus, A = _strengths(p, a, m)
     return DeltaTriple(v_plus, v_zero, v_minus, a, A)
-
-
-def _convergence_error(p: ConnectionParams, m: float, k: float, a: np.ndarray) -> np.ndarray:
-    """The column of analysis.nonrel_convergence, for a column a as analysis._spacings gives it.
-
-    a is a 1-d float column, positive, finite and largest first, possibly
-    empty.  Overflow is left to IEEE arithmetic, without a numpy warning,
-    and the error column is checked afterwards.
-    """
-    # The medium before the scheme: a bad m or k outranks SingularRenormalization.
-    rho(m, k)
-    for name, value in (("mass m", m), ("wave number k", k)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name}={value!r} must be finite for a convergence sweep")
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase, entries = _three_delta(a, m, k, *_strengths(p, a, m))
-        return _sweep_error(a, phase, entries, as_matrix(p), "the three-delta products overflow")
 
 
 def transmission(p: ConnectionParams, med: NonRelMedium) -> float:

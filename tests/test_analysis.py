@@ -417,18 +417,6 @@ class TestSweepInputContract:
         "dirac": lambda a_list: dirac_convergence(BarrierParams(1.0, 0.5, 0.2), 2.0, 1.0, a_list),
     }
 
-    @pytest.mark.parametrize(
-        "error",
-        [
-            lambda a: schrodinger._convergence_error(ConnectionParams(2, 1, 1, 1, 0.3), 1.0, 1.0, a),
-            lambda a: dirac._convergence_error(BarrierParams(1.0, 0.5, 0.2), 2.0, 1.0, a),
-        ],
-        ids=["schrodinger", "dirac"],
-    )
-    def test_empty_column_gives_empty_errors(self, error):
-        err = error(np.empty(0))
-        assert err.shape == (0,) and err.dtype == np.float64
-
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     def test_empty_sweep_has_no_rows(self, sweep):
         empty = self.SWEEPS[sweep]([])

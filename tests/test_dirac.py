@@ -304,7 +304,7 @@ class TestFiniteBarrier:
         with pytest.raises(ValueError, match="half-width a must be a positive, finite scalar"):
             finite_barrier_transfer(BarrierParams(1.0, 0.0, 0.0), a, 2.0, 1.0)
 
-    # 2a, s/2a and v/2a overflow as numpy scalars here, in _barrier's guard.
+    # Numpy scalar arguments compute as floats: 2a, s/2a and v/2a overflow silently.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("a", [1e308, 5e-324], ids=["huge", "subnormal"])
     def test_numpy_scalar_arguments_raise_without_a_warning(self, a):

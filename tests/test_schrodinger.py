@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,13 +56,24 @@ class TestMediumTypes:
             NonRelMedium(m=m, k=k)
 
     def test_rho_accepts_infinite_wave_number(self):
-        assert schrodinger.rho(1.0, math.inf) == math.inf
+        assert schrodinger.rho(1.0, math.inf) == schrodinger.rho(1e308, math.inf) == math.inf
 
     def test_rho_column_overflows_as_the_float_calls_without_a_warning(self):
-        m, k = np.array([1e-300, 1.0]), np.array([1e10, 2.0])
+        m, k = np.array([1e-300, 1.0, 1e308, 1e308]), np.array([1e10, 2.0, 1.0, math.inf])
         want = [schrodinger.rho(mass, wave) for mass, wave in zip(m.tolist(), k.tolist())]
-        assert want == [math.inf, 1.0]
+        assert want == [math.inf, 1.0, 5e-309, math.inf]
         assert schrodinger.rho(m, k).tolist() == want
+
+    # Where 2m overflows (m > DBL_MAX/2), k/2m is formed without that product,
+    # rounded once: Fraction's exact quotient, rounded to the nearest float.
+    @pytest.mark.parametrize("m", [1.0, 1e300, sys.float_info.max / 2.0, 2.0**1023, 1e308,
+                                   sys.float_info.max])
+    def test_rho_is_k_over_2m_rounded_once(self, m):
+        ks = [5e-324, 1e-310, 1e-300, 0.3, 1.0, 3.0, 1e300, 1.7976931348623157e308]
+        want = [float(Fraction(k) / (2 * Fraction(m))) for k in ks]
+        assert [schrodinger.rho(m, k) for k in ks] == want
+        assert schrodinger.rho(np.full(len(ks), m), np.array(ks)).tolist() == want
+        assert schrodinger.rho(m, np.array(ks)).tolist() == want
 
     def test_rejects_infinite_mass(self):
         # rho(inf, k) = 0 passes the exterior check; the propagator would be NaN.
@@ -120,6 +133,14 @@ class TestPropagator:
     def test_overflowing_entries_raise(self, med):
         with pytest.raises(ValueError, match=r"displacement x=0\.5 is out of range: the propagator overflows"):
             propagator(0.5, med)
+
+    # A numpy scalar x computes as a float: k x overflows silently, as Python's floats do.
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_scalar_displacement_raises_without_a_warning(self):
+        with pytest.raises(ValueError, match=r"displacement x=1e\+300 is out of range"):
+            propagator(np.float64(1e300), NonRelMedium(1.0, 1e10))
+        med = NonRelMedium(1.3, 0.7, 2.1)
+        assert propagator(np.float64(0.3), med).tobytes() == propagator(0.3, med).tobytes()
 
 
 class TestModeVectors:
