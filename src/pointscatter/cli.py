@@ -55,14 +55,16 @@ _VELTKAMP = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
 # Rounding X = |v| * 10^p for p > 22 is left to "%.17g" when the computed
 # remainder lies within this of a half-integer; see _cells.
 _TIE_MARGIN = 2.0**-46
-_BLOCK_ROWS = 384  # rows per pass: bounds the size of the temporaries
+_BLOCK_VALUES = 2048  # values per pass, in whole rows: no temporary exceeds 64 KiB
 
-# Every value owns _SLOTS character slots, and a keep mask picks the ones
-# it prints: 0 "-", 1-5 "0.000" (fixed notation below 1), digit j at 6 + 2j
-# (j = 0..16) with a "." after it at 7 + 2j (j = 0..15), 39-43 "e-ddd",
-# 44 the separator, 45-47 padding to a whole number of 8-byte words.
-_SLOTS = 48
-_TEMPLATE = b"-0.000" + b"0." * 16 + b"0e-000\n   "
+# Every value owns a 32-byte cell of four little-endian words and prints
+# its bytes that are not NUL: 0 "-", 1-5 "0.000" (fixed notation below 1),
+# 6-23 the digits, 24-28 "e-ddd", 29 the separator.  The 17 digits are
+# written as 18, with a placeholder 1 where the point goes: after digit k
+# in fixed notation at 0 <= k <= 16, after the first in exponent notation,
+# before the first after "0.000".  It keeps the stripping of trailing zeros
+# off the integer digits, then turns into the point if a digit follows it.
+_CELL = 32
 
 
 def _veltkamp(x):
@@ -85,44 +87,33 @@ def _layout():
     # 10^p = head + tail within 2^-53 |tail|; tail is 0 where p <= 22.
     tail = np.array([float(q - int(f)) for q, f in zip(powers, head.tolist())])
     margin = np.where(tail != 0.0, _TIE_MARGIN, 0.0)
-    k = np.append(k, 0)[:, None]
-    slot = np.arange(_SLOTS)
-    digit = (slot >= 6) & (slot <= 38) & (slot % 2 == 0)
-    point = (slot >= 7) & (slot <= 37) & (slot % 2 == 1)
-    keep = np.tile(digit | (slot == 44), (k.size, 1))
-    keep |= (k >= 0) & (k < 16) & (slot == 7 + 2 * k)  # the point after digit k
-    keep |= (k < 0) & (k >= -4) & ((slot == 1) | (slot == 2) | ((slot >= 7 + k) & (slot <= 5)))
-    keep |= (k < -4) & ((slot == 7) | (slot == 39) | (slot == 40) | (slot >= 42) & (slot <= 43))
-    keep |= (k <= -100) & (slot == 41)
-    keep[-1] = (slot == 44) | ((slot >= 1) & (slot <= 5))
-    chars = np.tile(np.frombuffer(_TEMPLATE, np.uint8), (k.size, 1))
-    e = -k[:-1, 0]
-    chars[:-1, 41:44] = np.stack((e // 100, e // 10 % 10, e % 10), axis=1) + ord("0")
-    chars[-1, 1:6] = np.frombuffer(b"%.17g", np.uint8)
-    # Only fraction digits are ever stripped: 16 - k of them in fixed
-    # notation at k >= 0, all 16 after the leading digit otherwise.
-    fraction = np.append(16 - np.clip(k[:-1, 0], 0, 16), 0)
-    # strip[s] drops the last s digits and the points before them.
-    s = np.arange(17)[:, None]
-    strip = ~(digit & (slot >= 40 - 2 * s) | point & (slot >= 39 - 2 * s))
-    # quads[i] is the four digits of i as one 4-byte word.
-    i = np.arange(10000, dtype=np.uint16)
-    quads = np.empty((i.size, 4), np.uint8)
-    for j, scale in enumerate((1000, 100, 10, 1)):
-        quads[:, j] = i // scale % 10 + ord("0")
-    return (head, tail, *_veltkamp(head), margin, chars.view(np.uint64),
-            keep.view(np.uint64), fraction, strip.view(np.uint64), quads.view(np.uint32).ravel())
+    # Per row: words 0 and 3 of the cell without the digits and the sign;
+    # 10^(16 - s) and 9 times it, where the placeholder follows digit s
+    # (s = -1: none); its byte 7 + s; the byte that decides the point.
+    prefix = [b"0." + b"0" * (-1 - e) if -5 < e < 0 else b"" for e in k.tolist()] + [b"%.17g"]
+    suffix = [b"e-%02d" % -e if e < -4 else b"" for e in k.tolist()] + [b""]
+    front = np.array([int.from_bytes(f.rjust(6, b"\0"), "little") for f in prefix], np.uint64)
+    back = np.array([int.from_bytes(b, "little") for b in suffix], np.uint64)
+    s = np.append(np.where(k < -4, 0, np.where(k < 0, -1, k)), -1)
+    # quads[z * 10^4 + i] is the four digits of i as a 4-byte word, at z = 1
+    # (no later group has a digit not 0) with NUL for its trailing zeros;
+    # tops[z * 100 + t] the last two in bytes 6-7, and at 200 more with "-".
+    i, scale = np.arange(10**4, dtype=np.int16)[:, None], np.array([1000, 100, 10, 1], np.int16)
+    digits = (i // scale % 10 + ord("0")).astype(np.uint8)
+    quads = np.stack((digits, digits * (i % (10 * scale) != 0))).view("<u4").ravel()
+    tops = quads.reshape(2, -1)[:, :100].astype(np.uint64).ravel() >> 16 << 48
+    return (head, tail, *_veltkamp(head), margin, front, back, 10 ** (16 - s), 9 * 10 ** (16 - s),
+            7 + s, np.where(s < 0, _CELL - 1, 8 + s), np.append(tops, tops | ord("-")), quads)
 
 
-def _cells(v: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of v's cells, each ended by its entry of seps, and where v fell back.
+def _cells(v: np.ndarray, seps: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The text of v's cells, each ended by its entry of seps, and where v fell back.
 
     A fallback cell reads "%.17g", for _csv to fill in.
     """
-    head, tail, head_hi, head_lo, margin, chars, keep, fraction, strip, quads = _layout()
+    head, tail, head_hi, head_lo, margin, front, back, split, gap, point, after, tops, quads = _layout()
     a = np.abs(v)
-    with np.errstate(divide="ignore"):
-        k = np.floor(np.log10(a))
+    k = np.floor(np.log10(a))  # -inf at 0: _csv ignores the division by zero
     fast = (k >= _K_MIN) & (k <= 16)  # False for 0, NaN, inf and subnormals
     row = np.where(fast, k, 0.0).astype(np.intp) - _K_MIN
     x = np.where(fast, a, 1.0)
@@ -148,23 +139,35 @@ def _cells(v: np.ndarray, seps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # back too.  hi - 1e16 is exact wherever the sum is near m.
     fast &= (hi - 1e16) + r >= m
     n = hi.astype(np.int64) + near.astype(np.int64)
+    del a, k, x, hi, xh, xl, bh, bl, lo, r, near, m
     fast &= n < 10**17
-    row[~fast] = head.size
-    lead, rest = np.divmod(n, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
-    quad = np.stack((*np.divmod(upper, 10**4), *np.divmod(lower, 10**4)), axis=1)
-    digits = np.empty((v.size, 17), np.uint8)
-    digits[:, 0] = lead + ord("0")
-    digits[:, 1:] = quads.take(quad).view(np.uint8).reshape(-1, 16)
-    # The leading digit is never "0", so argmax always finds a digit.
-    zeros = np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    cells = chars.take(row, axis=0).view(np.uint8)
-    cells[:, 6:39:2] = digits
-    cells[:, 44] = seps
-    stripped = np.minimum(zeros, fraction.take(row))
-    mask = (keep.take(row, axis=0) & strip.take(stripped, axis=0)).view(bool)
-    mask[:, 0] = fast & (v < 0.0)
-    return np.compress(mask.ravel(), cells.ravel()), ~fast
+    slow = ~fast
+    row[slow] = head.size
+    n[slow] = 0
+    # N with the placeholder after digit s is N + (9 I + 1) 10^(16 - s), at
+    # I = N // 10^(16 - s): two digits from tops, four groups of four from quads.
+    at = split.take(row)
+    n += n // at * gap.take(row) + at
+    groups, last = [], True
+    for _ in range(4):
+        q = n // 10**4
+        n -= q * 10**4
+        np.add(n, 10**4, out=n, where=last)
+        groups.append(n)
+        last, n = n == 10**4, q
+    np.add(n, 100, out=n, where=last)
+    np.add(n, 200, out=n, where=fast & (v < 0.0))
+    cells = np.empty((v.size, _CELL // 8), "<u8")
+    cells[:, 0] = front.take(row) | tops.take(n)
+    cells[:, 3] = back.take(row) | seps
+    for j, group in enumerate(groups):
+        cells.view("<u4")[:, 5 - j] = quads.take(group)
+    del n, q, groups
+    # The placeholder turns into the point where a digit follows it.
+    text = cells.view(np.uint8).ravel()
+    base = np.arange(0, text.size, _CELL)
+    text[point.take(row) + base] = (text.take(after.take(row) + base) != 0) * np.uint8(ord("."))
+    return text.tobytes().translate(None, b"\0"), slow
 
 
 def _csv(header: str, table: np.ndarray) -> str:
@@ -172,25 +175,24 @@ def _csv(header: str, table: np.ndarray) -> str:
 
     Every value is written as format(x, ".17g"): 17 significant digits
     round-trip any double exactly.  numpy forms the digits of every finite
-    value with 1e-280 <= |x| < 1e17 by exact arithmetic, a few hundred rows
-    at a time (_cells); the values it cannot decide, and all others (0, NaN,
-    inf, subnormals, huge and tiny magnitudes), are formatted by "%.17g"
-    itself in one % pass over the body.
+    value with 1e-280 <= |x| < 1e17 by exact arithmetic, _BLOCK_VALUES at a
+    time (_cells); "%.17g" itself formats the values it cannot decide, and
+    all others (0, NaN, inf, subnormals, huge and tiny magnitudes), in one
+    % pass over the text of each block that has any.
     """
     rows, cols = table.shape
     values = np.ascontiguousarray(table, dtype=float).ravel()
-    seps = np.tile(np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8), _BLOCK_ROWS)
-    step = _BLOCK_ROWS * cols
-    blocks, fallback = [], []
-    for start in range(0, values.size, step):
-        block = values[start : start + step]
-        text, slow = _cells(block, seps[: block.size])
-        blocks.append(text.tobytes().decode("ascii"))
-        fallback += block[slow].tolist()
-    body = "".join(blocks)
-    if fallback:
-        body %= tuple(fallback)
-    return header + "\n" + body
+    step = max(1, _BLOCK_VALUES // cols) * cols
+    seps = np.tile(np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint64) << 40, step // cols)
+    text = [header, "\n"]
+    with np.errstate(divide="ignore"):
+        for start in range(0, values.size, step):
+            block = values[start : start + step]
+            cells, slow = _cells(block, seps[: block.size])
+            if slow.any():
+                cells %= tuple(block[slow].tolist())
+            text.append(cells.decode("ascii"))
+    return "".join(text)
 
 
 def _connection_from_args(args: argparse.Namespace) -> ConnectionParams:
@@ -229,8 +231,7 @@ def cmd_transmission(args: argparse.Namespace) -> str:
     p = _connection_from_args(args)
     x = np.array(_sweep_values(args))
     if args.framework == "schrodinger":
-        rho = schrodinger.rho(args.mass, x)
-        t2 = transmission(p, rho * rho)
+        t2 = schrodinger._transmission(p, args.mass, x)
     else:
         t2 = transmission(p, dirac.rho2(x, args.mass))
     return _csv("x,T2,R2", np.column_stack((x, t2, 1.0 - t2)))
@@ -389,10 +390,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # numpy warns on some accepted inputs too: a Schrodinger transmission
-        # sweep's rho * rho overflows to the limit rho^2 = inf, and T = 0, with
-        # a warning.  The block keeps those off stderr, and the ones that would
-        # precede the error line of a rejected input.
+        # numpy can warn before an input is refused: a linear sweep whose
+        # endpoints differ by more than the float range forms inf * 0 = NaN.
+        # The block keeps such warnings off stderr, ahead of the error line.
         with np.errstate(all="ignore"):
             text = args.func(args)
     except SingularRenormalization as exc:

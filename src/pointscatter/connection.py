@@ -369,18 +369,7 @@ def transmission(p: ConnectionParams, rho2: float | np.ndarray) -> float | np.nd
     bad = ~(rho2 >= 0.0)
     if bad.any():
         raise ValueError(f"rho2 must be non-negative, got {float(rho2[bad][0])!r}")
-    bracket = np.full(rho2.shape, p.alpha * p.alpha + p.delta * p.delta + 2.0)
-    # Overflow and x/0 give the IEEE values wanted; numpy would only warn.
-    with np.errstate(all="ignore"):
-        if p.beta != 0.0:
-            bb = p.beta * p.beta
-            bracket += bb * rho2 if bb < math.inf else np.square(p.beta * np.sqrt(rho2))
-        if p.gamma != 0.0:
-            gg = p.gamma * p.gamma
-            bracket += gg / rho2 if gg < math.inf else np.square(p.gamma / np.sqrt(rho2))
-        t = 4.0 / bracket
-    # min(1.0, t) keeps 1.0 unless t < 1.0, NaN included.
-    t = np.where(t < 1.0, t, 1.0)
+    t = _transmission(p.alpha, p.beta, p.gamma, p.delta, rho2)
     # The endpoint limits are masked, not left to IEEE arithmetic: a beta^2
     # or gamma^2 that underflows to 0 would give 0 * inf or 0 / 0 there.
     if p.beta != 0.0:
@@ -388,6 +377,27 @@ def transmission(p: ConnectionParams, rho2: float | np.ndarray) -> float | np.nd
     if p.gamma != 0.0:
         t[rho2 == 0.0] = 0.0
     return t if t.ndim else float(t)
+
+
+def _transmission(alpha, beta, gamma, delta, rho2: np.ndarray) -> np.ndarray:
+    """transmission's 4 / bracket, at most 1, over a checked rho2 array, endpoints unmasked.
+
+    The entries need not have determinant 1: schrodinger._transmission
+    scales beta and gamma by 2^d and 2^-d, which rounds where either term
+    is then negligible or infinite.
+    """
+    bracket = np.full(rho2.shape, alpha * alpha + delta * delta + 2.0)
+    # Overflow and x/0 give the IEEE values wanted; numpy would only warn.
+    with np.errstate(all="ignore"):
+        if beta != 0.0:
+            bb = beta * beta
+            bracket += bb * rho2 if bb < math.inf else np.square(beta * np.sqrt(rho2))
+        if gamma != 0.0:
+            gg = gamma * gamma
+            bracket += gg / rho2 if gg < math.inf else np.square(gamma / np.sqrt(rho2))
+        t = 4.0 / bracket
+    # min(1.0, t) keeps 1.0 unless t < 1.0, NaN included.
+    return np.where(t < 1.0, t, 1.0)
 
 
 def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,5 +287,34 @@ def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTrip
 
 def transmission(p: ConnectionParams, med: NonRelMedium) -> float:
     """connection.transmission through p at rho = k/2m; independent of theta and med.A."""
-    r = rho(med.m, med.k)
-    return connection.transmission(p, r * r)
+    return _transmission(p, med.m, med.k)
+
+
+def _transmission(p: ConnectionParams, m: float | np.ndarray, k: float | np.ndarray):
+    """transmission entry-wise over arrays m and k, also where rho^2 is not normal.
+
+    Below about 1.5e-154 and above 1.3e154, rho^2 rounds to a subnormal, 0
+    or inf and loses beta^2 rho^2 or gamma^2 / rho^2.  Where rho is positive
+    and finite there, rho = r 2^d, with r the ratio of k's and m's mantissas,
+    rounded once, and the terms are those of beta 2^d and gamma 2^-d at r^2:
+    powers of two keep beta*gamma, and so T.  Everywhere else T is
+    connection.transmission(p, rho * rho), bit for bit.
+    """
+    r = np.asarray(rho(m, k))
+    with np.errstate(over="ignore"):
+        r2 = r * r
+    t = connection.transmission(p, r2)
+    normal = (r2 >= sys.float_info.min) & (r2 < math.inf)
+    odd = np.flatnonzero(~normal & (r > 0.0) & (r < math.inf))
+    if odd.size == 0:
+        return t
+    t, ms, ks = np.array(t), np.broadcast_to(m, r.shape).ravel(), np.broadcast_to(k, r.shape).ravel()
+    # Rare entries, one at a time: each has its own d.  An ldexp that
+    # overflows gives T = 0; one that underflows, a term below 2^-2000.
+    with np.errstate(over="ignore"):
+        for i in odd.tolist():
+            (fk, ek), (fm, em) = math.frexp(ks[i]), math.frexp(ms[i])
+            d, q = ek - em - 1, fk / fm
+            b, g = np.ldexp(p.beta, d), np.ldexp(p.gamma, -d)
+            t.flat[i] = connection._transmission(p.alpha, b, g, p.delta, np.array(q * q))
+    return t if t.ndim else float(t)

@@ -1,6 +1,7 @@
 """Command-line contract: CSV shape, round-trip formatting, exit codes."""
 
 import argparse
+import hashlib
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -121,6 +122,20 @@ class TestTransmission:
         ])
         assert code == 0
         assert out.splitlines()[1:] == ["9.9999999999999998e-171,0,1", "1,0.5,0.5"]
+
+    def test_schrodinger_rows_whose_rho_squared_underflows(self, capsys):
+        # rho = k/2m is near 5e-309, and rho^2 underflows to 0: both rows
+        # printed T2 = 0, R2 = 1 for T2 near 1e-16 and 4e-16.
+        code, out, _ = run_cli(capsys, [
+            "transmission", "--alpha=1", "--beta=0", "--gamma=1e-300", "--delta=1",
+            "--framework=schrodinger", "--mass=1e308", "--sweep-start=1", "--sweep-stop=2",
+            "--sweep-count=2",
+        ])
+        assert code == 0
+        p, m = ConnectionParams(1, 0, 1e-300, 1), Fraction(1e308)
+        for line in out.splitlines()[1:]:
+            k, t2, _ = map(float, line.split(","))
+            assert ulps_from(t2, exact_transmission(p, (Fraction(k) / (2 * m)) ** 2)) <= 4
 
     def test_dirac_energies_where_e_plus_m_overflows(self, capsys):
         # Both rows printed T2 = 0, R2 = 1.
@@ -598,6 +613,34 @@ CONVERGE_PINNED = {
 }
 
 
+# 2500-row calls of the three kinds the benchmark's cli_sweeps workload makes,
+# with the flags it draws for seed 201, and the sha256 of each output,
+# recorded before the CSV formatter's cells were narrowed to 32 bytes.
+SWEEP_PINNED = {
+    "transmission-schrodinger": (
+        ["transmission", "--framework", "schrodinger", "--alpha=1.6938096341144915",
+         "--beta=-0.04885152143898963", "--gamma=87.90677805142211", "--delta=-1.9449528366473263",
+         "--theta=0.0", "--mass=0.16404467157551883", "--sweep-start=0.0059356665897398655",
+         "--sweep-stop=4.569426815615888", "--sweep-count=2500", "--spacing=linear"],
+        "c5f0b6093d48069f2c4da611bc3221f065c7f987859e30805ff8f60cbb8a901f",
+    ),
+    "transmission-dirac": (
+        ["transmission", "--framework", "dirac", "--alpha=0.589798639104362", "--beta=0.0",
+         "--gamma=0.2366889598972004", "--delta=1.695493908766132", "--theta=-0.16251109221151872",
+         "--mass=7.037270583627617", "--sweep-start=7.693356579047785",
+         "--sweep-stop=93.74333497487383", "--sweep-count=2500", "--spacing=log"],
+        "835d31f8b1035ae40a4239f593aa33c513d022e74e3e81e5688fd2b6ad1a893d",
+    ),
+    "compare": (
+        ["compare", "--alpha=-0.832423867838684", "--beta=0.0", "--gamma=-0.6952617242129633",
+         "--delta=-1.2013110611501479", "--theta=0.0", "--mass=2.506010881532253",
+         "--sweep-start=0.0002789690673627704", "--sweep-stop=182447.04853818307",
+         "--sweep-count=2500", "--spacing=log"],
+        "53ac5670246af7438583db112a7f81e27fd7b52bc10ee285482ceb886da607f1",
+    ),
+}
+
+
 class TestDocumentedExamples:
     @pytest.mark.parametrize("name", sorted(DOCUMENTED_EXAMPLES))
     def test_bytes_unchanged(self, capsys, name):
@@ -614,6 +657,13 @@ class TestDocumentedExamples:
         code, out, _ = run_cli(capsys, ["converge", *sweep, *flags])
         assert code == 0
         assert out == want
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_PINNED))
+    def test_sweep_bytes_unchanged(self, capsys, name):
+        argv, want = SWEEP_PINNED[name]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == want
 
     def test_converge_rows_within_rounding(self, capsys):
         # The error column is a difference of O(1) entries of a product whose
@@ -763,6 +813,37 @@ class TestOnePassFormatting:
                     2.2250738585072014e-308, 1.7976931348623157e308]
         self.assert_each_value_formatted(specials, subnormals)
         assert cli._csv("a", np.array([[-0.0], [math.nan], [-math.inf]])) == "a\n-0\nnan\n-inf\n"
+
+
+class TestBlocks:
+    """_csv's bytes must not depend on how many values _cells takes at a time."""
+
+    @staticmethod
+    def table(rows, cols):
+        # Fallback values (zeros, NaN, infinities, subnormals, and exact ties
+        # past 10^22, m / 2^24 and m / 2^25 with 18 digits ending in 5) at
+        # random places, so in several blocks, and in the last three cells.
+        rng = np.random.default_rng(11)
+        values = 10.0 ** rng.uniform(-12, 18, rows * cols) * rng.choice([-1.0, 1.0], rows * cols)
+        ties = [m / 2.0**24 for m in range(3, 17, 2)] + [1 / 2.0**25, 3 / 2.0**25]
+        specials = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308]
+        specials += ties + [-t for t in ties]
+        values[rng.choice(values.size - 3, 4 * len(specials), replace=False)] = specials * 4
+        values[-3:] = specials[2:5]
+        return values.reshape(rows, cols)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, None, 10**6])
+    @pytest.mark.parametrize("cols", [3, 1])
+    def test_bytes_do_not_depend_on_the_block_size(self, monkeypatch, block, cols):
+        if block is not None:
+            monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
+        table = self.table(4500 // cols, cols)
+        header = ",".join("abc"[:cols])
+        want = [header] + [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
+        assert cli._csv(header, table).split("\n") == want + [""]
+
+    def test_empty_table_is_the_header_line(self):
+        assert cli._csv("a,b,c", np.empty((0, 3))) == "a,b,c\n"
 
 
 class TestSweepValues:

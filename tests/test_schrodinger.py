@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import closed_form_transfer, random_connection
+from conftest import closed_form_transfer, exact_transmission, random_connection, ulps_from
 from pointscatter import connection, schrodinger
 from pointscatter.connection import ConnectionParams, as_matrix, conserves_current, scatter
 from pointscatter.schrodinger import (
@@ -329,6 +329,17 @@ class TestTransmission:
         survivor, reflected = (gamma_zero, beta_zero) if k < 1.0 else (beta_zero, gamma_zero)
         assert transmission(survivor, med) == 0.64
         assert 0.0 <= transmission(reflected, med) < 1e-300
+
+    def test_rho_whose_square_is_not_a_normal_float(self):
+        # rho = 1/2e308 = 5e-309, and rho^2 underflows to 0: T is about 1e-16,
+        # from gamma^2/rho^2 = 4e16, not the rho^2 = 0 limit 0.  At k = 2e155,
+        # rho^2 = 1e310 overflows: T = 1 - 2.5e-11, from beta^2 rho^2, not 0.
+        # Each term takes a few roundings, so T is within 4 ulps of exact.
+        cases = [(ConnectionParams(1, 0, 1e-300, 1), 1e308, 1.0),
+                 (ConnectionParams(1, 1e-160, 0, 1), 1.0, 2e155)]
+        for p, m, k in cases:
+            exact = exact_transmission(p, (Fraction(k) / (2 * Fraction(m))) ** 2)
+            assert ulps_from(transmission(p, NonRelMedium(m=m, k=k)), exact) <= 4
 
     def test_matches_scatter_probabilities(self):
         rng = np.random.default_rng(67)
