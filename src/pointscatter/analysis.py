@@ -185,10 +185,10 @@ def correspondence_table(
     """Transmission in both frameworks at matched kinetic energy.
 
     An (n, 4) float array, one row per kinetic energy eps (ascending):
-    eps, T_schrodinger (at k = sqrt(2 m eps)), T_dirac (at E = m + eps)
-    and diff = |T_schrodinger - T_dirac|.  Only rho^2 differs: eps/2m
-    against eps/(2m + eps).  The Schrodinger rho^2 is (k/2m)^2 where
-    2 m eps is a normal float, and eps/2m itself where it is not.  Raises
+    eps, T_schrodinger, T_dirac and diff = |T_schrodinger - T_dirac|.  Only
+    rho^2 differs, eps/2m against eps/(2m + eps), as schrodinger's T at
+    k = sqrt(2 m eps) and dirac.transmission at E = m + eps form them.
+    Where 2 m eps is not a normal float, rho^2 is eps/2m itself.  Raises
     ValueError for an eps that is not positive or so small against m that
     m + eps == m.
     """
@@ -198,23 +198,22 @@ def correspondence_table(
     if not np.all(eps > 0.0):
         raise ValueError("kinetic energies must be positive")
     E = m + eps
-    if m > 0.0:
-        lost = eps[E == m]
-        if lost.size:
-            raise ValueError(
-                f"kinetic energy {float(lost[0])!r} is below the resolution of the mass {m!r}"
-            )
-    t_d = transmission(p, dirac.rho2(E, m))
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow: the limit rho^2 = inf
+    if m > 0.0 and E[0] == m:  # E is sorted: the smallest eps is lost first
+        raise ValueError(f"kinetic energy {float(eps[0])!r} is below the resolution of the mass {m!r}")
+    t_d = dirac.transmission(p, E, m)
+    with np.errstate(over="ignore"):
         k2 = 2.0 * m * eps
-        rho = np.sqrt(k2) / (2.0 * m)  # schrodinger.rho(m, k): m > 0 and eps > 0 are checked
-        rho2 = rho * rho
-        # Where 2 m eps is subnormal, 0 or inf, sqrt loses rho^2 = eps/2m: it is formed directly,
-        # rounded once (where 2m overflows, m + eps != m puts eps/m above 2^-54).  k2 is sorted.
-        if not sys.float_info.min <= k2[0] <= k2[-1] < math.inf:
-            odd = ~((k2 >= sys.float_info.min) & (k2 < math.inf))
-            rho2[odd] = (eps / (2.0 * m) if 2.0 * m < math.inf else eps / m * 0.5)[odd]
-    t_s = transmission(p, rho2)
+        # Where 2 m eps is subnormal, 0 or inf (k2 is sorted: the ends tell), sqrt loses rho^2 = eps/2m:
+        # those rows take it directly, rounded once (where 2m overflows, m + eps != m puts eps/m above
+        # 2^-54).  Where it overflows, m < 2^-1024: 2^300 m, 2^300 eps are exact, their 2 m eps normal.
+        odd = [] if sys.float_info.min <= k2[0] <= k2[-1] < math.inf else np.flatnonzero(
+            (k2 < sys.float_info.min) | (k2 == math.inf)).tolist()
+        k2[odd] = 1.0  # placeholders
+        t_s = schrodinger._transmission(p, m, np.sqrt(k2))
+        for i, e in zip(odd, eps[odd].tolist()):
+            rho2 = e / (2.0 * m) if 2.0 * m < math.inf else e / m * 0.5
+            t_s[i] = transmission(p, rho2) if rho2 < math.inf else schrodinger._transmission(
+                p, m * 2.0**300, math.sqrt(2.0 * (m * 2.0**300) * (e * 2.0**300)))
     return np.column_stack((eps, t_s, t_d, np.abs(t_s - t_d)))
 
 

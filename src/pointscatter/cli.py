@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, dirac, schrodinger
-from .connection import ConnectionParams, _onto_sl2, transmission
+from .connection import ConnectionParams, _onto_sl2
 from .dirac import BarrierParams, DiracMedium
 from .schrodinger import NonRelMedium, SingularRenormalization
 
@@ -233,7 +233,7 @@ def cmd_transmission(args: argparse.Namespace) -> str:
     if args.framework == "schrodinger":
         t2 = schrodinger._transmission(p, args.mass, x)
     else:
-        t2 = transmission(p, dirac.rho2(x, args.mass))
+        t2 = dirac.transmission(p, x, args.mass)
     return _csv("x,T2,R2", np.column_stack((x, t2, 1.0 - t2)))
 
 

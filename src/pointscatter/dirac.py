@@ -249,8 +249,8 @@ def _barrier(b: BarrierParams, a, E: float, m: float):
     return _propagate(x, k_plus, k_minus, b.theta / x)
 
 
-def transmission(p: ConnectionParams, E: float, m: float) -> float:
-    """connection.transmission through p at rho^2 = (E-m)/(E+m), independent of theta."""
+def transmission(p: ConnectionParams, E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
+    """connection.transmission through p at rho^2 = (E-m)/(E+m), entry-wise; independent of theta."""
     return connection.transmission(p, rho2(E, m))
 
 

@@ -294,24 +294,24 @@ def _transmission(p: ConnectionParams, m: float | np.ndarray, k: float | np.ndar
     """transmission entry-wise over arrays m and k, also where rho^2 is not normal.
 
     Below about 1.5e-154 and above 1.3e154, rho^2 rounds to a subnormal, 0
-    or inf and loses beta^2 rho^2 or gamma^2 / rho^2.  Where rho is positive
-    and finite there, rho = r 2^d, with r the ratio of k's and m's mantissas,
-    rounded once, and the terms are those of beta 2^d and gamma 2^-d at r^2:
-    powers of two keep beta*gamma, and so T.  Everywhere else T is
+    or inf and loses beta^2 rho^2 or gamma^2 / rho^2; so does rho itself
+    where k/2m underflows or overflows.  Where m and k are finite there,
+    rho = r 2^d, with r the ratio of k's and m's mantissas, rounded once,
+    and the terms are those of beta 2^d and gamma 2^-d at r^2: powers of
+    two keep beta*gamma, and so T.  Everywhere else T is
     connection.transmission(p, rho * rho), bit for bit.
     """
     r = np.asarray(rho(m, k))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # rho^2 and the powers of two overflow to inf
         r2 = r * r
-    t = connection.transmission(p, r2)
-    normal = (r2 >= sys.float_info.min) & (r2 < math.inf)
-    odd = np.flatnonzero(~normal & (r > 0.0) & (r < math.inf))
-    if odd.size == 0:
-        return t
-    t, ms, ks = np.array(t), np.broadcast_to(m, r.shape).ravel(), np.broadcast_to(k, r.shape).ravel()
-    # Rare entries, one at a time: each has its own d.  An ldexp that
-    # overflows gives T = 0; one that underflows, a term below 2^-2000.
-    with np.errstate(over="ignore"):
+        t = connection.transmission(p, r2)
+        if sys.float_info.min <= r2.min(initial=math.inf) and r2.max(initial=0.0) < math.inf:
+            return t  # the common case: two reductions, no mask
+        finite = (m < math.inf) & (k < math.inf)  # rho checked m > 0 and k > 0
+        odd = np.flatnonzero(((r2 < sys.float_info.min) | (r2 == math.inf)) & finite)
+        t, ms, ks = np.array(t), np.broadcast_to(m, r.shape).ravel(), np.broadcast_to(k, r.shape).ravel()
+        # Rare entries, one at a time: each has its own d.  An ldexp that
+        # overflows gives T = 0; one that underflows, a term below 2^-2000.
         for i in odd.tolist():
             (fk, ek), (fm, em) = math.frexp(ks[i]), math.frexp(ms[i])
             d, q = ek - em - 1, fk / fm

@@ -5,12 +5,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from pointscatter.connection import ConnectionParams
 
 # CLI subprocesses import the same source tree as the test process.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.getenv("PYTHONPATH")]))
+
+# HYPOTHESIS_PROFILE=ci draws ten times the default examples per property and prints the
+# blob that reproduces a failure; without it, the default profile.
+settings.register_profile("ci", max_examples=1000, print_blob=True)
+settings.load_profile(os.getenv("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_connection(rng: np.random.Generator, bound: float = 10.0) -> ConnectionParams:

@@ -4,6 +4,7 @@ import decimal
 import fractions
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -575,10 +576,27 @@ class TestCorrespondenceTable:
         rho2 = fractions.Fraction(eps) / (2 * fractions.Fraction(m))
         assert ulps_from(t_s, exact_transmission(p, rho2)) <= 4
 
-    def test_schrodinger_column_keeps_the_limit_where_eps_over_two_m_overflows(self):
-        # 2 m eps is subnormal and eps/2m beyond the float range: T_s is the rho^2 = inf limit.
-        [(_, t_s, t_d, _)] = correspondence_table(ConnectionParams(1, 1, 0, 1), 1e-315, [1e-5])
+    def test_schrodinger_column_where_eps_over_two_m_overflows(self):
+        # 2 m eps is subnormal and eps/2m beyond the float range: T_s read 0, the rho^2 = inf
+        # limit, for T_s near 1 at beta = 1e-200.  At beta = 1 the exact T_s, 8e-310, is below
+        # 4/DBL_MAX, the least nonzero value of 4/bracket, and the column reads 0.
+        rho2 = fractions.Fraction(1e-5) / (2 * fractions.Fraction(1e-315))
+        p = ConnectionParams(1, 1e-200, 0, 1)
+        [(_, t_s, _, _)] = correspondence_table(p, 1e-315, [1e-5])
+        assert ulps_from(t_s, exact_transmission(p, rho2)) <= 4
+        p = ConnectionParams(1, 1, 0, 1)
+        [(_, t_s, t_d, _)] = correspondence_table(p, 1e-315, [1e-5])
         assert (t_s, t_d) == (0.0, 0.8)
+        assert exact_transmission(p, rho2) < sys.float_info.min
+
+    # (k/2m)^2 is not a normal double, though 2 m eps is: T_s read 0 for 8.9e-308 and for 1.
+    @pytest.mark.parametrize("p, m, eps", [(ConnectionParams(1, 0.5, 0, 1), sys.float_info.min, 8.0),
+                                           (ConnectionParams(1, 1e-200, 0, 1), 1e-300, 2e10)],
+                             ids=["dbl-min-mass", "tiny-beta"])
+    def test_schrodinger_column_where_rho_squared_is_not_normal(self, p, m, eps):
+        [(_, t_s, _, _)] = correspondence_table(p, m, [eps])
+        rho2 = fractions.Fraction(eps) / (2 * fractions.Fraction(m))
+        assert ulps_from(t_s, exact_transmission(p, rho2)) <= 4
 
 
 class TestHighEnergyAsymptote:

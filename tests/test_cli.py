@@ -137,6 +137,19 @@ class TestTransmission:
             k, t2, _ = map(float, line.split(","))
             assert ulps_from(t2, exact_transmission(p, (Fraction(k) / (2 * m)) ** 2)) <= 4
 
+    def test_schrodinger_rows_whose_rho_overflows(self, capsys):
+        # rho = k/2m is above 2.2e308: both rows printed T2 = 0, R2 = 1 for T2 near 8e-17 and 2e-17.
+        code, out, _ = run_cli(capsys, [
+            "transmission", "--framework=schrodinger", "--alpha=1", "--beta=1e-300", "--gamma=0",
+            "--delta=1", "--mass=2.2250738585072014e-308", "--sweep-start=10", "--sweep-stop=20",
+            "--sweep-count=2",
+        ])
+        assert code == 0
+        p, m = ConnectionParams(1, 1e-300, 0, 1), Fraction(2.2250738585072014e-308)
+        for line in out.splitlines()[1:]:
+            k, t2, _ = map(float, line.split(","))
+            assert ulps_from(t2, exact_transmission(p, (Fraction(k) / (2 * m)) ** 2)) <= 4
+
     def test_dirac_energies_where_e_plus_m_overflows(self, capsys):
         # Both rows printed T2 = 0, R2 = 1.
         code, out, _ = run_cli(capsys, [
@@ -299,6 +312,20 @@ class TestCompare:
         exact = exact_transmission(ConnectionParams(1, 1, 0, 1), rho2)
         for line in out.splitlines()[1:]:
             assert ulps_from(float(line.split(",")[1]), exact) <= 4
+
+
+    # 2 m eps is normal and (k/2m)^2 overflows: every row printed T2_schrodinger = 0 for 1.
+    def test_schrodinger_column_where_rho_squared_overflows(self, capsys):
+        code, out, _ = run_cli(capsys, [
+            "compare", "--alpha=1", "--beta=1e-200", "--gamma=0", "--delta=1", "--mass=1e-300",
+            "--sweep-start=1e9", "--sweep-stop=2e10", "--sweep-count=3",
+        ])
+        assert code == 0
+        p = ConnectionParams(1, 1e-200, 0, 1)
+        for line in out.splitlines()[1:]:
+            eps, t_s = map(float, line.split(",")[:2])
+            exact = exact_transmission(p, Fraction(eps) / (2 * Fraction(1e-300)))
+            assert ulps_from(t_s, exact) <= 4
 
 
 class TestClassify:

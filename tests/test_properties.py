@@ -10,10 +10,12 @@ must agree at every rho, with a rounding bound that grows in the same
 way with the mode-basis scale 1 + |alpha| + |delta| + |beta| rho + |gamma|/rho.  transmission must equal the
 closed form in Python floats bit for bit, and its columns, and the
 correspondence table built on them, the scalar calls, at every rho^2,
-endpoints and extremes included.  decompose must invert as_matrix onto
-the canonical branch, to a rounding bound that grows with the products
-|alpha delta| and |beta gamma| whose difference is the determinant,
-and ConnectionParams must accept its output unchanged.  modes(rho) must be
+endpoints and extremes included.  Over every positive double m, k and eps,
+schrodinger's T and the table's Schrodinger column must be within a derived
+relative bound of the exact T wherever that is a normal double.  decompose
+must invert as_matrix onto the canonical branch, to a rounding bound that
+grows with the products |alpha delta| and |beta gamma| whose difference is
+the determinant, and ConnectionParams must accept its output unchanged.  modes(rho) must be
 bi-orthogonal within its derived bound at every admitted rho, both ends
 included, whether rho is a float, an int or a numpy scalar, and scatter must
 give the same bits from its pair as from a checked ModePair of its fields.
@@ -35,7 +37,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EPS, five_factor_scale, numpy_dirac_transfer, numpy_scalar_transfer
+from conftest import (
+    EPS, exact_transmission, five_factor_scale, numpy_dirac_transfer, numpy_scalar_transfer,
+)
 from pointscatter import connection, dirac, schrodinger
 from pointscatter.analysis import correspondence_table
 from pointscatter.connection import (
@@ -217,16 +221,85 @@ def admits(m: float, eps: float) -> bool:
     return m != m + eps < math.inf
 
 
+U = Fraction(1, 2**53)
+# assert_near_exact's bound 2 e_rho + 13u at e_rho = u, and at e_rho = 2.5u.
+SCALAR_BOUND, TABLE_BOUND = 15 * U, 18 * U
+
+
+def assert_near_exact(t: float, p: ConnectionParams, rho2: Fraction, bound: Fraction) -> None:
+    """t is T = 4/D at the exact rho2 within the relative bound, wherever T is a normal double.
+
+    D = A + B + G with A = alpha^2 + delta^2 + 2 >= 2, B = beta^2 rho^2 and
+    G = gamma^2 / rho^2, all >= 0.  With u = 2^-53, each rounding to a
+    normal double errs by at most u relative; a product or quotient adds its
+    operands' relative errors, a square doubles them, a sqrt halves them, and a
+    sum of terms >= 0 errs by at most its largest term's error plus u.  Let
+    e_rho bound the error of the rho behind the computed rho^2: u for
+    k/2m or the mantissa ratio of k and m (its power of two is exact), and
+    2.5u for sqrt(fl(2 m eps))/2m; eps/2m rounded once is u for rho^2 itself.
+    - A: 3u.  B as fl(beta^2) fl(rho^2): u + (2 e_rho + u) + u; as
+      (beta sqrt(rho^2))^2, where beta^2 overflows: 2 (e_rho + 1.5u + u) + u
+      = 2 e_rho + 6u.  G likewise.  So each term is within 2 e_rho + 6u.
+    - Underflow: a rounding to a subnormal errs by up to 2^-1075 absolutely.
+      fl(beta^2) times rho^2 < 2^1024 then moves D by 2^-51 <= 2u D, and
+      fl(gamma^2) over rho^2 >= 2^-1022 by 2^-53 <= u/2 D; every other
+      subnormal (b, g, B, G themselves) moves D by less than 2^-1000 D: 3u.
+    - The two additions of D: 2u; 4/D: u; min(1, T) only moves towards T <= 1.
+    The sum is 2 e_rho + 12u to first order; the higher-order terms of the
+    about 20 roundings add less than u.  The bound needs every computed partial sum
+    of D finite: it is, where T >= DBL_MIN (1 + bound).  Below that, t is 0
+    (D overflowed) or at most T (1 + bound).
+    """
+    exact = exact_transmission(p, rho2)
+    if exact >= DBL_MIN * (1 + bound):
+        assert abs(Fraction(t) - exact) <= bound * exact
+    else:
+        assert 0 <= Fraction(t) <= DBL_MIN * (1 + bound) ** 2
+
+
+@settings(deadline=None)
+@given(p=gated_connections(),
+       pairs=st.lists(st.tuples(positive_doubles, positive_doubles), min_size=1, max_size=12))
+@example(p=ConnectionParams(1, 1e-300, 0, 1), pairs=[(DBL_MIN, 10.0)])  # k/2m overflows
+@example(p=ConnectionParams(1, 0, 1e-320, 1), pairs=[(1e308, 1e-20)])  # k/2m underflows to 0
+@example(p=ConnectionParams(1, 0, 1e-300, 1), pairs=[(1e308, 1.0)])  # (k/2m)^2 underflows
+def test_schrodinger_transmission_is_near_exact_over_every_double(p, pairs):
+    m, k = map(np.array, zip(*pairs))
+    column = schrodinger._transmission(p, m, k)
+    assert bits(column) == bits([schrodinger.transmission(p, NonRelMedium(*pair)) for pair in pairs])
+    for t, (mass, wave_number) in zip(column.tolist(), pairs):
+        assert_near_exact(t, p, (Fraction(wave_number) / (2 * Fraction(mass))) ** 2, SCALAR_BOUND)
+
+
 @settings(deadline=None)
 @given(p=gated_connections(), m=positive_doubles, eps=st.lists(positive_doubles, min_size=1, max_size=12))
+@example(p=ConnectionParams(1, 0.5, 0, 1), m=DBL_MIN, eps=[8.0])  # (k/2m)^2 overflows
+@example(p=ConnectionParams(1, 1e-200, 0, 1), m=1e-300, eps=[1e9, 1e10, 2e10])
+@example(p=ConnectionParams(1, 1e-200, 0, 1), m=1e-315, eps=[1e-5])  # eps/2m overflows
+@example(p=ConnectionParams(1, 1, 0, 1), m=1e-315, eps=[1e-5])  # T = 8e-310 reads 0
+def test_correspondence_schrodinger_column_is_near_exact_over_every_double(p, m, eps):
+    eps = sorted(e for e in eps if admits(m, e))
+    assume(eps)
+    for e, t in zip(eps, correspondence_table(p, m, eps)[:, 1].tolist()):
+        assert_near_exact(t, p, Fraction(e) / (2 * Fraction(m)), TABLE_BOUND)
+
+
+@settings(deadline=None)
+@given(p=gated_connections(), m=positive_doubles, eps=st.lists(positive_doubles, min_size=1, max_size=12))
+@example(p=ConnectionParams(1, 0.5, 0, 1), m=DBL_MIN, eps=[8.0])
 def test_correspondence_schrodinger_column_keeps_its_bits_where_two_m_eps_is_normal(p, m, eps):
     eps = sorted(e for e in eps if admits(m, e) and DBL_MIN <= 2.0 * m * e < math.inf)
     assume(eps)
-    # The column's expression before 2 m eps was checked, through k = sqrt(2 m eps).
+    # The column's expression before 2 m eps was checked, through k = sqrt(2 m eps): its bits
+    # are kept where rho^2 is a normal double, and where it is not, T is near the exact value.
     with np.errstate(over="ignore"):
         rho = np.sqrt(2.0 * m * np.array(eps)) / (2.0 * m)
-        want = transmission(p, rho * rho)
-    assert bits(correspondence_table(p, m, eps)[:, 1]) == bits(want)
+        rho2 = rho * rho
+    column = correspondence_table(p, m, eps)[:, 1]
+    normal = (rho2 >= DBL_MIN) & (rho2 < math.inf)
+    assert bits(column[normal]) == bits(transmission(p, rho2[normal]))
+    for e, t in zip(np.array(eps)[~normal].tolist(), column[~normal].tolist()):
+        assert_near_exact(t, p, Fraction(e) / (2 * Fraction(m)), TABLE_BOUND)
 
 
 @settings(deadline=None)
@@ -236,13 +309,17 @@ def test_correspondence_schrodinger_column_keeps_its_bits_where_two_m_eps_is_nor
 @example(p=ConnectionParams(1, 1, 0, 1), m=1.0, eps=1e308)
 @example(p=ConnectionParams(1, 1, 0, 1), m=1e308, eps=1e307)
 @example(p=ConnectionParams(1, 1, 0, 1), m=1e-315, eps=1e-5)
+@example(p=ConnectionParams(1, 1e-200, 0, 1), m=1e-315, eps=1e-5)
 def test_correspondence_schrodinger_column_rounds_eps_over_two_m_once_elsewhere(p, m, eps):
     assume(admits(m, eps) and not DBL_MIN <= 2.0 * m * eps < math.inf)
+    [t] = correspondence_table(p, m, [eps])[:, 1].tolist()
+    exact = Fraction(eps) / (2 * Fraction(m))
     try:
-        rho2 = float(Fraction(eps) / (2 * Fraction(m)))  # correctly rounded
-    except OverflowError:
-        rho2 = math.inf
-    assert correspondence_table(p, m, [eps])[0, 1] == transmission(p, rho2)
+        rho2 = float(exact)  # correctly rounded
+    except OverflowError:  # beyond the float range: T is near its exact value
+        assert_near_exact(t, p, exact, TABLE_BOUND)
+    else:
+        assert t == transmission(p, rho2)
 
 
 def assert_decompose_inverts_as_matrix(p):

@@ -334,9 +334,13 @@ class TestTransmission:
         # rho = 1/2e308 = 5e-309, and rho^2 underflows to 0: T is about 1e-16,
         # from gamma^2/rho^2 = 4e16, not the rho^2 = 0 limit 0.  At k = 2e155,
         # rho^2 = 1e310 overflows: T = 1 - 2.5e-11, from beta^2 rho^2, not 0.
+        # rho itself overflows at k = 10, m = DBL_MIN, and underflows to 0 at
+        # k = 1e-20, m = 1e308: T read 0 for 7.9e-17 and 1e-16.
         # Each term takes a few roundings, so T is within 4 ulps of exact.
         cases = [(ConnectionParams(1, 0, 1e-300, 1), 1e308, 1.0),
-                 (ConnectionParams(1, 1e-160, 0, 1), 1.0, 2e155)]
+                 (ConnectionParams(1, 1e-160, 0, 1), 1.0, 2e155),
+                 (ConnectionParams(1, 1e-300, 0, 1), sys.float_info.min, 10.0),
+                 (ConnectionParams(1, 0, 1e-320, 1), 1e308, 1e-20)]
         for p, m, k in cases:
             exact = exact_transmission(p, (Fraction(k) / (2 * Fraction(m))) ** 2)
             assert ulps_from(transmission(p, NonRelMedium(m=m, k=k)), exact) <= 4
