@@ -152,9 +152,8 @@ def nonrel_convergence(
     a = _spacings(a_list)
     # The medium before the scheme: a bad m or k outranks SingularRenormalization.
     schrodinger.rho(m, k)
-    for name, value in (("mass m", m), ("wave number k", k)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name}={value!r} must be finite for a convergence sweep")
+    if not math.isfinite(k):  # rho admits k = inf
+        raise ValueError(f"wave number k={k!r} must be finite for a convergence sweep")
     with np.errstate(over="ignore", invalid="ignore"):
         phase, entries = schrodinger._three_delta(a, m, k, *schrodinger._strengths(p, a, m))
         err = _error(a, phase, entries, as_matrix(p), "the three-delta products overflow")

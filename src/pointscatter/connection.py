@@ -219,17 +219,55 @@ def as_matrix(p: ConnectionParams) -> TransferMatrix:
 def _from_scalars(phase, entries, message: str, *args) -> np.ndarray:
     """The 2x2 matrix phase * [[m00, m01], [m10, m11]] of a 0-d kernel's (phase, entries).
 
-    The one builder of every transfer-matrix kernel.  ValueError(message %
-    args), formatted only then, unless the phase and every entry are
-    finite.  It owns no np.errstate: the kernels' float arguments overflow
-    silently, and the Dirac kernels' numpy arithmetic under dirac._propagate's.
-    The kernels' entries are real up to rounding or have a real part in
+    Every transfer-matrix kernel forms its matrix here.  ValueError(message % args), formatted only
+    then, unless the phase and every entry are finite.  It owns no np.errstate: Python floats
+    overflow silently.  The kernels' entries are real up to rounding or have a real part in
     [-1, 1], so a unit phase leaves a finite entry finite.
     """
     if not (cmath.isfinite(phase) and _finite(entries)):
         raise ValueError(message % args)
     # Still an array multiply: numpy's may round unlike a scalar complex multiply.
     return phase * np.array(entries, dtype=complex).reshape(2, 2)
+
+
+def _propagation(x, w, sign, A):
+    """e^{iAx} and c, s of exp(xN) = c I + s N, for a traceless 2x2 N with N^2 = -sign w^2 I.
+
+    Both frameworks' propagation kernel: cos(wx), sin(wx)/w where sign > 0, cosh(wx),
+    sinh(wx)/w where sign < 0, and 1, x where sign is 0 or NaN or x = ±0.  A float x takes
+    Python numbers, which round as numpy's do, past numpy's functions; NaN where wx or Ax is
+    not finite, on which those would warn; np.errstate only for cosh.  An array x is a
+    sweep's column, under its np.errstate: each branch sees only its own elements.
+    """
+    iax = 1j * A * x
+    if x.__class__ is float:
+        if not x or not (sign > 0.0 or sign < 0.0):  # w x may be inf*0 here
+            if cmath.isfinite(iax):
+                return complex(np.exp(iax)), 1.0, x
+        elif math.isfinite(wx := w * x) and cmath.isfinite(iax):
+            if sign > 0.0:
+                return complex(np.exp(iax)), float(np.cos(wx)), float(np.sin(wx) / w)
+            with np.errstate(over="ignore"):
+                return complex(np.exp(iax)), float(np.cosh(wx)), float(np.sinh(wx) / w)
+        return math.nan, math.nan, math.nan
+    wx = w * x
+    if not isinstance(sign, np.ndarray) and sign > 0.0:  # Schrodinger's k: no branch to mask
+        return np.exp(iax), np.cos(wx), np.sin(wx) / w
+    nonzero = x != 0.0
+    trig, hyper = (sign > 0.0) & nonzero, (sign < 0.0) & nonzero
+    t, h = np.where(trig, wx, 0.0), np.where(hyper, wx, 0.0)
+    w = np.where(trig | hyper, w, 1.0)
+    c = np.where(trig, np.cos(t), np.where(hyper, np.cosh(h), 1.0))
+    s = np.where(trig, np.sin(t) / w, np.where(hyper, np.sinh(h) / w, x))
+    return np.exp(iax), c, s
+
+
+def _propagator(kernel, x, *args) -> np.ndarray:
+    """Both frameworks' propagator: kernel(x, *args)'s matrix at float(x); ValueError for an array x."""
+    if x.__class__ is not float and np.ndim(x):  # np.ndim costs about a microsecond
+        raise ValueError("displacement x must be a scalar")
+    x = float(x)
+    return _from_scalars(*kernel(x, *args), "displacement x=%r is out of range: the propagator overflows", x)
 
 
 def delta_connection(v: float) -> TransferMatrix:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix
-from .connection import _from_scalars, _require_finite_fields
+from .connection import _from_scalars, _propagation, _require_finite_fields
 
 __all__ = [
     "DiracMedium",
@@ -131,46 +131,27 @@ class BarrierClass(NamedTuple):
     strength: Optional[float] = None
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _propagate(x, w_plus, w_minus, A):
-    """The phase e^{iAx} and the four entries of exp(x [[0, w_plus], [-w_minus, 0]]).
+def _propagate(x, k_plus, k_minus, A):
+    """Phase e^{iAx} and the four entries of exp(x [[0, k_plus], [-k_minus, 0]]), entry-wise over arrays.
 
-    In closed form, entry-wise over arrays.  The branch is chosen per element by the sign of w_plus*w_minus:
-    cos/sin when positive, cosh/sinh when negative, and the truncated
-    series c = 1, s = x when either coefficient vanishes or x = ±0, where
-    w*x may be inf*0.  Each branch only sees its own elements' arguments
-    (the others get 0), so a cosh that would overflow where another branch
-    is taken is never evaluated.  It owns the Dirac kernels' np.errstate:
-    overflow stays silent here, for _from_scalars or analysis._error to reject.
+    c I + s N: connection._propagation at w = sqrt|k_plus k_minus| and sign = k_plus k_minus.  Its
+    cosh branch holds the only np.errstate of a float x; a column runs under the sweep's.
     """
-    product = w_plus * w_minus
-    nonzero = x != 0.0
-    trig, hyper = (product > 0.0) & nonzero, (product < 0.0) & nonzero
-    w = np.sqrt(np.abs(product))
-    wx = w * x
-    t = np.where(trig, wx, 0.0)
-    h = np.where(hyper, wx, 0.0)
-    w = np.where(trig | hyper, w, 1.0)
-    c = np.where(trig, np.cos(t), np.where(hyper, np.cosh(h), 1.0))
-    s = np.where(trig, np.sin(t) / w, np.where(hyper, np.sinh(h) / w, x))
-    return np.exp(1j * A * x), (c, w_plus * s, -w_minus * s, c)
+    product = k_plus * k_minus
+    w = math.sqrt(abs(product)) if x.__class__ is float else np.sqrt(np.abs(product))
+    phase, c, s = _propagation(x, w, product, A)
+    return phase, (c, k_plus * s, -k_minus * s, c)
 
 
 def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     """Spinor transfer matrix over a float displacement x in constant potentials.
 
-    Oscillatory when k_plus*k_minus > 0, cosh/sinh when it is negative, and
-    the linear limit [[1, k_plus x], [-k_minus x, 1]] when either
-    coefficient vanishes.  The spatial vector potential only contributes
-    the phase e^{iAx}; the determinant is e^{2iAx} on every branch, and
-    at x = ±0 the matrix is I.  Where an entry is not finite (a cosh beyond
-    about 710), or for an array x, ValueError, with no numpy warning.
+    e^{iAx} times cos/sin where k_plus*k_minus > 0, cosh/sinh where it is negative, the linear limit
+    [[1, k_plus x], [-k_minus x, 1]] where either vanishes, and I at x = ±0: both frameworks' kernel
+    connection._propagation (_propagate); the determinant is e^{2iAx} on every branch.  Where an
+    entry is not finite (a cosh beyond about 710), or for an array x, ValueError, with no numpy warning.
     """
-    if np.ndim(x):
-        raise ValueError("displacement x must be a scalar")
-    x = float(x)
-    return _from_scalars(*_propagate(x, med.k_plus, med.k_minus, med.A),
-                         "displacement x=%r is out of range: the propagator overflows", x)
+    return connection._propagator(_propagate, x, med.k_plus, med.k_minus, med.A)
 
 
 def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
@@ -207,12 +188,11 @@ def free_mode_vectors(E: float, m: float) -> ModePair:
 def barrier_limit(b: BarrierParams) -> TransferMatrix:
     """Zero-width limit of the step barrier at fixed integrated strengths.
 
-    e^{i theta} times the kernel built from p± = ±s - v: trigonometric for
-    s^2 < v^2, hyperbolic for s^2 > v^2, and on the boundary s^2 = v^2 the
-    linear matrix [[1, p_plus], [-p_minus, 1]], which is the delta
-    connection of strength 2s at s = v and the epsilon connection of
-    strength 2s at s = -v.  Where an entry is not finite, ValueError naming
-    s and v, with no numpy warning.
+    e^{i theta} exp([[0, p_plus], [-p_minus, 0]]) with p± = ±s - v, connection._propagation at x = 1:
+    trigonometric for s^2 < v^2, hyperbolic for s^2 > v^2, and on the boundary the linear
+    matrix [[1, p_plus], [-p_minus, 1]], the delta connection of strength 2s at s = v and
+    the epsilon connection of strength 2s at s = -v.  Where an entry is not finite,
+    ValueError naming s and v, with no numpy warning.
     """
     return _from_scalars(
         *_propagate(1.0, b.p_plus, b.p_minus, b.theta), "barrier s=%r, v=%r: its zero-width limit "
@@ -223,30 +203,26 @@ def barrier_limit(b: BarrierParams) -> TransferMatrix:
 def finite_barrier_transfer(b: BarrierParams, a: float, E: float, m: float) -> TransferMatrix:
     """Transfer matrix of the width-2a step barrier carrying strengths b.
 
-    Propagation over x = 2a with S = s/x, V = v/x, A = theta/x; converges to
-    barrier_limit(b) as a -> 0 at fixed E and m, at first order.  The
-    matrix is e^{i theta} exp(P + 2aQ) with P = [[0, s-v], [s+v, 0]] and
-    Q = [[0, m+E], [-(E-m), 0]], and the limit is e^{i theta} exp(P), so
-    max|finite - limit| = 2a max|L(P, Q)| + O(a^2), where L is the
-    Frechet derivative of exp (scipy.linalg.expm_frechet computes it).
-    The half-width a is a positive, finite scalar; analysis.dirac_convergence
-    sweeps many.  Where an entry is not finite (a cosh beyond about 710),
-    ValueError naming a, with no numpy warning.
+    Propagation over x = 2a with S = s/x, V = v/x, A = theta/x (_propagate); converges to
+    barrier_limit(b) as a -> 0 at fixed E and m, at first order.  The matrix is e^{i theta}
+    exp(P + 2aQ) with P = [[0, s-v], [s+v, 0]] and Q = [[0, m+E], [-(E-m), 0]], and the limit
+    is e^{i theta} exp(P), so max|finite - limit| = 2a max|L(P, Q)| + O(a^2), where L is the
+    Frechet derivative of exp (scipy.linalg.expm_frechet computes it).  The half-width a is a
+    positive, finite float; analysis.dirac_convergence sweeps a column.  Where an entry is not
+    finite, ValueError naming a, with no numpy warning.
     """
-    if np.ndim(a) or not 0.0 < a < math.inf:
+    if (a.__class__ is not float and np.ndim(a)) or not 0.0 < a < math.inf:
         raise ValueError("half-width a must be a positive, finite scalar")
     _require_exterior(m, E)
     a, E, m = float(a), float(E), float(m)
-    return _from_scalars(
-        *_barrier(b, a, E, m), "half-spacing a=%r is out of range: the finite barrier overflows", a
-    )
+    return _from_scalars(*_barrier(b, a, E, m), "half-spacing a=%r is out of range: "
+                         "the finite barrier overflows", a)
 
 
 def _barrier(b: BarrierParams, a, E: float, m: float):
     """Phase and entries of finite_barrier_transfer, for checked floats or a column a under np.errstate."""
     x = 2.0 * a
-    k_plus, k_minus = _coefficients(m, E, b.s / x, b.v / x)
-    return _propagate(x, k_plus, k_minus, b.theta / x)
+    return _propagate(x, *_coefficients(m, E, b.s / x, b.v / x), b.theta / x)
 
 
 def transmission(p: ConnectionParams, E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:

@@ -11,7 +11,6 @@ transmission are the shared scattering core of connection at rho = k/2m.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import connection
 from .connection import ConnectionParams, ModePair, TransferMatrix
-from .connection import _from_scalars, _require_finite_fields
+from .connection import _from_scalars, _propagation, _require_finite_fields
 
 __all__ = [
     "NonRelMedium",
@@ -59,8 +58,6 @@ class NonRelMedium:
     def __post_init__(self) -> None:
         _require_finite_fields(self, ("A",))
         rho(self.m, self.k)
-        if self.m == math.inf:
-            raise ValueError("mass must be finite")
 
 
 @dataclass(frozen=True, init=False)
@@ -85,61 +82,50 @@ class DeltaTriple:
 
 
 def _hop(x, m, k, A):
-    """Phase e^{iAx} and the four entries of the bracket of propagator().
+    """Phase e^{iAx} and the four entries of the bracket of propagator(), entry-wise over an array x.
 
-    cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]], entry-wise over an
-    array x; for a float x, Python numbers past numpy's cos, sin and exp,
-    and NaN where kx or Ax is not finite, on which those would warn.
+    c I + s [[-iA, 2m], [(A^2 - k^2)/2m, iA]]: connection._propagation at w = sign = k, on its
+    trigonometric branch, which enters no np.errstate; a column runs under the sweep's.
     """
-    kx, iax = k * x, 1j * A * x
-    if not isinstance(kx, float):  # an array
-        c, s, phase = np.cos(kx), np.sin(kx) / k, np.exp(iax)
-    elif math.isfinite(kx) and cmath.isfinite(iax):
-        # Python arithmetic rounds as numpy scalars do, without their dispatch.
-        c, s, phase = float(np.cos(kx)), float(np.sin(kx) / k), complex(np.exp(iax))
-    else:
-        c = s = phase = math.nan
+    phase, c, s = _propagation(x, k, k, A)
     # "+ 0.0" turns the -0.0 that s = ±0 leaves off the diagonal into +0.0,
     # so the identity at x = 0 carries no signed zeros.
-    off_upper = 2.0 * m * s + 0.0
     off_lower = (A * A - k * k) / (2.0 * m) * s + 0.0
-    entries = (c - 1j * A * s, off_upper, off_lower, c + 1j * A * s)
-    return phase, entries
+    return phase, (c - 1j * A * s, 2.0 * m * s + 0.0, off_lower, c + 1j * A * s)
 
 
 def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     """Transfer matrix over a float displacement x at constant vector potential.
 
-    e^{iAx} [cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]]], in Python
-    numbers (_hop); ValueError where an entry is not finite, or for an array x.
-    At A = 0 this is the free propagator [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
+    e^{iAx} [cos(kx) I + sin(kx)/k [[-iA, 2m], [(A^2 - k^2)/2m, iA]]], from both frameworks'
+    kernel connection._propagation (_hop); ValueError where an entry is not finite, or for an
+    array x.  At A = 0 this is the free propagator [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
     """
-    if np.ndim(x):
-        raise ValueError("displacement x must be a scalar")
-    x = float(x)
-    phase, entries = _hop(x, med.m, med.k, med.A)
-    return _from_scalars(phase, entries, "displacement x=%r is out of range: the propagator overflows", x)
+    return connection._propagator(_hop, x, med.m, med.k, med.A)
 
 
 def rho(m: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
     """The mode parameter rho = k/2m of connection.modes and connection.transmission.
 
-    Raises ValueError unless m > 0 and k > 0 (NaN included): the exterior
-    check of every Schrodinger medium.  Entry-wise over ndarray arguments,
-    each checked as a whole.
+    Raises ValueError unless m > 0, k > 0 and m < inf, in that order (NaN
+    fails each): the exterior check of every Schrodinger medium.  Entry-wise
+    over ndarray arguments, each checked as a whole.
     """
-    # Plain floats stay on float comparisons: np.all costs microseconds a call.
-    floats = m.__class__ is k.__class__ is float
-    if not (m > 0.0 if floats else np.all(m > 0.0)):
+    # A Python float stays on float comparisons: np.all costs microseconds a call.
+    if not (m > 0.0 if m.__class__ is float else np.all(m > 0.0)):
         raise ValueError("mass must be positive")
-    if not (k > 0.0 if floats else np.all(k > 0.0)):
+    if not (k > 0.0 if k.__class__ is float else np.all(k > 0.0)):
         raise ValueError("wave number must be positive (scattering states only)")
+    if not (m < math.inf if m.__class__ is float else np.all(m < math.inf)):
+        raise ValueError("mass must be finite")
     # Where 2m overflows, k/2m is (k/2)/m, rounded once: k/2 is exact unless k/2m rounds to 0.
-    if floats:
+    if m.__class__ is k.__class__ is float:
         return k / (2.0 * m) if 2.0 * m < math.inf else 0.5 * k / m
-    with np.errstate(over="ignore", invalid="ignore"):  # to inf as floats do; NaN at m = k = inf
+    with np.errstate(over="ignore", invalid="ignore"):  # to inf as floats do; inf/inf where 2m overflows
         fits = 2.0 * m < math.inf
-        return k / (2.0 * m) if np.all(fits) else np.where(fits, k / (2.0 * m), 0.5 * k / m)[()]
+        if fits if m.__class__ is float else np.all(fits):
+            return k / (2.0 * m)
+        return np.where(fits, k / (2.0 * m), 0.5 * k / m)[()]
 
 
 def mode_vectors(med: NonRelMedium) -> ModePair:
@@ -188,15 +174,14 @@ def three_delta_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     Five factors: delta at -a, propagation over a, delta at 0, propagation
     over a, delta at +a.  The side deltas pick up extra imaginary strengths
     ∓iA/2m from the vector potential switching on and off at x = ∓a.  The
-    convergence sweeps' kernel at one a, in Python numbers (_hop), with
-    their ValueError where an entry is not finite.
+    convergence sweeps' kernel at one a, with connection._propagation's hops
+    (_hop), and their ValueError where an entry is not finite.
     """
     if med.A != cfg.A:
         raise ValueError("medium vector potential must equal the triple's A")
     phase, entries = _three_delta(cfg.a, med.m, med.k, cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.A)
-    return _from_scalars(
-        phase, entries, "half-spacing a=%r is out of range: the three-delta products overflow", cfg.a
-    )
+    return _from_scalars(phase, entries, "half-spacing a=%r is out of range: "
+                         "the three-delta products overflow", cfg.a)
 
 
 def _require_quotient(a, numerator: float, divisor, names: tuple[str, str]) -> None:

@@ -462,6 +462,15 @@ HOSTILE_INPUTS = {
     "converge-k-inf": ([*SCHRODINGER_CONVERGE[:-1], "inf", *SPACINGS], 2,
                        "wave number k=inf must be finite"),
     "converge-mass-inf": ([*SCHRODINGER_CONVERGE, "--mass", "inf", *SPACINGS], 2, "mass"),
+    # NonRelMedium's message: the sweep admits the masses that the medium admits.  Without
+    # the check the first printed the rho = 0 limit, and the second "rho2 must be non-negative".
+    "transmission-mass-inf": (["transmission", "--framework=schrodinger", "--alpha=1", "--beta=0",
+                               "--gamma=1", "--delta=1", "--mass=inf", "--sweep-start=1",
+                               "--sweep-stop=2", "--sweep-count=2"], 2, "error: mass must be finite\n"),
+    "transmission-mass-and-wave-number-inf": (["transmission", "--framework=schrodinger", "--alpha=1",
+                                               "--beta=0", "--gamma=1", "--delta=1", "--mass=inf",
+                                               "--sweep-start=1", "--sweep-stop=inf", "--sweep-count=2"],
+                                              2, "error: mass must be finite\n"),
     "converge-spacing-underflows": (["converge", "--framework", "schrodinger", "--alpha", "2",
                                      "--beta", "1", "--gamma", "1", "--delta", "1", "--k", "1",
                                      "--sweep-start", "1e-200", "--sweep-stop", "1e-201",

@@ -20,9 +20,9 @@ bi-orthogonal within its derived bound at every admitted rho, both ends
 included, whether rho is a float, an int or a numpy scalar, and scatter must
 give the same bits from its pair as from a checked ModePair of its fields.
 The 0-d propagator and three-delta transfer must equal their
-numpy-scalar evaluation byte for byte, and the Dirac propagator and
-barrier limit their numpy-array evaluation, or raise where it is not
-finite.  Every transfer-matrix kernel raises ValueError, with no numpy
+numpy-scalar evaluation byte for byte, and the Dirac propagator, barrier
+limit and finite barrier their numpy-array evaluation, or raise where it is
+not finite.  Every transfer-matrix kernel raises ValueError, with no numpy
 warning, on inputs that overflow it.
 """
 
@@ -574,6 +574,29 @@ def test_barrier_limit_is_the_numpy_array_evaluation_bit_for_bit(s, v, theta, br
     else:
         with pytest.raises(ValueError, match=re.escape(f"barrier s={s!r}, v={v!r}: its zero-width limit")):
             dirac.barrier_limit(b)
+
+
+# The width-2a barrier is the Dirac propagator over x = 2a at S = s/x, V = v/x and
+# A = theta/x: trigonometric where |s| < |v| at small a, hyperbolic where |s| > |v|,
+# and a cosh beyond about 710 (s = 1e3, v = 0) that must raise, not warn.
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None)
+@given(a=st.one_of(st.floats(1e-6, 10.0), st.sampled_from([1e-300, 1e300])),
+       s=st.one_of(zeros, moderate, huge), v=st.one_of(zeros, moderate, huge),
+       theta=st.one_of(zeros, moderate), m=scales, excess=scales, sign=st.sampled_from([1.0, -1.0]))
+@example(a=1e-3, s=0.1, v=1.0, theta=0.5, m=1.0, excess=1.0, sign=1.0)
+@example(a=1e-3, s=1.0, v=0.1, theta=-0.0, m=1.0, excess=1.0, sign=-1.0)
+@example(a=1e-3, s=1000.0, v=0.0, theta=0.0, m=1.0, excess=1.0, sign=1.0)
+def test_finite_barrier_is_the_numpy_array_evaluation_bit_for_bit(a, s, v, theta, m, excess, sign):
+    E, x = sign * (m + excess), 2.0 * a
+    S, V = s / x, v / x
+    want = numpy_dirac_transfer(x, m + E + S - V, E - m - S - V, theta / x)
+    b = BarrierParams(s, v, theta)
+    if np.isfinite(want).all():
+        assert dirac.finite_barrier_transfer(b, a, E, m).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"half-spacing a={a!r} is out of range")):
+            dirac.finite_barrier_transfer(b, a, E, m)
 
 
 # One contract for the five kernels: a finite matrix or ValueError, no warning.

@@ -76,7 +76,7 @@ class TestMediumTypes:
         assert schrodinger.rho(m, np.array(ks)).tolist() == want
 
     def test_rejects_infinite_mass(self):
-        # rho(inf, k) = 0 passes the exterior check; the propagator would be NaN.
+        # rho's exterior check: rho(inf, k) would be 0, and the propagator NaN.
         with pytest.raises(ValueError, match="mass must be finite"):
             propagator(0.3, NonRelMedium(math.inf, 1.0))
 
