@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import dirac, schrodinger
-from .connection import ConnectionParams, TransferMatrix, _entries, as_matrix, transmission
+from .connection import ConnectionParams, TransferMatrix, as_matrix, transmission
 from .dirac import BarrierParams
 
 __all__ = [
@@ -73,9 +73,10 @@ class Sweep(Sequence):
 
     Constructing one validates it as SweepRow validates a row: x > 0 and a
     finite value at every point, in two 1-d columns of one length.  The
-    columns are copies.  A Sweep is also a sequence of SweepRow (length,
-    indexing, iteration; a slice gives a list), and builds each row only
-    when it is read.
+    columns are copies.  The convergence sweeps build theirs unchecked in
+    _error, from fresh columns that already pass those checks.  A Sweep is
+    also a sequence of SweepRow (length, indexing, iteration; a slice gives
+    a list), and builds each row only when it is read.
     """
 
     __slots__ = ("x", "value", "label")
@@ -121,18 +122,24 @@ def _spacings(a_list: Iterable[float]) -> np.ndarray:
     return a
 
 
-def _error(a: np.ndarray, phase, entries, target: TransferMatrix, why: str) -> np.ndarray:
-    """The error column max_ij |phase * m_ij - target_ij| of a sweep over the column a.
+def _error(a: np.ndarray, phase, entries, target: TransferMatrix, why: str, label: str) -> Sweep:
+    """The sweep of a over the error column max_ij |phase * m_ij - target_ij|.
 
-    Under the caller's np.errstate.  inf and NaN propagate through + and *, abs, np.maximum
+    Under the caller's np.errstate.  One pass over the (4, n) block of entries: the max of
+    non-negative moduli is exact in any order.  inf and NaN propagate through + and *, abs
     and max, so one check is exact: ValueError names the largest a whose error is not finite.
     """
-    d00, d01, d10, d11 = (np.abs(phase * m - t) for m, t in zip(entries, _entries(target)))
-    err = np.maximum(np.maximum(d00, d01), np.maximum(d10, d11))
+    err = np.abs(phase * np.array(entries) - target.reshape(4, 1)).max(axis=0)
     if err.size and not math.isfinite(err.max()):
         worst = a[~np.isfinite(err)].max()
         raise ValueError(f"half-spacing a={float(worst)!r} is out of range: {why}")
-    return err
+    # Sweep's checks hold without running them: _spacings admitted a, 1-d, with a > 0, and
+    # err is a fresh column of a's length that the check above proved finite.
+    sweep = object.__new__(Sweep)
+    a.setflags(write=False)
+    err.setflags(write=False)
+    sweep.x, sweep.value, sweep.label = a, err, label
+    return sweep
 
 
 def nonrel_convergence(
@@ -156,8 +163,7 @@ def nonrel_convergence(
         raise ValueError(f"wave number k={k!r} must be finite for a convergence sweep")
     with np.errstate(over="ignore", invalid="ignore"):
         phase, entries = schrodinger._three_delta(a, m, k, *schrodinger._strengths(p, a, m))
-        err = _error(a, phase, entries, as_matrix(p), "the three-delta products overflow")
-    return Sweep(a, err, "schrodinger")
+        return _error(a, phase, entries, as_matrix(p), "the three-delta products overflow", "schrodinger")
 
 
 def dirac_convergence(
@@ -174,8 +180,7 @@ def dirac_convergence(
     dirac._require_exterior(m, E)
     target = dirac.barrier_limit(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        err = _error(a, *dirac._barrier(b, a, E, m), target, "the finite barrier overflows")
-    return Sweep(a, err, "dirac")
+        return _error(a, *dirac._barrier(b, a, E, m), target, "the finite barrier overflows", "dirac")
 
 
 def correspondence_table(

@@ -215,8 +215,9 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
         ratio = (args.sweep_stop / args.sweep_start) ** (1.0 / (args.sweep_count - 1))
         if not math.isfinite(ratio):
             raise ValueError("log spacing requires a finite --sweep-stop/--sweep-start ratio")
-        # Python's pow, not np.power: on AVX-512 hosts the two differ in the last bit.
-        values = [args.sweep_start * ratio**i for i in range(args.sweep_count)]
+        # Python's pow, not np.power: on AVX-512 hosts the two differ in the last bit.  The last
+        # power is never formed: it can overflow by rounding, and --sweep-stop replaces it.
+        values = [args.sweep_start * ratio**i for i in range(args.sweep_count - 1)] + [args.sweep_stop]
     else:
         step = (args.sweep_stop - args.sweep_start) / (args.sweep_count - 1)
         # The same two IEEE operations per entry as start + step * i.

@@ -230,16 +230,17 @@ def _from_scalars(phase, entries, message: str, *args) -> np.ndarray:
     return phase * np.array(entries, dtype=complex).reshape(2, 2)
 
 
-def _propagation(x, w, sign, A):
+def _propagation(x, w, sign, iA):
     """e^{iAx} and c, s of exp(xN) = c I + s N, for a traceless 2x2 N with N^2 = -sign w^2 I.
 
-    Both frameworks' propagation kernel: cos(wx), sin(wx)/w where sign > 0, cosh(wx),
-    sinh(wx)/w where sign < 0, and 1, x where sign is 0 or NaN or x = ±0.  A float x takes
-    Python numbers, which round as numpy's do, past numpy's functions; NaN where wx or Ax is
-    not finite, on which those would warn; np.errstate only for cosh.  An array x is a
-    sweep's column, under its np.errstate: each branch sees only its own elements.
+    Both frameworks' propagation kernel, given iA = 1j * A, which callers share: cos(wx),
+    sin(wx)/w where sign > 0, cosh(wx), sinh(wx)/w where sign < 0, and 1, x where sign is 0 or
+    NaN or x = ±0.  A float x takes Python numbers, which round as numpy's do, past numpy's
+    functions; NaN where wx or Ax is not finite, on which those would warn; np.errstate only
+    for cosh.  An array x is a sweep's column of x > 0 (a or 2a, which analysis._spacings
+    admitted), under its np.errstate: each branch sees only its own elements.
     """
-    iax = 1j * A * x
+    iax = iA * x
     if x.__class__ is float:
         if not x or not (sign > 0.0 or sign < 0.0):  # w x may be inf*0 here
             if cmath.isfinite(iax):
@@ -253,12 +254,12 @@ def _propagation(x, w, sign, A):
     wx = w * x
     if not isinstance(sign, np.ndarray) and sign > 0.0:  # Schrodinger's k: no branch to mask
         return np.exp(iax), np.cos(wx), np.sin(wx) / w
-    nonzero = x != 0.0
-    trig, hyper = (sign > 0.0) & nonzero, (sign < 0.0) & nonzero
+    trig, hyper = sign > 0.0, sign < 0.0
     t, h = np.where(trig, wx, 0.0), np.where(hyper, wx, 0.0)
     w = np.where(trig | hyper, w, 1.0)
-    c = np.where(trig, np.cos(t), np.where(hyper, np.cosh(h), 1.0))
-    s = np.where(trig, np.sin(t) / w, np.where(hyper, np.sinh(h) / w, x))
+    # Off their branches t = h = 0 and w = 1: cosh(0) = 1 and x / 1 = x exactly.
+    c = np.where(trig, np.cos(t), np.cosh(h))
+    s = np.where(trig, np.sin(t), np.where(hyper, np.sinh(h), x)) / w
     return np.exp(iax), c, s
 
 

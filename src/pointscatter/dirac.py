@@ -139,7 +139,7 @@ def _propagate(x, k_plus, k_minus, A):
     """
     product = k_plus * k_minus
     w = math.sqrt(abs(product)) if x.__class__ is float else np.sqrt(np.abs(product))
-    phase, c, s = _propagation(x, w, product, A)
+    phase, c, s = _propagation(x, w, product, 1j * A)
     return phase, (c, k_plus * s, -k_minus * s, c)
 
 
@@ -163,7 +163,7 @@ def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
     """
     # Plain floats stay on float comparisons: np.all costs microseconds a call.
     floats = E.__class__ is m.__class__ is float
-    if not (m > 0.0 if floats else np.all(m > 0.0)):
+    if not (m > 0.0 if m.__class__ is float else np.all(m > 0.0)):
         raise ValueError("mass must be positive")
     if not (m < E < math.inf if floats else np.all((m < E) & (E < math.inf))):
         raise DegenerateModes("energy must be finite and above the mass")

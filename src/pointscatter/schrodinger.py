@@ -81,17 +81,19 @@ class DeltaTriple:
             raise ValueError("half-spacing a must be positive")
 
 
-def _hop(x, m, k, A):
+def _hop(x, m, k, A, iA):
     """Phase e^{iAx} and the four entries of the bracket of propagator(), entry-wise over an array x.
 
     c I + s [[-iA, 2m], [(A^2 - k^2)/2m, iA]]: connection._propagation at w = sign = k, on its
-    trigonometric branch, which enters no np.errstate; a column runs under the sweep's.
+    trigonometric branch, which enters no np.errstate; a column runs under the sweep's.  iA is
+    1j * A, formed once by the caller: (1j * A) * s is how Python reads 1j * A * s.
     """
-    phase, c, s = _propagation(x, k, k, A)
+    phase, c, s = _propagation(x, k, k, iA)
     # "+ 0.0" turns the -0.0 that s = ±0 leaves off the diagonal into +0.0,
     # so the identity at x = 0 carries no signed zeros.
     off_lower = (A * A - k * k) / (2.0 * m) * s + 0.0
-    return phase, (c - 1j * A * s, 2.0 * m * s + 0.0, off_lower, c + 1j * A * s)
+    ias = iA * s
+    return phase, (c - ias, 2.0 * m * s + 0.0, off_lower, c + ias)
 
 
 def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
@@ -101,7 +103,7 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     kernel connection._propagation (_hop); ValueError where an entry is not finite, or for an
     array x.  At A = 0 this is the free propagator [[cos kx, (2m/k) sin kx], [-(k/2m) sin kx, cos kx]].
     """
-    return connection._propagator(_hop, x, med.m, med.k, med.A)
+    return connection._propagator(_hop, x, med.m, med.k, med.A, 1j * med.A)
 
 
 def rho(m: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
@@ -149,8 +151,9 @@ def _three_delta(a, m, k, v_plus, v_zero, v_minus, A):
     of the rest.  Any argument may be an array; each entry has the
     broadcast shape of the arguments.
     """
-    phase, (h00, h01, h10, h11) = _hop(a, m, k, A)
-    edge = 1j * A / (2.0 * m)
+    iA = 1j * A
+    phase, (h00, h01, h10, h11) = _hop(a, m, k, A, iA)
+    edge = iA / (2.0 * m)
     # H D(v_minus + edge): column 0 += (v_minus + edge) * column 1
     w = v_minus + edge
     p00, p01, p10, p11 = h00 + h01 * w, h01, h10 + h11 * w, h11
@@ -224,8 +227,8 @@ def _strengths(p: ConnectionParams, a, m: float):
         # makes v± infinite at every a.
         if math.isinf(plus) or math.isinf(minus):
             raise ValueError(f"{'v_plus' if math.isinf(plus) else 'v_minus'} must be finite")
-        v_plus = -1.0 / (2.0 * m * a) + plus
-        v_minus = -1.0 / (2.0 * m * a) + minus
+        side = -1.0 / (2.0 * m * a)
+        v_plus, v_minus = side + plus, side + minus
         v_zero = p.beta / centre
     else:
         denom = p.alpha + p.delta + 2.0

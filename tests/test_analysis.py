@@ -35,8 +35,15 @@ class TestSweepRow:
             SweepRow(1.0, math.nan, "x")
 
 
-# Values the sweeps returned, row by row, before they became columnar
-# (recorded as repr of each row's float).
+# Spacings, largest first, of the sweeps recorded below the first two.
+GOLDEN_A = [10.0, 3.0, 1.0, 0.5, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4, 1e-6]
+
+# Values the sweeps returned (recorded as repr of each row's float): "nonrel" and "dirac"
+# row by row, before the sweeps became columnar; the rest before their error became one
+# pass over a (4, n) block.  Those cover both renormalization schemes with theta = 0 and
+# theta != 0, and the trigonometric, hyperbolic, s = v and s = -v barriers.  In each Dirac
+# sweep the finite barrier's branch changes as a shrinks (the trigonometric one's twice),
+# and the s = v one takes the linear branch at a = 0.5.
 RECORDED_SWEEPS = {
     "nonrel": (
         lambda: nonrel_convergence(
@@ -50,6 +57,70 @@ RECORDED_SWEEPS = {
         lambda: dirac_convergence(BarrierParams(0.6, 0.2, -1.1), -3.0, 0.5, [1e3, 0.4, 1e-7, 0.3999]),
         [1000.0, 0.4, 0.3999, 1e-07],
         [2.0103931663819012, 1.9017061543094316, 1.9012951082963758, 7.214172892872928e-07],
+        "dirac",
+    ),
+    "nonrel-beta-theta0": (
+        lambda: nonrel_convergence(ConnectionParams(2.0, 0.5, 2.0, 1.0), 1.0, 1.5, GOLDEN_A),
+        GOLDEN_A,
+        [30.678848658443595, 1.7356517679531613, 3.0308539536206602, 26.890432359046056,
+         22.801835053872644, 9.108924727886198, 2.820893991471941, 0.9462150668135934,
+         0.09485092813565643, 0.00948726056049054, 9.487476199865341e-05],
+        "schrodinger",
+    ),
+    "nonrel-beta-theta": (
+        lambda: nonrel_convergence(ConnectionParams(2.0, 0.5, 2.0, 1.0, 0.7), 1.0, 1.5, GOLDEN_A),
+        GOLDEN_A,
+        [30.678848658443595, 1.7356517679531611, 3.0308539536206567, 26.89043235904606,
+         22.801835053872647, 9.1089247278862, 2.8208939914719475, 0.9462150668136075,
+         0.09485092813565635, 0.009487260562309422, 9.487476199842923e-05],
+        "schrodinger",
+    ),
+    "nonrel-beta0-theta0": (
+        lambda: nonrel_convergence(ConnectionParams(2.0, 0.0, 1.5, 0.5), 0.5, 2.0, GOLDEN_A),
+        GOLDEN_A,
+        [2.7794621784189943, 1.3753807003991472, 2.9573081080546024, 3.331219851570765,
+         2.6898268643547047, 0.9692824869406778, 0.2847606071296518, 0.09390979146216694,
+         0.009339309858944489, 0.0009333933103334857, 9.333365596830845e-06],
+        "schrodinger",
+    ),
+    "nonrel-beta0-theta": (
+        lambda: nonrel_convergence(ConnectionParams(2.0, 0.0, 1.5, 0.5, -1.3), 0.5, 2.0, GOLDEN_A),
+        GOLDEN_A,
+        [2.7794621784189943, 1.3753807003991472, 2.9573081080546024, 3.331219851570765,
+         2.689826864354705, 0.9692824869406786, 0.2847606071296555, 0.0939097914621599,
+         0.00933930985894469, 0.0009333933112432147, 9.3335402196766e-06],
+        "schrodinger",
+    ),
+    "dirac-trig": (
+        lambda: dirac_convergence(BarrierParams(0.3, 1.2, 0.4), 2.0, 1.0, GOLDEN_A),
+        GOLDEN_A,
+        [2.4924889026226706, 1.8945914971075366, 3.9033957075356627, 3.198020730480757,
+         1.7372542606606005, 0.42986079678725303, 0.12726868922447027, 0.04258608201143643,
+         0.0042639138908235705, 0.00042643747819143805, 4.2644247064047325e-06],
+        "dirac",
+    ),
+    "dirac-hyperbolic": (
+        lambda: dirac_convergence(BarrierParams(1.2, 0.3, -0.4), -2.0, 1.0, GOLDEN_A),
+        GOLDEN_A,
+        [2.714281999935086, 2.87921868973084, 2.7183926722010154, 2.3089854906237846,
+         2.0110694753168907, 0.7926392840955773, 0.24294478558574956, 0.0812163791466529,
+         0.008128494153322298, 0.0008129053400055583, 8.12911351524828e-06],
+        "dirac",
+    ),
+    "dirac-delta": (
+        lambda: dirac_convergence(BarrierParams(0.5, 0.5), 2.0, 1.0, GOLDEN_A),
+        GOLDEN_A,
+        [1.7012598508952874, 1.9980752050525274, 1.769905729749893, 3.0, 2.023910644651401,
+         0.6491652538698981, 0.18511911636595485, 0.060589731142185556, 0.006005989793062825,
+         0.0006000599897993058, 6.0000059999898e-06],
+        "dirac",
+    ),
+    "dirac-epsilon": (
+        lambda: dirac_convergence(BarrierParams(-0.5, 0.5, 0.9), 2.0, 1.0, GOLDEN_A),
+        GOLDEN_A,
+        [1.9787768519717226, 1.7808775330026285, 1.9997860728793257, 2.3969119972732167,
+         1.7375185622337546, 0.5946452926532299, 0.17325943957010662, 0.057051896813725675,
+         0.005670621928190794, 0.0005667063219313086, 5.666670633520818e-06],
         "dirac",
     ),
 }

@@ -327,6 +327,19 @@ class TestCompare:
             exact = exact_transmission(p, Fraction(eps) / (2 * Fraction(1e-300)))
             assert ulps_from(t_s, exact) <= 4
 
+    # A log sweep up to DBL_MAX: ratio**(n-1) overflows by rounding, which exited 1 with an
+    # OverflowError.  --sweep-stop replaces that power, so it is never formed.
+    @pytest.mark.filterwarnings("error")
+    def test_log_sweep_up_to_the_largest_float(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "compare", "--alpha=1", "--beta=0", "--gamma=1", "--delta=1", "--sweep-start=1",
+            "--sweep-stop=1.7976931348623157e308", "--sweep-count=5",
+        ])
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 6
+        assert lines[-1] == "1.7976931348623157e+308,1,0.80000000000000004,0.19999999999999996"
+
 
 class TestClassify:
     @pytest.mark.parametrize(
@@ -482,6 +495,13 @@ HOSTILE_INPUTS = {
     "compare-below-mass-resolution": (["compare", *DELTA_FLAGS, "--sweep-start", "1e-20",
                                        "--sweep-stop", "1", "--sweep-count", "3"],
                                       2, "below the resolution of the mass"),
+    # Its last power overflowed by rounding and exited 1 with a traceback.
+    "converge-log-sweep-stop-power-overflows": (["converge", "--framework=dirac", "--s=1", "--v=0.5",
+                                                 "--energy=2", "--sweep-start=1e-300",
+                                                 "--sweep-stop=1.7976931348623157e8",
+                                                 "--sweep-count=5"], 2,
+                                                "half-spacing a=1.157920892373162e-223 is out of "
+                                                "range: the finite barrier overflows"),
     "log-sweep-ratio-overflows": (["transmission", "--framework", "schrodinger", *DELTA_FLAGS,
                                    "--sweep-start", "1e-300", "--sweep-stop", "1e300",
                                    "--sweep-count", "3", "--spacing", "log"], 2, "ratio"),
@@ -896,3 +916,21 @@ class TestSweepValues:
             want = [start + step * i for i in range(count)]
             want[0], want[-1] = start, stop
             assert [v.hex() for v in cli._sweep_values(args)] == [v.hex() for v in want]
+
+    def test_log_spacing_is_start_times_ratio_to_the_index(self):
+        # Python's pow, then one multiply, per entry; ratios below 1 sweep downwards.
+        rng = np.random.default_rng(11)
+        cases = [(1.0, 1.7976931348623157e308, 5), (1.7976931348623157e308, 1.0, 5),
+                 (1e-300, 1.7976931348623157e8, 5), (2.5, 2.5, 3)]
+        for _ in range(300):
+            start, stop = (float(v) for v in 10.0 ** rng.uniform(-150, 150, 2))
+            cases.append((start, stop, int(rng.integers(2, 3000))))
+        for start, stop, count in cases:
+            args = argparse.Namespace(
+                sweep_start=start, sweep_stop=stop, sweep_count=count, spacing="log"
+            )
+            ratio = (stop / start) ** (1.0 / (count - 1))
+            want = [start * ratio**i for i in range(count - 1)] + [stop]
+            want[0] = start
+            assert [v.hex() for v in cli._sweep_values(args)] == [v.hex() for v in want]
+        assert any(start > stop for start, stop, _ in cases)
