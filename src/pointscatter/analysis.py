@@ -152,9 +152,10 @@ def nonrel_convergence(
     half-spacing, largest first, each a's outcome its own.  Raises, in this
     order: ValueError unless every spacing is positive and finite; for a
     bad or infinite m or k; as renormalized_strengths does (naming the
-    largest a whose strengths overflow, or SingularRenormalization for
-    beta = 0 targets with alpha + delta = -2); naming the largest a whose
-    error is not finite.  Overflow raises no numpy warning.
+    largest a whose strengths overflow, v_zero where it overflows at every
+    a, or SingularRenormalization for beta = 0 targets with alpha + delta =
+    -2); naming the largest a whose error is not finite.  Overflow raises no
+    numpy warning.
     """
     a = _spacings(a_list)
     # The medium before the scheme: a bad m or k outranks SingularRenormalization.
@@ -193,17 +194,20 @@ def correspondence_table(
     rho^2 differs, eps/2m against eps/(2m + eps), as schrodinger's T at
     k = sqrt(2 m eps) and dirac.transmission at E = m + eps form them.
     Where 2 m eps is not a normal float, rho^2 is eps/2m itself.  Raises
-    ValueError for an eps that is not positive or so small against m that
-    m + eps == m.
+    ValueError for an eps that is not positive, so small against m that
+    m + eps == m, or so large that m + eps overflows; no numpy warning.
     """
     eps = np.sort(_column(kinetic_list))
     if eps.size == 0:
         return np.empty((0, 4))
     if not np.all(eps > 0.0):
         raise ValueError("kinetic energies must be positive")
-    E = m + eps
-    if m > 0.0 and E[0] == m:  # E is sorted: the smallest eps is lost first
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, NaN as -inf + inf
+        E = m + eps
+    if m > 0.0 and E[0] == m:  # E is sorted: the smallest eps is lost first, the largest overflows
         raise ValueError(f"kinetic energy {float(eps[0])!r} is below the resolution of the mass {m!r}")
+    if m > 0.0 and E[-1] == math.inf:
+        raise ValueError(f"kinetic energy {float(eps[-1])!r} plus the mass {m!r} exceeds the float range")
     t_d = dirac.transmission(p, E, m)
     with np.errstate(over="ignore"):
         k2 = 2.0 * m * eps

@@ -220,8 +220,10 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
         values = [args.sweep_start * ratio**i for i in range(args.sweep_count - 1)] + [args.sweep_stop]
     else:
         step = (args.sweep_stop - args.sweep_start) / (args.sweep_count - 1)
-        # The same two IEEE operations per entry as start + step * i.
-        values = (args.sweep_start + step * np.arange(args.sweep_count)).tolist()
+        # The same two IEEE operations per entry as start + step * i.  Near the float range's ends
+        # they can give inf, or NaN as inf * 0: the endpoints are set below, the library refuses the rest.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (args.sweep_start + step * np.arange(args.sweep_count)).tolist()
     # Endpoints are part of the contract; never leave them to rounding.
     values[0] = args.sweep_start
     values[-1] = args.sweep_stop
@@ -391,11 +393,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # numpy can warn before an input is refused: a linear sweep whose
-        # endpoints differ by more than the float range forms inf * 0 = NaN.
-        # The block keeps such warnings off stderr, ahead of the error line.
-        with np.errstate(all="ignore"):
-            text = args.func(args)
+        text = args.func(args)
     except SingularRenormalization as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

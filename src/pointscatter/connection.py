@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -398,28 +399,22 @@ def transmission(p: ConnectionParams, rho2: float | np.ndarray) -> float | np.nd
     """Transmission probability 4 / [alpha^2 + delta^2 + 2 + beta^2 rho2 + gamma^2/rho2].
 
     Between the modes of rho = sqrt(rho2), independent of theta, in [0, 1].
-    At rho2 = 0 and inf it is the limit: 0 if the diverging term is present.
     Entry-wise over an array rho2, giving an array of its shape; a scalar
-    rho2 is the 0-d case and gives a float.  Where beta^2 or gamma^2
-    overflows, that term is formed as (beta*rho)^2 or (gamma/rho)^2, squared
-    as q*q: ** 2 on a numpy scalar calls C pow, whose last bit can differ.
+    rho2 is the 0-d case and gives a float.  Where beta^2 or gamma^2 over-
+    or underflows (is not a normal double), that term is formed as (beta*rho)^2
+    or (gamma/rho)^2, squared as q*q (** 2 on a numpy scalar calls C pow, whose
+    last bit can differ).  At rho2 = 0 and inf, IEEE arithmetic gives the limit.
     """
     rho2 = np.asarray(rho2, dtype=float)
     bad = ~(rho2 >= 0.0)
     if bad.any():
         raise ValueError(f"rho2 must be non-negative, got {float(rho2[bad][0])!r}")
     t = _transmission(p.alpha, p.beta, p.gamma, p.delta, rho2)
-    # The endpoint limits are masked, not left to IEEE arithmetic: a beta^2
-    # or gamma^2 that underflows to 0 would give 0 * inf or 0 / 0 there.
-    if p.beta != 0.0:
-        t[rho2 == math.inf] = 0.0
-    if p.gamma != 0.0:
-        t[rho2 == 0.0] = 0.0
     return t if t.ndim else float(t)
 
 
 def _transmission(alpha, beta, gamma, delta, rho2: np.ndarray) -> np.ndarray:
-    """transmission's 4 / bracket, at most 1, over a checked rho2 array, endpoints unmasked.
+    """transmission's 4 / bracket, at most 1, over a checked rho2 array.
 
     The entries need not have determinant 1: schrodinger._transmission
     scales beta and gamma by 2^d and 2^-d, which rounds where either term
@@ -430,13 +425,12 @@ def _transmission(alpha, beta, gamma, delta, rho2: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         if beta != 0.0:
             bb = beta * beta
-            bracket += bb * rho2 if bb < math.inf else np.square(beta * np.sqrt(rho2))
+            bracket += bb * rho2 if sys.float_info.min <= bb < math.inf else np.square(beta * np.sqrt(rho2))
         if gamma != 0.0:
             gg = gamma * gamma
-            bracket += gg / rho2 if gg < math.inf else np.square(gamma / np.sqrt(rho2))
-        t = 4.0 / bracket
-    # min(1.0, t) keeps 1.0 unless t < 1.0, NaN included.
-    return np.where(t < 1.0, t, 1.0)
+            bracket += gg / rho2 if sys.float_info.min <= gg < math.inf else np.square(gamma / np.sqrt(rho2))
+    # The bracket is 2 or more, or inf, never NaN: 0 and inf meet only nonzero finite factors.
+    return np.minimum(4.0 / bracket, 1.0)
 
 
 def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:

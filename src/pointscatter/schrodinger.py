@@ -243,6 +243,8 @@ def _strengths(p: ConnectionParams, a, m: float):
         v_plus = (p.delta - 1.0) / side
         v_minus = (p.alpha - 1.0) / side
         v_zero = 4.0 * p.gamma / denom
+        if math.isinf(v_zero):  # the same at every a: no a to blame
+            raise ValueError("v_zero must be finite")
     width = 2.0 * a
     _require_quotient(a, p.theta, width, ("theta", "2 a"))
     return v_plus, v_zero, v_minus, p.theta / width
@@ -283,7 +285,7 @@ def _transmission(p: ConnectionParams, m: float | np.ndarray, k: float | np.ndar
 
     Below about 1.5e-154 and above 1.3e154, rho^2 rounds to a subnormal, 0
     or inf and loses beta^2 rho^2 or gamma^2 / rho^2; so does rho itself
-    where k/2m underflows or overflows.  Where m and k are finite there,
+    where k/2m underflows or overflows.  Where k is finite there,
     rho = r 2^d, with r the ratio of k's and m's mantissas, rounded once,
     and the terms are those of beta 2^d and gamma 2^-d at r^2: powers of
     two keep beta*gamma, and so T.  Everywhere else T is
@@ -295,8 +297,7 @@ def _transmission(p: ConnectionParams, m: float | np.ndarray, k: float | np.ndar
         t = connection.transmission(p, r2)
         if sys.float_info.min <= r2.min(initial=math.inf) and r2.max(initial=0.0) < math.inf:
             return t  # the common case: two reductions, no mask
-        finite = (m < math.inf) & (k < math.inf)  # rho checked m > 0 and k > 0
-        odd = np.flatnonzero(((r2 < sys.float_info.min) | (r2 == math.inf)) & finite)
+        odd = np.flatnonzero(((r2 < sys.float_info.min) | (r2 == math.inf)) & (k < math.inf))
         t, ms, ks = np.array(t), np.broadcast_to(m, r.shape).ravel(), np.broadcast_to(k, r.shape).ravel()
         # Rare entries, one at a time: each has its own d.  An ldexp that
         # overflows gives T = 0; one that underflows, a term below 2^-2000.

@@ -9,9 +9,11 @@ from hypothesis import settings
 
 from pointscatter.connection import ConnectionParams
 
-# CLI subprocesses import the same source tree as the test process.
+# CLI subprocesses import the same source tree as the test process, and a RuntimeWarning in
+# one is an error, as it is in the test process: no numpy warning may reach a CLI's stderr.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.getenv("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = ",".join(filter(None, [os.getenv("PYTHONWARNINGS"), "error::RuntimeWarning"]))
 
 # HYPOTHESIS_PROFILE=ci draws ten times the default examples per property and prints the
 # blob that reproduces a failure; without it, the default profile.

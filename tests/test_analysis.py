@@ -243,6 +243,12 @@ class TestNonrelConvergence:
         with pytest.raises(ValueError, match=message):
             schrodinger.renormalized_strengths(p, a, 1.0)
 
+    def test_overflowing_v_zero_blames_no_spacing(self):
+        # v0 = 4 gamma / (alpha + delta + 2) overflows at every a: the sweep named a=0.1.
+        p = ConnectionParams(-1.00000003, 0, 1e300, -0.9999999700000008)
+        with pytest.raises(ValueError, match="^v_zero must be finite$"):
+            nonrel_convergence(p, 1.0, 1.0, [0.1, 0.01])
+
     def test_largest_failing_spacing_is_named(self):
         # 1e-155 and 1e-160 overflow beta/(4 m^2 a^2); 1e-200 underflows 4 m^2 a^2.
         with pytest.raises(ValueError, match=re.escape("a=1e-155 is too small: beta")):
@@ -631,6 +637,21 @@ class TestCorrespondenceTable:
         # must name eps, not the energy the caller never passed.
         with pytest.raises(ValueError, match="below the resolution of the mass"):
             correspondence_table(ConnectionParams(1, 0, 0, 1, 0), m, [1.0, eps])
+
+    # m + eps overflows: rho2 raised "energy must be finite and above the mass", naming an
+    # energy the caller never passed, after numpy warned on the addition.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m, eps", [(1e308, sys.float_info.max), (1.0, math.inf)])
+    def test_rejects_kinetic_energy_whose_sum_with_the_mass_overflows(self, m, eps):
+        message = re.escape(f"kinetic energy {eps!r} plus the mass {m!r} exceeds the float range")
+        with pytest.raises(ValueError, match=message):
+            correspondence_table(ConnectionParams(1, 0.5, 0, 1), m, [1e300, eps])
+
+    # -inf + inf is NaN, on which numpy warned.
+    @pytest.mark.filterwarnings("error")
+    def test_minus_infinite_mass_is_named(self):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            correspondence_table(ConnectionParams(1, 0, 0, 1, 0), -math.inf, [1.0, math.inf])
 
     def test_negative_mass_is_named_before_resolution(self):
         with pytest.raises(ValueError, match="mass must be positive"):

@@ -495,6 +495,25 @@ HOSTILE_INPUTS = {
     "compare-below-mass-resolution": (["compare", *DELTA_FLAGS, "--sweep-start", "1e-20",
                                        "--sweep-stop", "1", "--sweep-count", "3"],
                                       2, "below the resolution of the mass"),
+    # An infinite mass gets the resolution message: m + eps == m for every eps.
+    "compare-mass-inf": (["compare", *DELTA_FLAGS, "--mass=inf", "--sweep-start=1", "--sweep-stop=2",
+                          "--sweep-count=2"],
+                         2, "error: kinetic energy 1.0 is below the resolution of the mass inf\n"),
+    # m + eps overflowed, and the error named the Dirac energy the caller never passed.
+    "compare-energy-overflows": (["compare", "--mass=1e308", "--alpha=1", "--beta=0.5", "--gamma=0",
+                                  "--delta=1", "--sweep-start=1e300",
+                                  "--sweep-stop=1.7976931348623157e308", "--sweep-count=2"],
+                                 2, "error: kinetic energy 1.7976931348623157e+308 plus the mass "
+                                    "1e+308 exceeds the float range\n"),
+    # v0 = 4 gamma / (alpha + delta + 2) overflows at every a: the error named a=0.1.
+    "converge-v-zero-overflows": (["converge", "--framework=schrodinger", "--alpha=-1.00000003",
+                                   "--beta=0", "--gamma=1e300", "--delta=-0.9999999700000008", "--k=1",
+                                   "--sweep-start=0.01", "--sweep-stop=0.1", "--sweep-count=2"],
+                                  2, "error: v_zero must be finite\n"),
+    # The endpoints span more than the float range: step = inf, and inf * 0 = NaN warned.
+    "linear-sweep-beyond-the-float-range": (["transmission", "--framework", "schrodinger", *DELTA_FLAGS,
+                                             "--sweep-start=-1e308", "--sweep-stop=1e308",
+                                             "--sweep-count=3"], 2, "wave number must be positive"),
     # Its last power overflowed by rounding and exited 1 with a traceback.
     "converge-log-sweep-stop-power-overflows": (["converge", "--framework=dirac", "--s=1", "--v=0.5",
                                                  "--energy=2", "--sweep-start=1e-300",
@@ -916,6 +935,17 @@ class TestSweepValues:
             want = [start + step * i for i in range(count)]
             want[0], want[-1] = start, stop
             assert [v.hex() for v in cli._sweep_values(args)] == [v.hex() for v in want]
+
+    # An inf step, and step * i past DBL_MAX, give inf and NaN rows without a numpy warning.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("start, stop, count, want", [
+        (1.0, math.inf, 3, [1.0, math.inf, math.inf]),
+        (0.0, 1.7976931348623157e308, 4, [0.0, 5.992310449541053e307, 1.1984620899082105e308,
+                                          1.7976931348623157e308]),
+    ], ids=["inf-step", "rounds-past-dbl-max"])
+    def test_linear_spacing_near_the_ends_of_the_float_range(self, start, stop, count, want):
+        args = argparse.Namespace(sweep_start=start, sweep_stop=stop, sweep_count=count, spacing="linear")
+        assert cli._sweep_values(args) == want
 
     def test_log_spacing_is_start_times_ratio_to_the_index(self):
         # Python's pow, then one multiply, per entry; ratios below 1 sweep downwards.

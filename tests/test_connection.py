@@ -168,6 +168,11 @@ class TestConservesCurrent:
         for _ in range(300):
             assert conserves_current(as_matrix(random_connection(rng)), 1e-10)
 
+    def test_residual_beyond_the_float_range_does_not_conserve(self):
+        # Finite entries whose residual b conj(c) - conj(a) d + 1 has a modulus past DBL_MAX.
+        M = np.array([[0, 1.2e154], [1.2e154 + 1.2e154j, 0]])
+        assert conserves_current(M, 1e-8) is False
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_rejects_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tol"):
@@ -218,6 +223,10 @@ class TestDecompose:
     def test_rejects_zero_matrix(self):
         with pytest.raises(NotConnectionForm):
             decompose(np.zeros((2, 2), dtype=complex))
+
+    def test_rejects_entry_whose_modulus_is_beyond_the_float_range(self):
+        with pytest.raises(NotConnectionForm, match="^matrix is zero or non-finite$"):
+            decompose(np.array([[1.7e308 + 1.7e308j, 0], [0, 1]]))
 
 
 class TestModePair:

@@ -12,7 +12,8 @@ closed form in Python floats bit for bit, and its columns, and the
 correspondence table built on them, the scalar calls, at every rho^2,
 endpoints and extremes included.  Over every positive double m, k and eps,
 schrodinger's T and the table's Schrodinger column must be within a derived
-relative bound of the exact T wherever that is a normal double.  decompose
+relative bound of the exact T wherever that is a normal double, and so must
+connection.transmission at every rho^2, with beta and gamma down to 1e-300.  decompose
 must invert as_matrix onto the canonical branch, to a rounding bound that
 grows with the products |alpha delta| and |beta gamma| whose difference is
 the determinant, and ConnectionParams must accept its output unchanged.  modes(rho) must be
@@ -153,16 +154,17 @@ def test_array_transmission_is_the_scalar_calls_bit_for_bit(p, rho2):
 
 def float_formula(p, rho2):
     """The closed form in Python floats, with transmission's rule for a beta^2
-    or gamma^2 that overflows: a reference independent of numpy."""
+    or gamma^2 that is not a normal double: a reference independent of numpy.
+    Python floats raise on x/0, so the endpoint limits are spelled out here."""
     if (p.beta != 0.0 and rho2 == math.inf) or (p.gamma != 0.0 and rho2 == 0.0):
         return 0.0
     bracket = p.alpha * p.alpha + p.delta * p.delta + 2.0
     if p.beta != 0.0:
         bb, b_rho = p.beta * p.beta, p.beta * math.sqrt(rho2)
-        bracket += bb * rho2 if bb < math.inf else b_rho * b_rho
+        bracket += bb * rho2 if sys.float_info.min <= bb < math.inf else b_rho * b_rho
     if p.gamma != 0.0:
         gg, g_rho = p.gamma * p.gamma, p.gamma / math.sqrt(rho2)
-        bracket += gg / rho2 if gg < math.inf else g_rho * g_rho
+        bracket += gg / rho2 if sys.float_info.min <= gg < math.inf else g_rho * g_rho
     return min(1.0, 4.0 / bracket)
 
 
@@ -238,7 +240,7 @@ def assert_near_exact(t: float, p: ConnectionParams, rho2: Fraction, bound: Frac
     k/2m or the mantissa ratio of k and m (its power of two is exact), and
     2.5u for sqrt(fl(2 m eps))/2m; eps/2m rounded once is u for rho^2 itself.
     - A: 3u.  B as fl(beta^2) fl(rho^2): u + (2 e_rho + u) + u; as
-      (beta sqrt(rho^2))^2, where beta^2 overflows: 2 (e_rho + 1.5u + u) + u
+      (beta sqrt(rho^2))^2, where beta^2 is not normal: 2 (e_rho + 1.5u + u) + u
       = 2 e_rho + 6u.  G likewise.  So each term is within 2 e_rho + 6u.
     - Underflow: a rounding to a subnormal errs by up to 2^-1075 absolutely.
       fl(beta^2) times rho^2 < 2^1024 then moves D by 2^-51 <= 2u D, and
@@ -320,6 +322,58 @@ def test_correspondence_schrodinger_column_rounds_eps_over_two_m_once_elsewhere(
         assert_near_exact(t, p, exact, TABLE_BOUND)
     else:
         assert t == transmission(p, rho2)
+
+
+# Off-diagonal entries of magnitude 1e-300 to 10: below about 1.5e-154 the square is subnormal, and
+# below about 1.5e-162 it underflows to 0.
+underflowing = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 1.0))
+
+
+@st.composite
+def underflowing_connections(draw):
+    """beta and gamma each from off_diagonal or underflowing, delta = (1 + beta gamma)/alpha."""
+    alpha = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from([1.0, -1.0]))
+    beta, gamma = (draw(st.one_of(off_diagonal, underflowing)) for _ in range(2))
+    assume(abs(beta * gamma) <= 100.0)  # 1 + beta gamma keeps its 1
+    return ConnectionParams(alpha, beta, gamma, (1.0 + beta * gamma) / alpha)
+
+
+# transmission's bound at an exact rho2: see test_transmission_is_near_exact_over_every_rho2.
+EXACT_RHO2_BOUND = 9 * U
+
+
+@settings(deadline=None)
+@given(p=underflowing_connections(), rho2=rho2_values)
+@example(p=ConnectionParams(1, 0, 1e-163, 1), rho2=5e-324)  # gamma^2 = 0 dropped the term: T read 1.0
+# Forming (gamma/rho)^2 where gamma^2 underflows moved T from 0.04 to 1.04 ulps off here.
+@example(p=ConnectionParams(231.22366290402096, -4.5e81, -1.7e-165, 1 / 231.22366290402096), rho2=6e-319)
+def test_transmission_is_near_exact_over_every_rho2(p, rho2):
+    """connection.transmission is within 9u of the exact T at the float rho2, u = 2^-53.
+
+    With the roundings counted as in assert_near_exact, at a rho2 that is exact:
+    - A = alpha^2 + delta^2 + 2: 3u.
+    - B as fl(beta^2) rho2, where beta^2 is a normal double: u + u.  Elsewhere as
+      q*q, q = beta fl(sqrt(rho2)): the sqrt of any double > 0 is normal, u; q adds u,
+      and q*q doubles the 2u and adds u: 5u.  G likewise, as fl(gamma^2)/rho2 or with
+      q = gamma/fl(sqrt(rho2)): 5u.  A subnormal q, q*q or product errs by at most
+      2^-1075 absolutely, less than 2^-1000 of D >= 2.
+    - The two additions of D, of terms >= 0: 7u.  4/D: 8u.  The higher-order terms of
+      these dozen roundings add less than u: 9u.
+    min(1, t) moves t towards T where T <= 1.  Where the floats' exact det is below 1,
+    T = 4/(4 + (alpha - delta)^2 + (beta rho + gamma/rho)^2 - 2(1 - det)) can exceed 1,
+    by (1 - det)/2 relative, which the bound adds.  At rho2 = 0 and inf, T is the limit.
+    """
+    t = transmission(p, rho2)
+    if (p.beta and rho2 == math.inf) or (p.gamma and rho2 == 0.0):
+        assert t == 0.0
+        return
+    alpha, beta, gamma, delta = map(Fraction, (p.alpha, p.beta, p.gamma, p.delta))
+    bound = EXACT_RHO2_BOUND + max(Fraction(0), 1 - (alpha * delta - beta * gamma)) / 2
+    if rho2 == math.inf:  # beta = 0, and gamma^2/rho2 tends to 0
+        exact = 4 / (alpha**2 + delta**2 + 2)
+        assert abs(Fraction(t) - exact) <= bound * exact
+    else:
+        assert_near_exact(t, p, Fraction(rho2), bound)
 
 
 def assert_decompose_inverts_as_matrix(p):

@@ -296,6 +296,12 @@ class TestRenormalizedStrengths:
         with pytest.raises(ValueError, match="a=1e-200 is too small"):
             renormalized_strengths(ConnectionParams(2, 1, 1, 1), 1e-200, 1.0)
 
+    def test_overflowing_v_zero_is_named(self):
+        # v0 = 4 gamma / (alpha + delta + 2) overflows at every a.
+        p = ConnectionParams(-1.00000003, 0, 1e300, -0.9999999700000008)
+        with pytest.raises(ValueError, match="^v_zero must be finite$"):
+            renormalized_strengths(p, 0.1, 1.0)
+
 
 class TestTransmission:
     def test_free_connection_is_transparent(self):
