@@ -194,14 +194,16 @@ def correspondence_table(
     rho^2 differs, eps/2m against eps/(2m + eps), as schrodinger's T at
     k = sqrt(2 m eps) and dirac.transmission at E = m + eps form them.
     Where 2 m eps is not a normal float, rho^2 is eps/2m itself.  Raises
-    ValueError for an eps that is not positive, so small against m that
-    m + eps == m, or so large that m + eps overflows; no numpy warning.
+    ValueError for an infinite m, or an eps that is not positive, so small
+    against m that m + eps == m, or so large that m + eps overflows; no warning.
     """
     eps = np.sort(_column(kinetic_list))
     if eps.size == 0:
         return np.empty((0, 4))
     if not np.all(eps > 0.0):
         raise ValueError("kinetic energies must be positive")
+    if m == math.inf:  # before the resolution check, which every eps would fail
+        raise ValueError("mass must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range, NaN as -inf + inf
         E = m + eps
     if m > 0.0 and E[0] == m:  # E is sorted: the smallest eps is lost first, the largest overflows

@@ -4,8 +4,9 @@ Subcommands: transmission (probability sweeps in either framework),
 converge (short-range model error against its zero-range target), compare
 (Schrodinger vs Dirac transmission at matched kinetic energy), classify
 (delta/epsilon/trig/hyperbolic tag of a barrier), propagate (one transfer
-matrix as eight reals).  All tabular output is CSV with a mandatory header
-row, comma separators, "\\n" line endings and 17-significant-digit values,
+matrix as eight reals).  Output is ASCII bytes, written unencoded to the
+--output file or to stdout, with "\\n" line endings on every platform; tables
+are CSV with a mandatory header row, commas and 17-significant-digit values,
 so emitted files parse back to the exact doubles that produced them.
 
 The library validates the physics; the CLI checks only its flags and maps
@@ -170,8 +171,8 @@ def _cells(v: np.ndarray, seps: np.ndarray) -> tuple[bytes, np.ndarray]:
     return text.tobytes().translate(None, b"\0"), slow
 
 
-def _csv(header: str, table: np.ndarray) -> str:
-    """The header line, then one line per row of a 2-d float table.
+def _csv(header: str, table: np.ndarray) -> bytes:
+    """The header line, then one line per row of a 2-d float table, as ASCII bytes.
 
     Every value is written as format(x, ".17g"): 17 significant digits
     round-trip any double exactly.  numpy forms the digits of every finite
@@ -184,15 +185,15 @@ def _csv(header: str, table: np.ndarray) -> str:
     values = np.ascontiguousarray(table, dtype=float).ravel()
     step = max(1, _BLOCK_VALUES // cols) * cols
     seps = np.tile(np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint64) << 40, step // cols)
-    text = [header, "\n"]
+    text = [header.encode("ascii") + b"\n"]
     with np.errstate(divide="ignore"):
         for start in range(0, values.size, step):
             block = values[start : start + step]
             cells, slow = _cells(block, seps[: block.size])
             if slow.any():
                 cells %= tuple(block[slow].tolist())
-            text.append(cells.decode("ascii"))
-    return "".join(text)
+            text.append(cells)
+    return b"".join(text)
 
 
 def _connection_from_args(args: argparse.Namespace) -> ConnectionParams:
@@ -230,7 +231,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
     return values
 
 
-def cmd_transmission(args: argparse.Namespace) -> str:
+def cmd_transmission(args: argparse.Namespace) -> bytes:
     p = _connection_from_args(args)
     x = np.array(_sweep_values(args))
     if args.framework == "schrodinger":
@@ -240,7 +241,7 @@ def cmd_transmission(args: argparse.Namespace) -> str:
     return _csv("x,T2,R2", np.column_stack((x, t2, 1.0 - t2)))
 
 
-def cmd_converge(args: argparse.Namespace) -> str:
+def cmd_converge(args: argparse.Namespace) -> bytes:
     a_values = _sweep_values(args)
     if args.framework == "schrodinger":
         _require(args, ("alpha", "beta", "gamma", "delta", "k"), "for --framework schrodinger")
@@ -262,20 +263,19 @@ def cmd_converge(args: argparse.Namespace) -> str:
     return _csv("a,err", np.column_stack((sweep.x, sweep.value)))
 
 
-def cmd_compare(args: argparse.Namespace) -> str:
+def cmd_compare(args: argparse.Namespace) -> bytes:
     p = _connection_from_args(args)
     table = analysis.correspondence_table(p, args.mass, _sweep_values(args))
     return _csv("kinetic,T2_schrodinger,T2_dirac,diff", table)
 
 
-def cmd_classify(args: argparse.Namespace) -> str:
+def cmd_classify(args: argparse.Namespace) -> bytes:
     tag = dirac.classify(BarrierParams(args.s, args.v, args.theta))
-    if tag.strength is None:
-        return tag.kind + "\n"
-    return "%s strength=%.17g\n" % tag
+    line = tag.kind if tag.strength is None else "%s strength=%.17g" % tag
+    return line.encode("ascii") + b"\n"
 
 
-def cmd_propagate(args: argparse.Namespace) -> str:
+def cmd_propagate(args: argparse.Namespace) -> bytes:
     if not math.isfinite(args.x):
         raise ValueError("--x must be finite")
     if args.framework == "schrodinger":
@@ -393,20 +393,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        text = args.func(args)
-    except SingularRenormalization as exc:
+        data = args.func(args)
+    except ValueError as exc:  # SingularRenormalization is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+        return EXIT_SINGULAR if isinstance(exc, SingularRenormalization) else EXIT_PARAMS
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+            with open(args.output, "wb") as handle:
+                handle.write(data)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text a caller in this process printed first goes out first
+        sys.stdout.buffer.write(data)
     return EXIT_OK

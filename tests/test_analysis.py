@@ -631,12 +631,17 @@ class TestCorrespondenceTable:
         with pytest.raises(ValueError):
             correspondence_table(ConnectionParams(1, 0, 0, 1, 0), 1.0, [0.0])
 
-    @pytest.mark.parametrize("m, eps", [(1.0, 1e-20), (1e10, 1e-7), (math.inf, 1.0)])
+    @pytest.mark.parametrize("m, eps", [(1.0, 1e-20), (1e10, 1e-7)])
     def test_rejects_kinetic_energy_below_mass_resolution(self, m, eps):
         # m + eps == m: the Dirac energy would equal the mass, and the error
         # must name eps, not the energy the caller never passed.
         with pytest.raises(ValueError, match="below the resolution of the mass"):
             correspondence_table(ConnectionParams(1, 0, 0, 1, 0), m, [1.0, eps])
+
+    def test_rejects_infinite_mass(self):
+        # m + eps == m for every eps, yet the fault is the mass, as schrodinger.rho says.
+        with pytest.raises(ValueError, match="^mass must be finite$"):
+            correspondence_table(ConnectionParams(1, 0, 0, 1, 0), math.inf, [1.0, 2.0])
 
     # m + eps overflows: rho2 raised "energy must be finite and above the mass", naming an
     # energy the caller never passed, after numpy warned on the addition.

@@ -2,7 +2,9 @@
 
 import argparse
 import hashlib
+import io
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -394,19 +396,40 @@ class TestPropagate:
         assert "--k" in err
 
 
+# One call of each subcommand, written to stdout or to --output.
+OUTPUT_ARGV = {
+    "transmission": ["transmission", "--framework", "schrodinger", *DELTA_FLAGS,
+                     "--sweep-start", "1", "--sweep-stop", "4", "--sweep-count", "4"],
+    "converge": ["converge", "--framework", "dirac", "--s", "1", "--v", "0.5", "--energy", "2",
+                 "--sweep-start", "1e-2", "--sweep-stop", "1e-4", "--sweep-count", "3"],
+    "compare": ["compare", *DELTA_FLAGS, "--sweep-start", "1e-3", "--sweep-stop", "1e3",
+                "--sweep-count", "5"],
+    "classify": ["classify", "--s", "1", "--v", "-1"],
+    "propagate": ["propagate", "--framework", "schrodinger", "--x", "0.5", "--k", "2"],
+}
+
+
 class TestOutputFile:
-    def test_writes_identical_bytes_to_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("name", sorted(OUTPUT_ARGV))
+    def test_writes_identical_bytes_to_file(self, capsysbinary, tmp_path, name):
         target = tmp_path / "out.csv"
-        argv = [
-            "transmission", "--framework", "schrodinger", *DELTA_FLAGS,
-            "--sweep-start", "1", "--sweep-stop", "4", "--sweep-count", "4",
-        ]
-        code, out, _ = run_cli(capsys, argv)
-        assert code == 0
-        code2 = main(argv + ["--output", str(target)])
-        capsys.readouterr()
-        assert code2 == 0
-        assert target.read_bytes().decode() == out
+        assert main(OUTPUT_ARGV[name]) == 0
+        out = capsysbinary.readouterr().out
+        assert out.endswith(b"\n")
+        assert main([*OUTPUT_ARGV[name], "--output", str(target)]) == 0
+        assert capsysbinary.readouterr() == (b"", b"")
+        assert target.read_bytes() == out
+
+    def test_text_printed_first_comes_out_first(self, monkeypatch):
+        # Unlike pytest's capture, a TextIOWrapper left to itself holds text
+        # back until it is flushed: main must flush before it writes bytes.
+        stdout = io.TextIOWrapper(io.BytesIO(), "ascii", newline="\n")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("before")
+        assert main(OUTPUT_ARGV["classify"]) == 0
+        print("after")
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b"before\nepsilon strength=2\nafter\n"
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -495,10 +518,9 @@ HOSTILE_INPUTS = {
     "compare-below-mass-resolution": (["compare", *DELTA_FLAGS, "--sweep-start", "1e-20",
                                        "--sweep-stop", "1", "--sweep-count", "3"],
                                       2, "below the resolution of the mass"),
-    # An infinite mass gets the resolution message: m + eps == m for every eps.
     "compare-mass-inf": (["compare", *DELTA_FLAGS, "--mass=inf", "--sweep-start=1", "--sweep-stop=2",
                           "--sweep-count=2"],
-                         2, "error: kinetic energy 1.0 is below the resolution of the mass inf\n"),
+                         2, "error: mass must be finite\n"),
     # m + eps overflowed, and the error named the Dirac energy the caller never passed.
     "compare-energy-overflows": (["compare", "--mass=1e308", "--alpha=1", "--beta=0.5", "--gamma=0",
                                   "--delta=1", "--sweep-start=1e300",
@@ -782,7 +804,7 @@ class TestOnePassFormatting:
         want = "a,b,c\n" + "".join(
             ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist()
         )
-        assert cli._csv("a,b,c", table) == want
+        assert cli._csv("a,b,c", table) == want.encode("ascii")
 
     # _csv forms most values' digits in numpy; each family below must come
     # out exactly as format(x, ".17g") of each value and of its negation.
@@ -796,7 +818,7 @@ class TestOnePassFormatting:
         want = "a,b,c,d\n" + "".join(
             ",".join(format(v, ".17g") for v in row) + "\n" for row in table.tolist()
         )
-        assert cli._csv("a,b,c,d", table) == want
+        assert cli._csv("a,b,c,d", table) == want.encode("ascii")
 
     def test_random_bit_patterns(self):
         rng = np.random.default_rng(20261018)
@@ -887,7 +909,7 @@ class TestOnePassFormatting:
         specials = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072009e-308,
                     2.2250738585072014e-308, 1.7976931348623157e308]
         self.assert_each_value_formatted(specials, subnormals)
-        assert cli._csv("a", np.array([[-0.0], [math.nan], [-math.inf]])) == "a\n-0\nnan\n-inf\n"
+        assert cli._csv("a", np.array([[-0.0], [math.nan], [-math.inf]])) == b"a\n-0\nnan\n-inf\n"
 
 
 class TestBlocks:
@@ -915,10 +937,10 @@ class TestBlocks:
         table = self.table(4500 // cols, cols)
         header = ",".join("abc"[:cols])
         want = [header] + [",".join(format(v, ".17g") for v in row) for row in table.tolist()]
-        assert cli._csv(header, table).split("\n") == want + [""]
+        assert cli._csv(header, table).split(b"\n") == [line.encode("ascii") for line in want] + [b""]
 
     def test_empty_table_is_the_header_line(self):
-        assert cli._csv("a,b,c", np.empty((0, 3))) == "a,b,c\n"
+        assert cli._csv("a,b,c", np.empty((0, 3))) == b"a,b,c\n"
 
 
 class TestSweepValues:
