@@ -404,7 +404,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-    else:
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # text a caller in this process printed first goes out first
         sys.stdout.buffer.write(data)
+    else:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(data.decode("ascii"))
     return EXIT_OK

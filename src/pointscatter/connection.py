@@ -50,6 +50,9 @@ TransferMatrix = np.ndarray
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 _TWO_PI = 2.0 * math.pi
+_RT2 = math.sqrt(2.0)
+_RT2_INV = complex(1.0 / _RT2)
+_COMPLEX = np.dtype(complex)
 
 _DET_TOL = 1e-12          # SL(2,R) membership at construction: floor of the band
 _BIORTHO_TOL = 1e-12      # mode-pair projections at construction
@@ -119,7 +122,8 @@ class ConnectionParams:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _require_finite_fields(self, ("theta",))
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         _unimodular_det(self.alpha, self.beta, self.gamma, self.delta, _DET_TOL)
 
 
@@ -174,7 +178,7 @@ class ScatteringResult:
 
     def __post_init__(self) -> None:
         try:
-            total = self.t_prob + self.r_prob
+            total = abs(self.t_amp) ** 2 + abs(self.r_amp) ** 2  # t_prob + r_prob
         except OverflowError:  # a modulus or its square beyond the float range
             total = math.inf
         if not abs(total - 1.0) <= _UNITARITY_TOL:
@@ -208,13 +212,13 @@ def _onto_sl2(entries: list[float], floor: float) -> list[float]:
     if abs(det - 1.0) > floor:  # sqrt(det) would be no correction: see _DET_BAND
         return entries
     root = math.sqrt(det)
-    return [x / root for x in entries]
+    return [entries[0] / root, entries[1] / root, entries[2] / root, entries[3] / root]
 
 
 def as_matrix(p: ConnectionParams) -> TransferMatrix:
     """Connection matrix e^{i*theta} [[alpha, beta], [gamma, delta]]."""
     phase = cmath.exp(1j * p.theta)
-    return phase * np.array([[p.alpha, p.beta], [p.gamma, p.delta]], dtype=complex)
+    return phase * np.array((p.alpha, p.beta, p.gamma, p.delta), dtype=complex).reshape(2, 2)
 
 
 def _from_scalars(phase, entries, message: str, *args) -> np.ndarray:
@@ -248,7 +252,7 @@ def _propagation(x, w, sign, iA):
                 return complex(np.exp(iax)), 1.0, x
         elif math.isfinite(wx := w * x) and cmath.isfinite(iax):
             if sign > 0.0:
-                return complex(np.exp(iax)), float(np.cos(wx)), float(np.sin(wx) / w)
+                return complex(np.exp(iax)), float(np.cos(wx)), float(np.sin(wx)) / w
             with np.errstate(over="ignore"):
                 return complex(np.exp(iax)), float(np.cosh(wx)), float(np.sinh(wx) / w)
         return math.nan, math.nan, math.nan
@@ -293,18 +297,20 @@ def epsilon_connection(v: float) -> TransferMatrix:
 def _entries(M: TransferMatrix) -> list[complex]:
     """The entries [a, b, c, d] of M = [[a, b], [c, d]] as Python complex numbers.
 
-    ValueError unless M's shape is (2, 2).  On four entries, Python complex
-    arithmetic costs a fraction of numpy's per-call overhead.
+    ValueError unless M's shape is (2, 2).  Only an exact ndarray of native complex128 skips
+    np.asarray.  On four entries, Python complex arithmetic costs a fraction of numpy's.
     """
-    M = np.asarray(M, dtype=complex)
+    if M.__class__ is not np.ndarray or M.dtype is not _COMPLEX:
+        M = np.asarray(M, dtype=complex)
     if M.shape != (2, 2):
         raise ValueError(f"transfer matrix must be 2x2, got shape {M.shape}")
     return M.ravel().tolist()
 
 
 def _finite(entries: list[complex]) -> bool:
-    """True iff no entry has a NaN or infinite part."""
-    return all(map(cmath.isfinite, entries))
+    """True iff none of the four entries has a NaN or infinite part."""
+    a, b, c, d = entries
+    return cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)
 
 
 def conserves_current(M: TransferMatrix, tol: float) -> bool:
@@ -316,10 +322,9 @@ def conserves_current(M: TransferMatrix, tol: float) -> bool:
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    entries = _entries(M)
+    a, b, c, d = entries = _entries(M)
     if not _finite(entries):
         return False
-    a, b, c, d = entries
     upper = 2.0 * (a.real * c.imag - a.imag * c.real)
     lower = 2.0 * (b.real * d.imag - b.imag * d.real)
     off = b * c.conjugate() - a.conjugate() * d + 1.0
@@ -344,33 +349,35 @@ def decompose(M: TransferMatrix) -> ConnectionParams:
     infinite entry, when no global phase makes it real to tolerance, or
     when the determinant is not 1 to tolerance.
     """
-    entries = _entries(M)
+    a, b, c, d = entries = _entries(M)
     try:
-        # The first entry of largest modulus in row-major order.  max skips
-        # a NaN modulus, so finiteness is checked separately below.
-        largest = max(entries, key=abs)
-        scale = abs(largest)
+        # max(entries, key=abs), unrolled; a NaN scale, where an entry is not finite, fails below.
+        largest, scale = a, (abs(a) if _finite(entries) else math.nan)
+        if (s := abs(b)) > scale:
+            largest, scale = b, s
+        if (s := abs(c)) > scale:
+            largest, scale = c, s
+        if (s := abs(d)) > scale:
+            largest, scale = d, s
     except OverflowError:  # a finite entry whose modulus is beyond the float range
         scale = math.inf
-    if not (_finite(entries) and 0.0 < scale < math.inf):
+    if not 0.0 < scale < math.inf:
         raise NotConnectionForm("matrix is zero or non-finite")
     # Read the phase off the largest entry; a tiny one would give a noisy
     # argument.  The sign scan below restores the canonical branch.
     phase = cmath.phase(largest)
     turn = cmath.exp(-1j * phase)
-    rotated = [z * turn for z in entries]
+    a, b, c, d = a * turn, b * turn, c * turn, d * turn
     floor = _REAL_FORM_TOL * max(1.0, scale)
-    if max(abs(z.imag) for z in rotated) > floor:
+    if abs(a.imag) > floor or abs(b.imag) > floor or abs(c.imag) > floor or abs(d.imag) > floor:
         raise NotConnectionForm("no global phase makes all entries real")
-    u = [z.real for z in rotated]
-    for entry in u:
-        if abs(entry) > floor:
-            if entry < 0.0:
-                u = [-x for x in u]
-                phase += math.pi
-            break
+    a, b, c, d = a.real, b.real, c.real, d.real
+    # The first entry above floor sets the sign: below -floor, U turns to -U.
+    if (a if abs(a) > floor else b if abs(b) > floor else c if abs(c) > floor else d) < -floor:
+        a, b, c, d = -a, -b, -c, -d
+        phase += math.pi
     params = object.__new__(ConnectionParams)  # unchecked: _DET_BAND derives that these pass
-    alpha, beta, gamma, delta = _onto_sl2(u, _REAL_FORM_TOL)
+    alpha, beta, gamma, delta = _onto_sl2([a, b, c, d], _REAL_FORM_TOL)
     vars(params).update(alpha=alpha, beta=beta, gamma=gamma, delta=delta, theta=wrap_angle(phase))
     return params
 
@@ -386,12 +393,10 @@ def modes(rho: float) -> ModePair:
         raise ValueError(f"rho must be positive and finite, got {rho!r}")
     if not 1.0 / rho < math.inf:
         raise ValueError(f"rho={rho!r} is too small: 1/rho overflows")
-    rt2 = math.sqrt(2.0)
-    h = complex(1.0 / rt2)
     pair = object.__new__(ModePair)
     # -1j * rho and -(1j * rho) differ in the sign of the real zero: keep these expressions.
-    vars(pair).update(u_plus=(h, 1j * rho / rt2), u_minus=(h, -1j * rho / rt2),
-                      v_plus=(h, 1j / rho / rt2), v_minus=(h, -1j / rho / rt2))
+    vars(pair).update(u_plus=(_RT2_INV, 1j * rho / _RT2), u_minus=(_RT2_INV, -1j * rho / _RT2),
+                      v_plus=(_RT2_INV, 1j / rho / _RT2), v_minus=(_RT2_INV, -1j / rho / _RT2))
     return pair
 
 
@@ -447,8 +452,7 @@ def scatter(M: TransferMatrix, modes: ModePair) -> ScatteringResult:
     reflection with r_amp = -1 (the modulus is forced to 1, the phase is
     not determined by the data).  Otherwise SingularProjection is raised.
     """
-    entries = _entries(M)
-    a, b, c, d = entries
+    a, b, c, d = entries = _entries(M)
     det = a * d - b * c
     if not _finite(entries) or det == 0 or not cmath.isfinite(det):
         raise ValueError("matrix is singular or not finite")

@@ -56,7 +56,8 @@ class NonRelMedium:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _require_finite_fields(self, ("A",))
+        if not math.isfinite(self.A):
+            raise ValueError("A must be finite")
         rho(self.m, self.k)
 
 
@@ -76,7 +77,9 @@ class DeltaTriple:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _require_finite_fields(self, ("v_plus", "v_zero", "v_minus", "a", "A"))
+        # A field that is not finite makes the sum so; finite fields whose sum overflows pass below.
+        if not math.isfinite(self.v_plus + self.v_zero + self.v_minus + self.a + self.A):
+            _require_finite_fields(self, ("v_plus", "v_zero", "v_minus", "a", "A"))
         if not self.a > 0.0:
             raise ValueError("half-spacing a must be positive")
 
@@ -196,7 +199,7 @@ def _require_quotient(a, numerator: float, divisor, names: tuple[str, str]) -> N
     """
     if divisor.__class__ is not float and not divisor.size:
         return
-    last = float(divisor if divisor.__class__ is float else divisor.flat[-1])
+    last = divisor if divisor.__class__ is float else float(divisor.flat[-1])
     if last > 0.0 and abs(numerator) / last < math.inf:
         return
     a, divisor = np.ravel(a), np.ravel(divisor)

@@ -431,6 +431,17 @@ class TestOutputFile:
         stdout.flush()
         assert stdout.buffer.getvalue() == b"before\nepsilon strength=2\nafter\n"
 
+    @pytest.mark.parametrize("name", ["classify", "transmission"])
+    def test_text_only_stdout_gets_the_same_text(self, capsysbinary, monkeypatch, name):
+        # A stream with no binary .buffer, as contextlib.redirect_stdout(io.StringIO()) installs.
+        assert main(OUTPUT_ARGV[name]) == 0
+        want = capsysbinary.readouterr().out.decode("ascii")
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("before")
+        assert main(OUTPUT_ARGV[name]) == 0
+        assert stdout.getvalue() == "before\n" + want
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])

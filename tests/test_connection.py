@@ -1,5 +1,7 @@
 """Connection matrices: construction, decomposition, conservation, scattering."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -388,12 +390,41 @@ class TestMatrixShape:
         "conserves_current": lambda M: conserves_current(M, 1e-8),
     }
 
-    @pytest.mark.parametrize("M", [np.eye(3), np.eye(2)[np.newaxis], np.eye(2).ravel()],
-                             ids=["3x3", "1x2x2", "4"])
+    @pytest.mark.parametrize("M", [np.eye(3), np.eye(2)[np.newaxis], np.eye(2).ravel(),
+                                   np.eye(3, dtype=complex), np.eye(2, dtype=complex)[np.newaxis],
+                                   np.eye(2, dtype=complex).ravel(), [[1, 0, 0], [0, 1, 0]]],
+                             ids=["3x3", "1x2x2", "4", "3x3-complex", "1x2x2-complex", "4-complex",
+                                  "2x3-list"])
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_rejects_matrix_that_is_not_2x2(self, name, M):
         with pytest.raises(ValueError, match="2x2"):
             self.CALLS[name](M)
+
+
+def matrix_forms(M):
+    """M as each input _entries converts, or reads as it is: the outputs must not tell them apart."""
+    view = np.zeros((4, 4), dtype=complex)
+    view[::2, ::2] = M
+    read_only = M.copy()
+    read_only.flags.writeable = False
+    forms = {"C": M, "F": np.asfortranarray(M), "strided view": view[::2, ::2], "read-only": read_only,
+             ">c16": M.astype(">c16"), "list": M.tolist()}
+    if not M.imag.any():
+        forms["float64"] = M.real.copy()
+    return forms
+
+
+class TestEntriesPaths:
+    @pytest.mark.parametrize("M", [np.array([[2.0, 1.0], [3.0, 2.0]], dtype=complex),
+                                   as_matrix(ConnectionParams(2, -1.5, -0.5, 0.875, 2.5))],
+                             ids=["real", "phased"])
+    def test_every_form_gives_the_same_outputs(self, M):
+        def outputs(M):
+            res, q = scatter(M, modes(0.7)), decompose(M)
+            return repr((res.t_amp, res.r_amp, q, conserves_current(M, 1e-12)))
+        forms = matrix_forms(M)
+        assert len(forms) == 7 - bool(M.imag.any())
+        assert {name: outputs(form) for name, form in forms.items()} == dict.fromkeys(forms, outputs(M))
 
 
 class TestNonFiniteEntries:
@@ -475,3 +506,42 @@ class TestTransmission:
     def test_rejects_rho2_outside_nonnegative_reals(self, rho2):
         with pytest.raises(ValueError, match="rho2"):
             transmission(self.beta_zero, rho2)
+
+
+def scalar_path_bytes(theta, alpha, beta, delta, i):
+    """The bytes the scatter_points benchmark fingerprints, at the i-th point of the grid below.
+
+    as_matrix, three_delta_transfer, the three scatter amplitudes with their
+    probabilities, the decompose fields and conserves_current; i picks m, k, E and a.
+    """
+    if beta:
+        p = ConnectionParams(alpha, beta, (alpha * delta - 1.0) / beta, delta, theta)
+    else:
+        p = ConnectionParams(alpha, 0.0, 0.6 - delta, 1.0 / alpha, theta)
+    m, k, a = (0.6, 1.0, 1.7)[i % 3], (0.3, 1.0, 4.0, 0.05)[i % 4], (0.01, 0.05, 0.2)[i % 5 % 3]
+    med = NonRelMedium(m, k)
+    M = as_matrix(p)
+    cfg = schrodinger.renormalized_strengths(p, a, m)
+    M3 = schrodinger.three_delta_transfer(cfg, NonRelMedium(m, k, cfg.A))
+    results = (scatter(M, schrodinger.mode_vectors(med)),
+               scatter(M, dirac.free_mode_vectors(m * (1.5, 3.0, 10.0)[i % 7 % 3], m)),
+               scatter(M3, schrodinger.mode_vectors(med)))
+    q = decompose(M)
+    return b"".join([
+        M.tobytes(), M3.tobytes(),
+        np.array([(r.t_amp, r.r_amp, r.t_prob, r.r_prob) for r in results], dtype=complex).tobytes(),
+        np.array([q.alpha, q.beta, q.gamma, q.delta, q.theta]).tobytes(),
+        bytes([conserves_current(M3, 1e-6)]),
+    ])
+
+
+def test_scalar_path_is_bit_identical_to_its_recorded_digest():
+    # A change that keeps every IEEE operation of the scalar path keeps this
+    # digest; one that rounds a single bit differently anywhere on the grid
+    # (144 points, both renormalization schemes, four theta) does not.
+    grid = itertools.product((-2.0, 0.0, 0.4, 3.0), (-2.5, -0.5, 1.0, 3.0), (-1.25, 0.0, 0.75),
+                             (-0.8, 1.0, 2.0))
+    digest = hashlib.sha256()
+    for i, point in enumerate(grid):
+        digest.update(scalar_path_bytes(*point, i))
+    assert digest.hexdigest() == "22b125f177802adaeb28d2f82d19a07ae8b8b18e84882548894b7a2659026474"

@@ -71,6 +71,9 @@ REJECTIONS = [
     (DeltaTriple, (0, 0, -inf, 1), ValueError, "v_minus must be finite"),
     (DeltaTriple, (0, 0, 0, inf), ValueError, "a must be finite"),
     (DeltaTriple, (0, 0, 0, 1, nan), ValueError, "A must be finite"),
+    # The fields' sum is NaN, and one that overflows to inf does not hide a later NaN.
+    (DeltaTriple, (inf, 0, -inf, 1), ValueError, "v_plus must be finite"),
+    (DeltaTriple, (1e308, 1e308, 0, 1, nan), ValueError, "A must be finite"),
     (DeltaTriple, (0, 0, 0, -1, inf), ValueError, "A must be finite"),
     (DeltaTriple, (0, 0, 0, 0), ValueError, "half-spacing a must be positive"),
     (DeltaTriple, (0, 0, 0, -1), ValueError, "half-spacing a must be positive"),
@@ -87,6 +90,7 @@ REJECTIONS = [
     (BarrierParams, (0, 0, inf), ValueError, "theta must be finite"),
     (BarrierParams, (nan, nan, nan), ValueError, "s must be finite"),
     (ScatteringResult, (0.5, 0.5), ValueError, "non-unitary amplitudes: |T|^2 + |R|^2 = 0.5"),
+    (ScatteringResult, (1, 1), ValueError, "non-unitary amplitudes: |T|^2 + |R|^2 = 2.0"),
     (ScatteringResult, (nan, nan), ValueError, "non-unitary amplitudes: |T|^2 + |R|^2 = nan"),
     (ScatteringResult, (1e200, 0), ValueError, "non-unitary amplitudes: |T|^2 + |R|^2 = inf"),
     (ScatteringResult, (inf, 0), ValueError, "non-unitary amplitudes: |T|^2 + |R|^2 = inf"),
@@ -115,6 +119,12 @@ def test_rejections_keep_their_type_and_whole_message(cls, args, error, message)
     with pytest.raises(error) as info:
         cls(*args)
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("fields", [(1e308, 1e308, 0, 1, 0), (-1e308, 0, -1e308, 1, -1e308),
+                                    (0, 1e308, 0, 1e308, 1e308)], ids=str)
+def test_finite_fields_whose_sum_overflows_are_accepted(fields):
+    assert dataclasses.astuple(DeltaTriple(*fields)) == tuple(map(float, fields))
 
 
 # (instance, the same fields as other number types, the stored fields, its repr)
