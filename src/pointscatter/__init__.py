@@ -30,12 +30,7 @@ from .connection import (
     wrap_angle,
 )
 from .dirac import BarrierClass, BarrierParams, DegenerateModes, DiracMedium
-from .schrodinger import (
-    DeltaTriple,
-    ModesRequireFreeSpace,
-    NonRelMedium,
-    SingularRenormalization,
-)
+from .schrodinger import DeltaTriple, ModesRequireFreeSpace, NonRelMedium
 
 __version__ = "0.1.0"
 
@@ -58,7 +53,6 @@ __all__ = [
     "NotConnectionForm",
     "SingularProjection",
     "ModesRequireFreeSpace",
-    "SingularRenormalization",
     "DegenerateModes",
     "as_matrix",
     "conserves_current",

@@ -152,13 +152,11 @@ def nonrel_convergence(
     half-spacing, largest first, each a's outcome its own.  Raises, in this
     order: ValueError unless every spacing is positive and finite; for a
     bad or infinite m or k; as renormalized_strengths does (naming the
-    largest a whose strengths overflow, v_zero where it overflows at every
-    a, or SingularRenormalization for beta = 0 targets with alpha + delta =
-    -2); naming the largest a whose error is not finite.  Overflow raises no
-    numpy warning.
+    largest a whose strengths overflow, or v_zero where it overflows at
+    every a); naming the largest a whose error is not finite.  Overflow
+    raises no numpy warning.
     """
     a = _spacings(a_list)
-    # The medium before the scheme: a bad m or k outranks SingularRenormalization.
     schrodinger.rho(m, k)
     if not math.isfinite(k):  # rho admits k = inf
         raise ValueError(f"wave number k={k!r} must be finite for a convergence sweep")

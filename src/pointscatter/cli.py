@@ -11,8 +11,7 @@ so emitted files parse back to the exact doubles that produced them.
 
 The library validates the physics; the CLI checks only its flags and maps
 exceptions to exit codes: 0 success, 2 invalid parameters (any ValueError,
-NaN and inf included), 3 domain singularity (SingularRenormalization),
-4 the --output file could not be written (OSError).
+NaN and inf included), 4 the --output file could not be written (OSError).
 """
 
 from __future__ import annotations
@@ -29,13 +28,12 @@ import numpy as np
 from . import analysis, dirac, schrodinger
 from .connection import ConnectionParams, _onto_sl2
 from .dirac import BarrierParams, DiracMedium
-from .schrodinger import NonRelMedium, SingularRenormalization
+from .schrodinger import NonRelMedium
 
 __all__ = ["build_parser", "main"]
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
-EXIT_SINGULAR = 3
 EXIT_IO = 4
 
 # Looser than the ConnectionParams floor 1e-12: flag values whose determinant is 1 within
@@ -114,7 +112,7 @@ def _cells(v: np.ndarray, seps: np.ndarray) -> tuple[bytes, np.ndarray]:
     """
     head, tail, head_hi, head_lo, margin, front, back, split, gap, point, after, tops, quads = _layout()
     a = np.abs(v)
-    k = np.floor(np.log10(a))  # -inf at 0: _csv ignores the division by zero
+    k = np.floor(np.log10(a))  # -inf at 0: _csv ignores divide, and invalid at a signalling NaN
     fast = (k >= _K_MIN) & (k <= 16)  # False for 0, NaN, inf and subnormals
     row = np.where(fast, k, 0.0).astype(np.intp) - _K_MIN
     x = np.where(fast, a, 1.0)
@@ -186,7 +184,7 @@ def _csv(header: str, table: np.ndarray) -> bytes:
     step = max(1, _BLOCK_VALUES // cols) * cols
     seps = np.tile(np.array([ord(",")] * (cols - 1) + [ord("\n")], np.uint64) << 40, step // cols)
     text = [header.encode("ascii") + b"\n"]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, values.size, step):
             block = values[start : start + step]
             cells, slow = _cells(block, seps[: block.size])
@@ -394,9 +392,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         data = args.func(args)
-    except ValueError as exc:  # SingularRenormalization is a ValueError
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR if isinstance(exc, SingularRenormalization) else EXIT_PARAMS
+        return EXIT_PARAMS
     if args.output:
         try:
             with open(args.output, "wb") as handle:

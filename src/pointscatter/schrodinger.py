@@ -25,7 +25,6 @@ __all__ = [
     "NonRelMedium",
     "DeltaTriple",
     "ModesRequireFreeSpace",
-    "SingularRenormalization",
     "propagator",
     "rho",
     "mode_vectors",
@@ -37,10 +36,6 @@ __all__ = [
 
 class ModesRequireFreeSpace(ValueError):
     """Plane-wave modes are only defined at zero vector potential."""
-
-
-class SingularRenormalization(ValueError):
-    """No renormalization scheme covers beta = 0 with alpha + delta = -2."""
 
 
 @dataclass(frozen=True, init=False)
@@ -216,8 +211,7 @@ def _strengths(p: ConnectionParams, a, m: float):
 
     a is a float or a column in descending order.  Raises ValueError for a
     mass that is not positive (NaN included) or a spacing so small that a
-    divisor below underflows to 0 or a quotient overflows, and
-    SingularRenormalization for beta = 0 with alpha + delta = -2.
+    divisor below underflows to 0 or a quotient overflows.
     """
     if not m > 0.0:
         raise ValueError("mass must be positive")
@@ -235,11 +229,8 @@ def _strengths(p: ConnectionParams, a, m: float):
         v_zero = p.beta / centre
     else:
         denom = p.alpha + p.delta + 2.0
-        if denom == 0.0:
-            raise SingularRenormalization(
-                "beta = 0 with alpha + delta = -2: "
-                "the beta-zero scheme divides by alpha + delta + 2"
-            )
+        if denom == 0.0:  # the same matrix's sign representative, whose divisor is exactly 4
+            p, denom = ConnectionParams(-p.alpha, -p.beta, -p.gamma, -p.delta, p.theta + math.pi), 4.0
         side = 4.0 * m * a
         top = max(abs(p.delta - 1.0), abs(p.alpha - 1.0))
         _require_quotient(a, top, side, ("max(|alpha - 1|, |delta - 1|)", "4 m a"))
@@ -269,8 +260,8 @@ def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTrip
     (alpha = delta = 1, beta = 0) is the one case needing no a-dependence.
     A tiny nonzero beta makes v0 = beta/4m^2a^2 enormous and downstream
     matrix products lose digits at small a; the CLI warns below |beta| = 1e-6.
-
-    Raises SingularRenormalization when beta = 0 and alpha + delta = -2.
+    Where beta = 0 and alpha + delta = -2, the strengths are those of the same
+    matrix's sign representative (-alpha, -beta, -gamma, -delta, theta + pi).
     """
     if not a > 0.0:
         raise ValueError("half-spacing a must be positive")

@@ -22,7 +22,7 @@ from pointscatter.analysis import (
 )
 from pointscatter.connection import ConnectionParams
 from pointscatter.dirac import BarrierParams
-from pointscatter.schrodinger import NonRelMedium, SingularRenormalization
+from pointscatter.schrodinger import NonRelMedium
 
 
 class TestSweepRow:
@@ -213,9 +213,10 @@ class TestNonrelConvergence:
         rows = nonrel_convergence(p, 1.0, 1.0, np.geomspace(1e-3, 1e-4, 4))
         assert loglog_slope(rows) == pytest.approx(1.0, abs=0.25)
 
-    def test_propagates_singular_renormalization(self):
-        with pytest.raises(SingularRenormalization):
-            nonrel_convergence(ConnectionParams(-1, 0, 3, -1, 0), 1.0, 1.0, [1e-2])
+    def test_singular_point_converges_at_first_order(self):
+        # beta = 0 with alpha + delta = -2 runs on the sign representative (1, 0, -0.7, 1, 0.3 + pi).
+        sweep = nonrel_convergence(ConnectionParams(-1, 0, 0.7, -1, 0.3), 1.0, 1.3, [1e-2, 1e-5])
+        assert [f"{e:.1e}" for e in sweep.value] == ["4.0e-02", "4.0e-05"]
 
     def test_underflowing_spacing_is_named(self):
         # 4 m^2 a^2 underflows to 0 below a of about 1e-162.  The sweep sorts

@@ -24,7 +24,10 @@ The 0-d propagator and three-delta transfer must equal their
 numpy-scalar evaluation byte for byte, and the Dirac propagator, barrier
 limit and finite barrier their numpy-array evaluation, or raise where it is
 not finite.  Every transfer-matrix kernel raises ValueError, with no numpy
-warning, on inputs that overflow it.
+warning, on inputs that overflow it.  Where beta = 0 and alpha + delta = -2,
+the renormalized strengths are those of the sign representative
+(-alpha, -beta, -gamma, -delta, theta + pi) bit for bit, and the sweep
+converges at first order to the target matrix.
 """
 
 import cmath
@@ -42,7 +45,7 @@ from conftest import (
     EPS, exact_transmission, five_factor_scale, numpy_dirac_transfer, numpy_scalar_transfer,
 )
 from pointscatter import connection, dirac, schrodinger
-from pointscatter.analysis import correspondence_table
+from pointscatter.analysis import correspondence_table, loglog_slope, nonrel_convergence
 from pointscatter.connection import (
     SIGMA2, ConnectionParams, ModePair, NotConnectionForm, as_matrix, decompose, modes, scatter,
     transmission, wrap_angle,
@@ -709,3 +712,47 @@ def test_kernels_raise_value_error_without_a_warning(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def singular_beta_zero_targets(draw, gamma=finite):
+    """beta = 0 connections whose float alpha + delta is -2, theta any finite double.
+
+    alpha = -1 or -1 ± e with e below 1e-6, and delta = -2 - alpha, which is
+    exact (Sterbenz), so alpha + delta is exactly -2 and det = 1 - (alpha + 1)^2
+    stays within the det band.
+    """
+    e = draw(st.one_of(st.just(0.0), st.floats(0.0, 9e-7)))
+    alpha = -1.0 + draw(st.sampled_from([e, -e]))
+    delta = -2.0 - alpha
+    assert alpha + delta == -2.0
+    return ConnectionParams(alpha, 0.0, draw(gamma), delta, draw(finite))
+
+
+def sign_representative(p: ConnectionParams) -> ConnectionParams:
+    return ConnectionParams(-p.alpha, -p.beta, -p.gamma, -p.delta, p.theta + math.pi)
+
+
+def strengths_or_error(p: ConnectionParams, a: float, m: float):
+    try:
+        cfg = schrodinger.renormalized_strengths(p, a, m)
+    except ValueError as exc:  # 4 gamma overflows beyond about 4.5e307
+        return str(exc)
+    return bits([cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.a, cfg.A])
+
+
+@settings(deadline=None)
+@given(p=singular_beta_zero_targets(), a=spacing, m=positive)
+@example(p=ConnectionParams(-1, 0, 0.7, -1, 0.3), a=1e-2, m=1.0)
+@example(p=ConnectionParams(-1, 0, 1e308, -1, 0.3), a=1e-2, m=1.0)
+def test_singular_beta_zero_strengths_are_the_sign_representatives(p, a, m):
+    assert strengths_or_error(p, a, m) == strengths_or_error(sign_representative(p), a, m)
+
+
+@settings(deadline=None)
+@given(p=singular_beta_zero_targets(gamma=st.floats(-10.0, 10.0)), m=positive, k=positive)
+def test_singular_beta_zero_sweep_converges_at_first_order(p, m, k):
+    assert loglog_slope(nonrel_convergence(p, m, k, [1e-3, 1e-4, 1e-5])) == pytest.approx(1.0, abs=0.02)

@@ -16,7 +16,6 @@ from pointscatter.schrodinger import (
     DeltaTriple,
     ModesRequireFreeSpace,
     NonRelMedium,
-    SingularRenormalization,
     mode_vectors,
     propagator,
     renormalized_strengths,
@@ -272,9 +271,16 @@ class TestRenormalizedStrengths:
         cfg = renormalized_strengths(ConnectionParams(1, 0, 2.5, 1, 0.2), 0.1, 1.0)
         assert cfg.A == pytest.approx(1.0, rel=1e-15)
 
-    def test_singular_point_raises(self):
-        with pytest.raises(SingularRenormalization, match="alpha \\+ delta"):
-            renormalized_strengths(ConnectionParams(-1, 0, 3, -1, 0), 0.01, 1.0)
+    def test_singular_point_converges_through_its_sign_representative(self):
+        # beta = 0 with alpha + delta = -2: the strengths of (1, 0, -3, 1, pi), the same matrix.
+        p = ConnectionParams(-1, 0, 3, -1, 0)
+        errors = []
+        for a in (1e-3, 1e-4, 1e-5):
+            cfg = renormalized_strengths(p, a, 1.0)
+            assert cfg == renormalized_strengths(ConnectionParams(1, 0, -3, 1, math.pi), a, 1.0)
+            M = three_delta_transfer(cfg, NonRelMedium(1.0, 1.0, cfg.A))
+            errors.append(float(np.max(np.abs(M - as_matrix(p)))))
+        assert [f"{e:.1e}" for e in errors] == ["6.0e-03", "6.0e-04", "6.0e-05"]
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
