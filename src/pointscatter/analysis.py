@@ -154,15 +154,19 @@ def nonrel_convergence(
     bad or infinite m or k; as renormalized_strengths does (naming the
     largest a whose strengths overflow, or v_zero where it overflows at
     every a); naming the largest a whose error is not finite.  Overflow
-    raises no numpy warning.
+    raises no numpy warning.  At theta = 0 (that of p's sign representative
+    where the strengths take it) the kernel runs in float64; at p.theta = 0
+    the target is real.  Either keeps the complex column's bits.
     """
     a = _spacings(a_list)
     schrodinger.rho(m, k)
     if not math.isfinite(k):  # rho admits k = inf
         raise ValueError(f"wave number k={k!r} must be finite for a convergence sweep")
+    target = as_matrix(p)
     with np.errstate(over="ignore", invalid="ignore"):
         phase, entries = schrodinger._three_delta(a, m, k, *schrodinger._strengths(p, a, m))
-        return _error(a, phase, entries, as_matrix(p), "the three-delta products overflow", "schrodinger")
+        return _error(a, phase, entries, target.real if p.theta == 0.0 else target,
+                      "the three-delta products overflow", "schrodinger")
 
 
 def dirac_convergence(
@@ -174,12 +178,14 @@ def dirac_convergence(
     order: unless every half-width is positive and finite; for a bad m or
     E; naming s and v, for a barrier whose limit overflows; naming the
     largest a whose error is not finite.  Overflow raises no numpy warning.
+    At theta = 0 kernel and target run in float64: the complex column's bits.
     """
     a = _spacings(a_list)
     dirac._require_exterior(m, E)
     target = dirac.barrier_limit(b)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _error(a, *dirac._barrier(b, a, E, m), target, "the finite barrier overflows", "dirac")
+        return _error(a, *dirac._barrier(b, a, E, m), target.real if b.theta == 0.0 else target,
+                      "the finite barrier overflows", "dirac")
 
 
 def correspondence_table(

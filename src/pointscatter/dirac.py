@@ -131,15 +131,15 @@ class BarrierClass(NamedTuple):
     strength: Optional[float] = None
 
 
-def _propagate(x, k_plus, k_minus, A):
+def _propagate(x, k_plus, k_minus, iA):
     """Phase e^{iAx} and the four entries of exp(x [[0, k_plus], [-k_minus, 0]]), entry-wise over arrays.
 
-    c I + s N: connection._propagation at w = sqrt|k_plus k_minus| and sign = k_plus k_minus.  Its
-    cosh branch holds the only np.errstate of a float x; a column runs under the sweep's.
+    c I + s N: connection._propagation at w = sqrt|k_plus k_minus| and sign = k_plus k_minus, given
+    iA = 1j * A.  Its cosh branch holds the only np.errstate of a float x; a column runs under the sweep's.
     """
     product = k_plus * k_minus
     w = math.sqrt(abs(product)) if x.__class__ is float else np.sqrt(np.abs(product))
-    phase, c, s = _propagation(x, w, product, 1j * A)
+    phase, c, s = _propagation(x, w, product, iA)
     return phase, (c, k_plus * s, -k_minus * s, c)
 
 
@@ -151,7 +151,7 @@ def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     connection._propagation (_propagate); the determinant is e^{2iAx} on every branch.  Where an
     entry is not finite (a cosh beyond about 710), or for an array x, ValueError, with no numpy warning.
     """
-    return connection._propagator(_propagate, x, med.k_plus, med.k_minus, med.A)
+    return connection._propagator(_propagate, x, med.k_plus, med.k_minus, 1j * med.A)
 
 
 def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
@@ -161,11 +161,13 @@ def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
     Entry-wise over ndarray arguments, each checked as a whole.  Where
     E + m overflows, the ratio is formed from E/2 and m/2, exact there.
     """
-    # Plain floats stay on float comparisons: np.all costs microseconds a call.
+    # Float comparisons for plain floats, and for a column's ends against a float m: np.all costs µs.
     floats = E.__class__ is m.__class__ is float
+    column = m.__class__ is float and E.__class__ is np.ndarray
     if not (m > 0.0 if m.__class__ is float else np.all(m > 0.0)):
         raise ValueError("mass must be positive")
-    if not (m < E < math.inf if floats else np.all((m < E) & (E < math.inf))):
+    if not ((not E.size or m < E.min() and E.max() < math.inf) if column
+            else m < E < math.inf if floats else np.all((m < E) & (E < math.inf))):
         raise DegenerateModes("energy must be finite and above the mass")
     # The ratio is at least 2^-54 where E + m is finite, and 0 exactly where it overflows.
     if floats:
@@ -173,7 +175,8 @@ def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
         return r if r else (0.5 * E - 0.5 * m) / (0.5 * E + 0.5 * m)
     with np.errstate(over="ignore"):
         r = (E - m) / (E + m)
-    return r if np.all(r) else np.where(r, r, (0.5 * E - 0.5 * m) / (0.5 * E + 0.5 * m))[()]
+    exact = r.min(initial=math.inf) > 0.0 if column else np.all(r)
+    return r if exact else np.where(r, r, (0.5 * E - 0.5 * m) / (0.5 * E + 0.5 * m))[()]
 
 
 def free_mode_vectors(E: float, m: float) -> ModePair:
@@ -195,7 +198,7 @@ def barrier_limit(b: BarrierParams) -> TransferMatrix:
     ValueError naming s and v, with no numpy warning.
     """
     return _from_scalars(
-        *_propagate(1.0, b.p_plus, b.p_minus, b.theta), "barrier s=%r, v=%r: its zero-width limit "
+        *_propagate(1.0, b.p_plus, b.p_minus, 1j * b.theta), "barrier s=%r, v=%r: its zero-width limit "
         "is not finite in double precision (cosh sqrt|s^2 - v^2| overflows beyond about 710)", b.s, b.v,
     )
 
@@ -222,7 +225,8 @@ def finite_barrier_transfer(b: BarrierParams, a: float, E: float, m: float) -> T
 def _barrier(b: BarrierParams, a, E: float, m: float):
     """Phase and entries of finite_barrier_transfer, for checked floats or a column a under np.errstate."""
     x = 2.0 * a
-    return _propagate(x, *_coefficients(m, E, b.s / x, b.v / x), b.theta / x)
+    iA = 0.0 if b.theta == 0.0 and x.__class__ is not float else 1j * (b.theta / x)  # a column: float64
+    return _propagate(x, *_coefficients(m, E, b.s / x, b.v / x), iA)
 
 
 def transmission(p: ConnectionParams, E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:

@@ -84,7 +84,7 @@ def _hop(x, m, k, A, iA):
 
     c I + s [[-iA, 2m], [(A^2 - k^2)/2m, iA]]: connection._propagation at w = sign = k, on its
     trigonometric branch, which enters no np.errstate; a column runs under the sweep's.  iA is
-    1j * A, formed once by the caller: (1j * A) * s is how Python reads 1j * A * s.
+    1j * A, or 0.0 where A = ±0.0, formed once by the caller: (1j * A) * s is how Python reads 1j * A * s.
     """
     phase, c, s = _propagation(x, k, k, iA)
     # "+ 0.0" turns the -0.0 that s = ±0 leaves off the diagonal into +0.0,
@@ -146,10 +146,10 @@ def _three_delta(a, m, k, v_plus, v_zero, v_minus, A):
     factor is one row (or column) operation on the running product.  H's
     entries are computed once for both hops, with their phases pulled out
     as e^{2iAa}, which is returned beside the entries (m00, m01, m10, m11)
-    of the rest.  Any argument may be an array; each entry has the
-    broadcast shape of the arguments.
+    of the rest.  Any argument may be an array; each entry has the broadcast shape of the
+    arguments.  A float A over a column a, _strengths' ±0.0 at theta = 0, runs in float64.
     """
-    iA = 1j * A
+    iA = 1j * A if A.__class__ is not float or a.__class__ is float else 0.0
     phase, (h00, h01, h10, h11) = _hop(a, m, k, A, iA)
     edge = iA / (2.0 * m)
     # H D(v_minus + edge): column 0 += (v_minus + edge) * column 1
@@ -241,7 +241,8 @@ def _strengths(p: ConnectionParams, a, m: float):
             raise ValueError("v_zero must be finite")
     width = 2.0 * a
     _require_quotient(a, p.theta, width, ("theta", "2 a"))
-    return v_plus, v_zero, v_minus, p.theta / width
+    # theta/2a is theta itself at theta = ±0: a float, on which _three_delta runs a column in float64.
+    return v_plus, v_zero, v_minus, p.theta / width if p.theta else p.theta
 
 
 def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTriple:

@@ -494,6 +494,9 @@ class TestSweepInputContract:
             ConnectionParams(2, 1, 1, 1, 0.3), 1.0, 1.0, a_list
         ),
         "dirac": lambda a_list: dirac_convergence(BarrierParams(1.0, 0.5, 0.2), 2.0, 1.0, a_list),
+        # theta = 0: both run in float64, the Dirac kernel on one branch per single-branch column.
+        "nonrel-theta0": lambda a_list: nonrel_convergence(ConnectionParams(2, 1, 1, 1), 1.0, 1.0, a_list),
+        "dirac-theta0": lambda a_list: dirac_convergence(BarrierParams(1.0, 0.5), 2.0, 1.0, a_list),
     }
 
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))

@@ -209,6 +209,21 @@ class TestRho2:
         assert dirac.rho2(E, m).tolist() == want
         assert dirac.rho2(E[:2], 1e308).tolist() == want[:2]
 
+    # A column against a float mass is checked on its ends: NaN, inf, -inf or an E <= m anywhere.
+    @pytest.mark.parametrize(
+        "E", [[2.0, math.nan, 3.0], [2.0, math.inf], [-math.inf, 2.0], [3.0, 1.0], [0.5, 2.0], [math.nan]],
+        ids=["nan", "inf", "-inf", "at-mass", "below", "only-nan"],
+    )
+    def test_column_against_a_float_mass_rejects_each_bad_energy(self, E):
+        with pytest.raises(DegenerateModes, match="^energy must be finite and above the mass$"):
+            dirac.rho2(np.array(E), 1.0)
+
+    def test_empty_column_against_a_float_mass_is_empty(self):
+        r = dirac.rho2(np.empty(0), 1.0)
+        assert r.shape == (0,) and r.dtype == np.float64
+        assert dirac.rho2(np.empty(0), math.inf).shape == (0,)  # no energy to check against the mass
+        assert transmission(connection.ConnectionParams(2, 1, 1, 1), np.empty(0), 1.0).shape == (0,)
+
     def test_transmission_where_e_plus_m_overflows(self):
         p = connection.ConnectionParams(1, 0, 1, 1)
         exact = exact_transmission(p, Fraction(7, 27))  # (1.7 - 1)/(1.7 + 1), as the floats hold it

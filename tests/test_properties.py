@@ -27,7 +27,9 @@ not finite.  Every transfer-matrix kernel raises ValueError, with no numpy
 warning, on inputs that overflow it.  Where beta = 0 and alpha + delta = -2,
 the renormalized strengths are those of the sign representative
 (-alpha, -beta, -gamma, -delta, theta + pi) bit for bit, and the sweep
-converges at first order to the target matrix.
+converges at first order to the target matrix.  Both convergence sweeps' error
+columns must equal, bit for bit, their complex evaluation with np.where over
+both Dirac branches, or raise where it is not finite.
 """
 
 import cmath
@@ -45,7 +47,7 @@ from conftest import (
     EPS, exact_transmission, five_factor_scale, numpy_dirac_transfer, numpy_scalar_transfer,
 )
 from pointscatter import connection, dirac, schrodinger
-from pointscatter.analysis import correspondence_table, loglog_slope, nonrel_convergence
+from pointscatter.analysis import correspondence_table, dirac_convergence, loglog_slope, nonrel_convergence
 from pointscatter.connection import (
     SIGMA2, ConnectionParams, ModePair, NotConnectionForm, as_matrix, decompose, modes, scatter,
     transmission, wrap_angle,
@@ -756,3 +758,118 @@ def test_singular_beta_zero_strengths_are_the_sign_representatives(p, a, m):
 @given(p=singular_beta_zero_targets(gamma=st.floats(-10.0, 10.0)), m=positive, k=positive)
 def test_singular_beta_zero_sweep_converges_at_first_order(p, m, k):
     assert loglog_slope(nonrel_convergence(p, m, k, [1e-3, 1e-4, 1e-5])) == pytest.approx(1.0, abs=0.02)
+
+
+# The convergence sweeps against their complex, masked evaluation: 1j * A at every A, the
+# complex target, and np.where over both Dirac branches.  At theta = 0 the sweeps run in float64,
+# and a Dirac column on one branch runs it alone; neither may move a bit of the error.
+def complex_error(phase, entries, target):
+    with np.errstate(all="ignore"):
+        return np.abs(phase * np.array(entries) - target.reshape(4, 1)).max(axis=0)
+
+
+def complex_nonrel_error(p, m, k, a):
+    """The three-delta sweep's error column, in complex arithmetic throughout."""
+    v_plus, v_zero, v_minus, _ = schrodinger._strengths(p, a, m)
+    # A = theta/2a at every a, formed here: at beta = 0, alpha + delta = -2 the theta is the sign
+    # representative's, theta + pi wrapped, and a sweep that took p.theta = 0 for A = 0 would differ.
+    singular = p.beta == 0.0 and p.alpha + p.delta + 2.0 == 0.0
+    A = (wrap_angle(p.theta + math.pi) if singular else p.theta) / (2.0 * a)
+    with np.errstate(all="ignore"):
+        iA = 1j * A
+        c, s = np.cos(k * a), np.sin(k * a) / k
+        ias = iA * s
+        h = (c - ias, 2.0 * m * s + 0.0, (A * A - k * k) / (2.0 * m) * s + 0.0, c + ias)
+        phase, edge = np.exp(iA * a), iA / (2.0 * m)
+        w = v_minus + edge
+        p00, p01, p10, p11 = h[0] + h[1] * w, h[1], h[2] + h[3] * w, h[3]
+        p10, p11 = p10 + v_zero * p00, p11 + v_zero * p01
+        p00, p01, p10, p11 = (
+            h[0] * p00 + h[1] * p10, h[0] * p01 + h[1] * p11,
+            h[2] * p00 + h[3] * p10, h[2] * p01 + h[3] * p11,
+        )
+        w = v_plus - edge
+        entries = (p00, p01, p10 + w * p00, p11 + w * p01)
+    return complex_error(phase * phase, entries, as_matrix(p))
+
+
+def complex_dirac_error(b, E, m, a):
+    """Entries of the finite barrier over a column a, masked over both branches, and the error column."""
+    x = 2.0 * a
+    S, V, A = b.s / x, b.v / x, b.theta / x
+    k_plus, k_minus = m + E + S - V, E - m - S - V
+    with np.errstate(all="ignore"):
+        product = k_plus * k_minus
+        trig, hyper = product > 0.0, product < 0.0
+        wx = np.sqrt(np.abs(product)) * x
+        t, h = np.where(trig, wx, 0.0), np.where(hyper, wx, 0.0)
+        w = np.where(trig | hyper, np.sqrt(np.abs(product)), 1.0)
+        c = np.where(trig, np.cos(t), np.cosh(h))
+        s = np.where(trig, np.sin(t), np.where(hyper, np.sinh(h), x)) / w
+        phase, entries = np.exp(1j * A * x), (c, k_plus * s, -k_minus * s, c)
+    return np.array(entries), complex_error(phase, entries, dirac.barrier_limit(b))
+
+
+def assert_sweep_is_the_complex_column(sweep, a, want):
+    """The sweep's values are want's bits, or it raises naming the largest a where want is not finite."""
+    if np.isfinite(want).all():
+        assert sweep().value.tobytes() == want.tobytes()
+    else:
+        worst = float(a[~np.isfinite(want)].max())
+        with pytest.raises(ValueError, match=re.escape(f"half-spacing a={worst!r} is out of range")):
+            sweep()
+
+
+sweep_spacings = st.lists(st.floats(1e-7, 2.0), min_size=1, max_size=8).map(
+    lambda a: np.sort(np.array(a))[::-1])
+
+
+@settings(deadline=None)
+@given(p=st.one_of(connections(), singular_beta_zero_targets(gamma=st.floats(-10.0, 10.0))),
+       theta=st.one_of(zeros, st.just(5e-324), st.floats(-math.pi, math.pi)),
+       a=sweep_spacings, m=positive, k=positive)
+@example(p=ConnectionParams(2, 1, 1, 1), theta=0.0, a=np.geomspace(1e-1, 1e-7, 8), m=1.0, k=1.0)
+@example(p=ConnectionParams(2, 1, 1, 1), theta=0.3, a=np.geomspace(1e-1, 1e-7, 8), m=1.0, k=1.0)
+@example(p=ConnectionParams(2, 0, 1, 0.5), theta=-0.0, a=np.geomspace(1e-1, 1e-7, 8), m=1.0, k=1.0)
+# theta = 5e-324, whose A = theta/2a underflows to 0 at every a >= 1: a theta != 0 keeps the complex target.
+@example(p=ConnectionParams(2, 1, 1, 1), theta=5e-324, a=np.array([1.5, 1.2, 1.0]), m=1.0, k=1.0)
+# beta = 0, alpha + delta = -2 at theta = 0: the sign representative's A is pi/2a, not 0.
+@example(p=ConnectionParams(-1, 0, 0.7, -1), theta=0.0, a=np.geomspace(1e-1, 1e-7, 8), m=1.0, k=1.0)
+# There at theta = pi, theta + pi wraps to 0: a float64 kernel against the complex target.
+@example(p=ConnectionParams(-1, 0, 0.7, -1), theta=math.pi, a=np.geomspace(1e-1, 1e-7, 8), m=1.0, k=1.0)
+def test_nonrel_sweep_is_the_complex_evaluation_bit_for_bit(p, theta, a, m, k):
+    p = ConnectionParams(p.alpha, p.beta, p.gamma, p.delta, theta)
+    try:
+        want = complex_nonrel_error(p, m, k, a)
+    except ValueError as exc:  # the strengths overflow at some a
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            nonrel_convergence(p, m, k, a.tolist())
+        return
+    assert_sweep_is_the_complex_column(lambda: nonrel_convergence(p, m, k, a.tolist()), a, want)
+
+
+@settings(deadline=None)
+@given(s=st.one_of(zeros, moderate, huge), v=st.one_of(zeros, moderate, huge),
+       theta=st.one_of(zeros, st.just(5e-324), st.floats(-math.pi, math.pi)),
+       a=sweep_spacings, m=scales, excess=scales, sign=st.sampled_from([1.0, -1.0]))
+@example(s=0.5, v=1.0, theta=0.0, a=np.geomspace(1e-3, 1e-7, 8), m=1.0, excess=1.0, sign=1.0)  # trig
+@example(s=1.0, v=0.5, theta=0.4, a=np.geomspace(1e-3, 1e-7, 8), m=1.0, excess=1.0, sign=1.0)  # hyperbolic
+@example(s=1.0, v=0.5, theta=0.0, a=np.geomspace(10.0, 1e-7, 8), m=1.0, excess=1.0, sign=1.0)  # mixed
+# k_plus = m + E + s/2a is exactly 0 at a = 0.5, between a trig and a hyperbolic a.
+@example(s=1.0, v=0.0, theta=0.0, a=np.array([1.0, 0.5, 0.25]), m=1.0, excess=1.0, sign=-1.0)
+@example(s=1.0, v=0.0, theta=0.7, a=np.array([1.0, 0.5, 0.25]), m=1.0, excess=1.0, sign=-1.0)
+@example(s=1.0, v=0.5, theta=5e-324, a=np.array([1.5, 1.0]), m=1.0, excess=1.0, sign=1.0)
+def test_dirac_sweep_is_the_complex_evaluation_bit_for_bit(s, v, theta, a, m, excess, sign):
+    b, E = BarrierParams(s, v, theta), sign * (m + excess)
+    try:
+        dirac.barrier_limit(b)
+    except ValueError as exc:  # the limit itself overflows
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            dirac_convergence(b, E, m, a.tolist())
+        return
+    entries, want = complex_dirac_error(b, E, m, a)
+    assert_sweep_is_the_complex_column(lambda: dirac_convergence(b, E, m, a.tolist()), a, want)
+    # The entries too: a diagonal entry seldom sets an error column's maximum.
+    if np.isfinite(entries).all():
+        with np.errstate(all="ignore"):
+            assert np.array(dirac._barrier(b, a, E, m)[1]).tobytes() == entries.tobytes()
