@@ -108,14 +108,9 @@ class Sweep(Sequence):
             yield new(SweepRow, (x, value, label))
 
 
-def _column(values: Iterable[float]) -> np.ndarray:
-    """The values as a 1-d float array, converted in one numpy call."""
-    return np.fromiter(values, float)
-
-
 def _spacings(a_list: Iterable[float]) -> np.ndarray:
     """The sweep's spacings as floats, largest first; each must be positive and finite."""
-    a = np.sort(_column(a_list))[::-1]
+    a = np.sort(np.fromiter(a_list, float))[::-1]
     # Sorted, so the ends decide: the smallest is last, and a NaN sorts first.
     if a.size and not (a[-1] > 0.0 and a[0] < math.inf):
         raise ValueError("spacings must be positive and finite")
@@ -201,7 +196,7 @@ def correspondence_table(
     ValueError for an infinite m, or an eps that is not positive, so small
     against m that m + eps == m, or so large that m + eps overflows; no warning.
     """
-    eps = np.sort(_column(kinetic_list))
+    eps = np.sort(np.fromiter(kinetic_list, float))
     if eps.size == 0:
         return np.empty((0, 4))
     if not np.all(eps > 0.0):
@@ -244,7 +239,7 @@ def high_energy_asymptote(p: ConnectionParams) -> tuple[float, float]:
 
 def loglog_slope(sweep: Sweep) -> float:
     """Least-squares slope of log(value) vs log(x): the empirical decay order."""
-    if len(sweep) < 2:
+    if sweep.x.size < 2:
         raise ValueError("need at least two rows")
     if not (sweep.value > 0.0).all():
         raise ValueError("log-log slope needs positive values")

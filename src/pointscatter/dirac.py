@@ -154,28 +154,25 @@ def propagator(x: float, med: DiracMedium) -> TransferMatrix:
     return connection._propagator(_propagate, x, med.k_plus, med.k_minus, 1j * med.A)
 
 
-def rho2(E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
+def rho2(E: float | np.ndarray, m: float) -> float | np.ndarray:
     """The rho^2 = (E-m)/(E+m) of connection.modes and connection.transmission.
 
-    Raises ValueError unless 0 < m < E < inf (DegenerateModes for E).
-    Entry-wise over ndarray arguments, each checked as a whole.  Where
-    E + m overflows, the ratio is formed from E/2 and m/2, exact there.
+    Raises ValueError unless 0 < m < E < inf (DegenerateModes for E).  Entry-wise
+    over an ndarray E against one mass, checked on its ends.  Where E + m
+    overflows, the ratio is formed from E/2 and m/2, exact there.
     """
-    # Float comparisons for plain floats, and for a column's ends against a float m: np.all costs µs.
-    floats = E.__class__ is m.__class__ is float
-    column = m.__class__ is float and E.__class__ is np.ndarray
-    if not (m > 0.0 if m.__class__ is float else np.all(m > 0.0)):
+    if not m > 0.0:
         raise ValueError("mass must be positive")
-    if not ((not E.size or m < E.min() and E.max() < math.inf) if column
-            else m < E < math.inf if floats else np.all((m < E) & (E < math.inf))):
+    scalar = E.__class__ is not np.ndarray
+    if not (m < E < math.inf if scalar else not E.size or m < E.min() and E.max() < math.inf):
         raise DegenerateModes("energy must be finite and above the mass")
     # The ratio is at least 2^-54 where E + m is finite, and 0 exactly where it overflows.
-    if floats:
+    if E.__class__ is m.__class__ is float:
         r = (E - m) / (E + m)
         return r if r else (0.5 * E - 0.5 * m) / (0.5 * E + 0.5 * m)
     with np.errstate(over="ignore"):
         r = (E - m) / (E + m)
-    exact = r.min(initial=math.inf) > 0.0 if column else np.all(r)
+    exact = r if scalar else r.min(initial=math.inf) > 0.0
     return r if exact else np.where(r, r, (0.5 * E - 0.5 * m) / (0.5 * E + 0.5 * m))[()]
 
 
@@ -229,8 +226,8 @@ def _barrier(b: BarrierParams, a, E: float, m: float):
     return _propagate(x, *_coefficients(m, E, b.s / x, b.v / x), iA)
 
 
-def transmission(p: ConnectionParams, E: float | np.ndarray, m: float | np.ndarray) -> float | np.ndarray:
-    """connection.transmission through p at rho^2 = (E-m)/(E+m), entry-wise; independent of theta."""
+def transmission(p: ConnectionParams, E: float | np.ndarray, m: float) -> float | np.ndarray:
+    """connection.transmission through p at rho^2 = rho2(E, m), entry-wise over E; independent of theta."""
     return connection.transmission(p, rho2(E, m))
 
 

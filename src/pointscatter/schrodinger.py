@@ -104,28 +104,24 @@ def propagator(x: float, med: NonRelMedium) -> TransferMatrix:
     return connection._propagator(_hop, x, med.m, med.k, med.A, 1j * med.A)
 
 
-def rho(m: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
+def rho(m: float, k: float | np.ndarray) -> float | np.ndarray:
     """The mode parameter rho = k/2m of connection.modes and connection.transmission.
 
     Raises ValueError unless m > 0, k > 0 and m < inf, in that order (NaN
     fails each): the exterior check of every Schrodinger medium.  Entry-wise
-    over ndarray arguments, each checked as a whole.
+    over an ndarray k against one mass, the column checked on its least entry.
     """
-    # A Python float stays on float comparisons: np.all costs microseconds a call.
-    if not (m > 0.0 if m.__class__ is float else np.all(m > 0.0)):
+    if not m > 0.0:
         raise ValueError("mass must be positive")
-    if not (k > 0.0 if k.__class__ is float else np.all(k > 0.0)):
+    if not (k > 0.0 if k.__class__ is not np.ndarray else not k.size or k.min() > 0.0):
         raise ValueError("wave number must be positive (scattering states only)")
-    if not (m < math.inf if m.__class__ is float else np.all(m < math.inf)):
+    if not m < math.inf:
         raise ValueError("mass must be finite")
     # Where 2m overflows, k/2m is (k/2)/m, rounded once: k/2 is exact unless k/2m rounds to 0.
     if m.__class__ is k.__class__ is float:
         return k / (2.0 * m) if 2.0 * m < math.inf else 0.5 * k / m
-    with np.errstate(over="ignore", invalid="ignore"):  # to inf as floats do; inf/inf where 2m overflows
-        fits = 2.0 * m < math.inf
-        if fits if m.__class__ is float else np.all(fits):
-            return k / (2.0 * m)
-        return np.where(fits, k / (2.0 * m), 0.5 * k / m)[()]
+    with np.errstate(over="ignore"):  # to inf as floats do
+        return k / (2.0 * m) if 2.0 * m < math.inf else 0.5 * k / m
 
 
 def mode_vectors(med: NonRelMedium) -> ModePair:
@@ -275,8 +271,8 @@ def transmission(p: ConnectionParams, med: NonRelMedium) -> float:
     return _transmission(p, med.m, med.k)
 
 
-def _transmission(p: ConnectionParams, m: float | np.ndarray, k: float | np.ndarray):
-    """transmission entry-wise over arrays m and k, also where rho^2 is not normal.
+def _transmission(p: ConnectionParams, m: float, k: float | np.ndarray):
+    """transmission entry-wise over an ndarray k against one mass, also where rho^2 is not normal.
 
     Below about 1.5e-154 and above 1.3e154, rho^2 rounds to a subnormal, 0
     or inf and loses beta^2 rho^2 or gamma^2 / rho^2; so does rho itself
@@ -293,11 +289,11 @@ def _transmission(p: ConnectionParams, m: float | np.ndarray, k: float | np.ndar
         if sys.float_info.min <= r2.min(initial=math.inf) and r2.max(initial=0.0) < math.inf:
             return t  # the common case: two reductions, no mask
         odd = np.flatnonzero(((r2 < sys.float_info.min) | (r2 == math.inf)) & (k < math.inf))
-        t, ms, ks = np.array(t), np.broadcast_to(m, r.shape).ravel(), np.broadcast_to(k, r.shape).ravel()
+        t, ks, (fm, em) = np.array(t), np.ravel(k), math.frexp(m)
         # Rare entries, one at a time: each has its own d.  An ldexp that
         # overflows gives T = 0; one that underflows, a term below 2^-2000.
         for i in odd.tolist():
-            (fk, ek), (fm, em) = math.frexp(ks[i]), math.frexp(ms[i])
+            fk, ek = math.frexp(ks[i])
             d, q = ek - em - 1, fk / fm
             b, g = np.ldexp(p.beta, d), np.ldexp(p.gamma, -d)
             t.flat[i] = connection._transmission(p.alpha, b, g, p.delta, np.array(q * q))

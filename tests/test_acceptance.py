@@ -153,9 +153,9 @@ def test_c3_scattering_unitarity_and_oracle():
 def test_c4_nonrelativistic_convergence():
     """Three-delta model converges first order for (2,1,1,1,0.3) at m=k=1."""
     p = ConnectionParams(2.0, 1.0, 1.0, 1.0, 0.3)
-    rows = analysis.nonrel_convergence(p, 1.0, 1.0, np.geomspace(1e-3, 1e-5, 5))
-    slope = analysis.loglog_slope(rows)
-    final = rows[-1].value
+    sweep = analysis.nonrel_convergence(p, 1.0, 1.0, np.geomspace(1e-3, 1e-5, 5))
+    slope = analysis.loglog_slope(sweep)
+    final = float(sweep.value[-1])
     ok = abs(slope - 1.0) <= 0.25 and final < 1e-3
     _verdict(
         4,

@@ -184,34 +184,32 @@ class TestSweep:
 class TestNonrelConvergence:
     def test_rows_sorted_by_descending_spacing(self):
         p = ConnectionParams(2, 1, 1, 1, 0.3)
-        rows = nonrel_convergence(p, 1.0, 1.0, [1e-4, 1e-2, 1e-3])
-        assert [r.x for r in rows] == [1e-2, 1e-3, 1e-4]
-        assert all(r.label == "schrodinger" for r in rows)
+        sweep = nonrel_convergence(p, 1.0, 1.0, [1e-4, 1e-2, 1e-3])
+        assert sweep.x.tolist() == [1e-2, 1e-3, 1e-4]
+        assert sweep.label == "schrodinger"
 
     def test_errors_decay(self):
         p = ConnectionParams(2, 1, 1, 1, 0.3)
-        rows = nonrel_convergence(p, 1.0, 1.0, [1e-2, 1e-3, 1e-4])
-        values = [r.value for r in rows]
+        values = nonrel_convergence(p, 1.0, 1.0, [1e-2, 1e-3, 1e-4]).value.tolist()
         assert values[0] > values[1] > values[2] > 0.0
 
     def test_two_decade_drop(self):
         # First-order decay: two decades of a buy two decades of error.
         p = ConnectionParams(1, 0, 1, 1, 0)
-        rows = nonrel_convergence(p, 1.0, 1.0, [1e-2, 1e-3, 1e-4])
-        values = [r.value for r in rows]
+        values = nonrel_convergence(p, 1.0, 1.0, [1e-2, 1e-3, 1e-4]).value.tolist()
         assert values[2] < 1e-2 * values[0]
 
     def test_delta_potential_error_small_but_nonzero(self):
         # No renormalization happens, yet free propagation between the
         # deltas keeps the finite-a error at O(a).
         p = ConnectionParams(1, 0, 1, 1, 0)
-        rows = nonrel_convergence(p, 1.0, 1.0, [1e-3])
-        assert 0.0 < rows[0].value < 1e-2
+        [value] = nonrel_convergence(p, 1.0, 1.0, [1e-3]).value.tolist()
+        assert 0.0 < value < 1e-2
 
     def test_log_slope_near_first_order(self):
         p = ConnectionParams(2, 1, 1, 1, 0.3)
-        rows = nonrel_convergence(p, 1.0, 1.0, np.geomspace(1e-3, 1e-4, 4))
-        assert loglog_slope(rows) == pytest.approx(1.0, abs=0.25)
+        sweep = nonrel_convergence(p, 1.0, 1.0, np.geomspace(1e-3, 1e-4, 4))
+        assert loglog_slope(sweep) == pytest.approx(1.0, abs=0.25)
 
     def test_singular_point_converges_at_first_order(self):
         # beta = 0 with alpha + delta = -2 runs on the sign representative (1, 0, -0.7, 1, 0.3 + pi).
@@ -377,16 +375,15 @@ class TestColumnOutcome:
 
 class TestDiracConvergence:
     def test_zero_barrier_error_vanishes_with_width(self):
-        rows = dirac_convergence(BarrierParams(0, 0, 0), 2.0, 1.0, [1e-2, 1e-3, 1e-4])
-        values = [r.value for r in rows]
+        sweep = dirac_convergence(BarrierParams(0, 0, 0), 2.0, 1.0, [1e-2, 1e-3, 1e-4])
+        values = sweep.value.tolist()
         assert values[0] > values[1] > values[2]
         assert values[2] < 1e-3
-        assert all(r.label == "dirac" for r in rows)
+        assert sweep.label == "dirac"
 
     @pytest.mark.parametrize("svt", [(1.0, 1.0, 0.0), (2.0, 0.0, 0.0)])
     def test_decaying_sequences(self, svt):
-        rows = dirac_convergence(BarrierParams(*svt), 2.0, 1.0, [1e-2, 1e-3, 1e-4])
-        values = [r.value for r in rows]
+        values = dirac_convergence(BarrierParams(*svt), 2.0, 1.0, [1e-2, 1e-3, 1e-4]).value.tolist()
         assert values[0] > values[1] > values[2]
 
     @pytest.mark.filterwarnings("error")
@@ -452,29 +449,29 @@ class TestSweepMatchesScalarRoute:
     def test_nonrel_rows(self, conn, m, k):
         p = ConnectionParams(*conn)
         a_list = SWEEP_A[SWEEP_A < 0.2]
-        rows = nonrel_convergence(p, m, k, a_list)
-        assert [r.x for r in rows] == sorted(a_list.tolist(), reverse=True)
-        for row in rows:
-            cfg = schrodinger.renormalized_strengths(p, row.x, m)
+        sweep = nonrel_convergence(p, m, k, a_list)
+        assert sweep.x.tolist() == sorted(a_list.tolist(), reverse=True)
+        for a, value in zip(sweep.x.tolist(), sweep.value.tolist()):
+            cfg = schrodinger.renormalized_strengths(p, a, m)
             M = schrodinger.three_delta_transfer(cfg, NonRelMedium(m, k, cfg.A))
             scalar_err = float(np.max(np.abs(M - connection.as_matrix(p))))
-            scale = five_factor_scale(cfg.v_plus, cfg.v_zero, cfg.v_minus, row.x, cfg.A, m, k)
-            assert abs(row.value - scalar_err) <= 2 * 64 * EPS * scale
+            scale = five_factor_scale(cfg.v_plus, cfg.v_zero, cfg.v_minus, a, cfg.A, m, k)
+            assert abs(value - scalar_err) <= 2 * 64 * EPS * scale
 
     @pytest.mark.parametrize("svt", SWEEP_BARRIERS)
     @pytest.mark.parametrize("E, m", [(2.0, 1.0), (-3.0, 0.5)])
     def test_dirac_rows(self, svt, E, m):
         b = BarrierParams(*svt)
-        rows = dirac_convergence(b, E, m, SWEEP_A)
-        assert [r.x for r in rows] == sorted(SWEEP_A.tolist(), reverse=True)
+        sweep = dirac_convergence(b, E, m, SWEEP_A)
+        assert sweep.x.tolist() == sorted(SWEEP_A.tolist(), reverse=True)
         target = dirac.barrier_limit(b)
-        for row in rows:
-            M = dirac.finite_barrier_transfer(b, row.x, E, m)
+        for a, value in zip(sweep.x.tolist(), sweep.value.tolist()):
+            M = dirac.finite_barrier_transfer(b, a, E, m)
             scalar_err = float(np.max(np.abs(M - target)))
-            med = dirac.DiracMedium(m, E, b.s / (2 * row.x), b.v / (2 * row.x))
-            wx = med.k * 2 * row.x
+            med = dirac.DiracMedium(m, E, b.s / (2 * a), b.v / (2 * a))
+            wx = med.k * 2 * a
             scale = (1.0 + wx) * float(np.max(np.abs(M)))
-            assert abs(row.value - scalar_err) <= 2 * 64 * EPS * scale
+            assert abs(value - scalar_err) <= 2 * 64 * EPS * scale
 
     def test_crossing_sweep_covers_both_branches(self):
         b = BarrierParams(*SWEEP_BARRIERS[-1])
@@ -556,14 +553,20 @@ COLUMN_TYPE_CHANGES = {
 
 
 class TestColumnConversion:
-    """analysis._column against the per-value float() loop it replaced."""
+    """The sweeps' conversion np.fromiter(values, float) against the per-value float() loop it replaced."""
 
     @pytest.mark.parametrize("name", sorted(COLUMN_ACCEPTS))
     def test_accepts_the_same_values_as_the_same_floats(self, name):
         values = COLUMN_ACCEPTS[name]
-        got, want = analysis._column(values()), float_loop(values())
+        got, want = np.fromiter(values(), float), float_loop(values())
         assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        # The spacings are that column, largest first, wherever each is positive and finite.
+        if ((want > 0.0) & (want < math.inf)).all():
+            assert analysis._spacings(values()).tobytes() == np.sort(want)[::-1].tobytes()
+        else:
+            with pytest.raises(ValueError, match="spacings must be positive and finite"):
+                analysis._spacings(values())
 
     @pytest.mark.parametrize("name", sorted(COLUMN_REJECTS))
     def test_rejects_the_same_values_with_the_same_error(self, name):
@@ -571,7 +574,9 @@ class TestColumnConversion:
         with pytest.raises(error):
             float_loop(values())
         with pytest.raises(error):
-            analysis._column(values())
+            analysis._spacings(values())
+        with pytest.raises(error):
+            correspondence_table(ConnectionParams(2, 1, 1, 1), 1.0, values())
 
     @pytest.mark.parametrize("name", sorted(COLUMN_TYPE_CHANGES))
     def test_formerly_type_errors_are_value_errors_now(self, name):
@@ -589,7 +594,7 @@ class TestColumnConversion:
                 call(values())
 
     def test_none_becomes_nan(self):
-        assert np.isnan(analysis._column([None])).tolist() == [True]
+        assert np.isnan(np.fromiter([None], float)).tolist() == [True]
 
 
 class TestCorrespondenceTable:

@@ -204,10 +204,12 @@ class TestRho2:
         assert ulps_from(dirac.rho2(E, m), exact) <= 4
 
     def test_column_where_e_plus_m_overflows_is_the_float_calls(self):
-        E, m = np.array([1.5e308, 1.7e308, 3.0]), np.array([1e308, 1e308, 1.0])
-        want = [dirac.rho2(e, mass) for e, mass in zip(E.tolist(), m.tolist())]
-        assert dirac.rho2(E, m).tolist() == want
-        assert dirac.rho2(E[:2], 1e308).tolist() == want[:2]
+        # E + m overflows in the first two entries against m = 5e307, and in both against m = 1e308.
+        E = np.array([1.5e308, 1.7e308, 6e307])
+        for m, column in ((5e307, E), (1e308, E[:2])):
+            want = [dirac.rho2(e, m) for e in column.tolist()]
+            assert 0.0 not in want
+            assert dirac.rho2(column, m).tolist() == want
 
     # A column against a float mass is checked on its ends: NaN, inf, -inf or an E <= m anywhere.
     @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ must agree at every rho, with a rounding bound that grows in the same
 way with the mode-basis scale 1 + |alpha| + |delta| + |beta| rho + |gamma|/rho.  transmission must equal the
 closed form in Python floats bit for bit, and its columns, and the
 correspondence table built on them, the scalar calls, at every rho^2,
-endpoints and extremes included.  Over every positive double m, k and eps,
+endpoints and extremes included.  Against one mass, rho and rho2 admit a column
+over every double exactly where they admit each entry, raise the error of the
+first check an entry fails, and give the entries' bits.  Over every positive double m, k and eps,
 schrodinger's T and the table's Schrodinger column must be within a derived
 relative bound of the exact T wherever that is a normal double, and so must
 connection.transmission at every rho^2, with beta and gamma down to 1e-300.  decompose
@@ -210,17 +212,98 @@ def bits(values) -> list[int]:
 
 
 @settings(deadline=None)
-@given(pairs=st.lists(st.tuples(positive_doubles, positive_doubles), min_size=1, max_size=12))
-def test_rho_and_rho2_columns_are_the_float_calls_bit_for_bit(pairs):
-    m, k = map(np.array, zip(*pairs))
-    assert bits(schrodinger.rho(m, k)) == bits([schrodinger.rho(*pair) for pair in pairs])
-    pairs = [(max(pair), min(pair)) for pair in pairs if pair[0] != pair[1]]
-    assume(pairs)
-    E, m = map(np.array, zip(*pairs))
-    assert bits(dirac.rho2(E, m)) == bits([dirac.rho2(*pair) for pair in pairs])
+@given(m=positive_doubles, column=st.lists(positive_doubles, min_size=1, max_size=12))
+def test_rho_and_rho2_columns_are_the_float_calls_bit_for_bit(m, column):
+    assert bits(schrodinger.rho(m, np.array(column))) == bits([schrodinger.rho(m, k) for k in column])
     # A column of energies over one mass, as correspondence_table passes them.
-    E = E[E > m[0]]
-    assert bits(dirac.rho2(E, m[0])) == bits([dirac.rho2(e, m[0]) for e in E.tolist()])
+    E = [e for e in column if e > m]
+    assume(E)
+    assert bits(dirac.rho2(np.array(E), m)) == bits([dirac.rho2(e, m) for e in E])
+
+
+# Every double: both zeros and infinities, NaN, subnormals and the float range's ends, each sign.
+every_double = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, *FLOAT_EDGES, *(-x for x in FLOAT_EDGES)]),
+    st.floats(),
+)
+# The messages of rho and rho2 in the order each checks them.
+CHECK_ORDER = ["mass must be positive", "wave number must be positive (scattering states only)",
+               "mass must be finite", "energy must be finite and above the mass"]
+
+
+@st.composite
+def masses_and_columns(draw):
+    """A mass and a column of every double; half the time, where the mass is positive and finite,
+    doubles above it with one other entry, the mass or inf among them: a column that one end fails."""
+    m = draw(every_double)
+    if not (0.0 < m < math.inf and draw(st.booleans())):
+        return m, draw(st.lists(every_double, max_size=12))
+    column = draw(st.lists(st.floats(min_value=m, exclude_min=True), max_size=11))
+    column.insert(draw(st.integers(0, len(column))), draw(st.sampled_from([m, math.inf]) | every_double))
+    return m, column
+
+
+def outcome(call, *args):
+    """call's result as bits, or the class and message of the ValueError it raises."""
+    try:
+        return bits(np.atleast_1d(call(*args)))
+    except ValueError as error:
+        return error.__class__, str(error)
+
+
+def column_outcome(each: list) -> object:
+    """What a column must give whose entries give the outcomes each: the error first checked, or their bits."""
+    errors = [o for o in each if o.__class__ is tuple]
+    return min(errors, key=lambda e: CHECK_ORDER.index(e[1])) if errors else [b for [b] in each]
+
+
+@settings(deadline=None)
+@given(mass_and_column=masses_and_columns())
+@example(mass_and_column=(math.inf, [1.0, -1.0]))  # rho checks k before m < inf
+@example(mass_and_column=(math.inf, []))  # rho refuses the mass, rho2 has no energy to check against it
+@example(mass_and_column=(1.0, [2.0, math.inf]))  # only the top end fails rho2
+@example(mass_and_column=(1.0, [2.0, 1.0]))  # only the bottom end fails rho2, at the mass
+@example(mass_and_column=(1.0, [2.0, -0.0]))  # only the bottom end fails rho
+def test_a_column_is_admitted_exactly_as_its_entries_are(mass_and_column):
+    m, column = mass_and_column
+    rho_each = [outcome(schrodinger.rho, m, k) for k in column]
+    rho2_each = [outcome(dirac.rho2, e, m) for e in column]
+    if not column:  # no entry to check: the mass's own checks decide, rho2's being m > 0 alone
+        rho_each = [] if 0.0 < m < math.inf else [outcome(schrodinger.rho, m, 1.0)]
+        rho2_each = [] if m > 0.0 else [(ValueError, "mass must be positive")]
+    assert outcome(schrodinger.rho, m, np.array(column)) == column_outcome(rho_each)
+    assert outcome(dirac.rho2, np.array(column), m) == column_outcome(rho2_each)
+
+
+def test_an_array_mass_raises_value_error():
+    p, m = ConnectionParams(2, 1, 1, 1), np.array([1.0, 1.5])
+    for call in (lambda: schrodinger.rho(m, 2.0), lambda: dirac.rho2(2.0, m),
+                 lambda: dirac.transmission(p, np.array([2.0, 3.0]), m)):
+        with pytest.raises(ValueError):
+            call()
+
+
+# (call, arguments, result) at an int, a numpy scalar or a 0-d array for m, k or E; each raises no warning.
+SCALAR_CALLS = [
+    (dirac.rho2, (3, 1.0), 0.5),
+    (dirac.rho2, (np.int64(3), 1), 0.5),
+    (dirac.rho2, (2.0, np.array(1.0)), 1 / 3),
+    (dirac.rho2, (np.float64(1.7e308), 1e308), 0.25925925925925924),  # E + m overflows
+    (dirac.rho2, (1.7e308, np.float64(1e308)), 0.25925925925925924),
+    (dirac.rho2, (np.array(1.7e308), 1e308), 0.25925925925925924),
+    (schrodinger.rho, (np.float64(1e-300), 1e300), math.inf),  # k/2m overflows
+    (schrodinger.rho, (1e-300, np.array(1e300)), math.inf),
+    (schrodinger.rho, (3, 1), 1 / 6),
+    (schrodinger.rho, (np.int64(2), np.array(1)), 0.25),
+    (schrodinger.rho, (np.float64(1e308), np.float64(1.0)), 5e-309),  # 2m overflows
+    (schrodinger.rho, (1e308, np.int64(1)), 5e-309),
+]
+
+
+@pytest.mark.parametrize("call, args, want", SCALAR_CALLS)
+def test_scalar_types_keep_their_result(call, args, want):
+    got = call(*args)
+    assert np.ndim(got) == 0 and got == want
 
 
 def admits(m: float, eps: float) -> bool:
@@ -265,17 +348,16 @@ def assert_near_exact(t: float, p: ConnectionParams, rho2: Fraction, bound: Frac
 
 
 @settings(deadline=None)
-@given(p=gated_connections(),
-       pairs=st.lists(st.tuples(positive_doubles, positive_doubles), min_size=1, max_size=12))
-@example(p=ConnectionParams(1, 1e-300, 0, 1), pairs=[(DBL_MIN, 10.0)])  # k/2m overflows
-@example(p=ConnectionParams(1, 0, 1e-320, 1), pairs=[(1e308, 1e-20)])  # k/2m underflows to 0
-@example(p=ConnectionParams(1, 0, 1e-300, 1), pairs=[(1e308, 1.0)])  # (k/2m)^2 underflows
-def test_schrodinger_transmission_is_near_exact_over_every_double(p, pairs):
-    m, k = map(np.array, zip(*pairs))
-    column = schrodinger._transmission(p, m, k)
-    assert bits(column) == bits([schrodinger.transmission(p, NonRelMedium(*pair)) for pair in pairs])
-    for t, (mass, wave_number) in zip(column.tolist(), pairs):
-        assert_near_exact(t, p, (Fraction(wave_number) / (2 * Fraction(mass))) ** 2, SCALAR_BOUND)
+@given(p=gated_connections(), m=positive_doubles,
+       column=st.lists(positive_doubles, min_size=1, max_size=12))
+@example(p=ConnectionParams(1, 1e-300, 0, 1), m=DBL_MIN, column=[10.0])  # k/2m overflows
+@example(p=ConnectionParams(1, 0, 1e-320, 1), m=1e308, column=[1e-20])  # k/2m underflows to 0
+@example(p=ConnectionParams(1, 0, 1e-300, 1), m=1e308, column=[1.0])  # (k/2m)^2 underflows
+def test_schrodinger_transmission_is_near_exact_over_every_double(p, m, column):
+    t = schrodinger._transmission(p, m, np.array(column))
+    assert bits(t) == bits([schrodinger.transmission(p, NonRelMedium(m, k)) for k in column])
+    for t, k in zip(t.tolist(), column):
+        assert_near_exact(t, p, (Fraction(k) / (2 * Fraction(m))) ** 2, SCALAR_BOUND)
 
 
 @settings(deadline=None)

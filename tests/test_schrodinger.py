@@ -58,10 +58,12 @@ class TestMediumTypes:
         assert schrodinger.rho(1.0, math.inf) == schrodinger.rho(1e308, math.inf) == math.inf
 
     def test_rho_column_overflows_as_the_float_calls_without_a_warning(self):
-        m, k = np.array([1e-300, 1.0, 1e308, 1e308]), np.array([1e10, 2.0, 1.0, math.inf])
-        want = [schrodinger.rho(mass, wave) for mass, wave in zip(m.tolist(), k.tolist())]
-        assert want == [math.inf, 1.0, 5e-309, math.inf]
-        assert schrodinger.rho(m, k).tolist() == want
+        # k/2m overflows in one entry of the first column; 2m overflows in the second, where rho is (k/2)/m.
+        for m, k, literal in ((1e-300, [1e10, 2e-300], [math.inf, 1.0]),
+                              (1e308, [1.0, math.inf], [5e-309, math.inf])):
+            want = [schrodinger.rho(m, wave) for wave in k]
+            assert want == literal
+            assert schrodinger.rho(m, np.array(k)).tolist() == want
 
     # Where 2m overflows (m > DBL_MAX/2), k/2m is formed without that product,
     # rounded once: Fraction's exact quotient, rounded to the nearest float.
@@ -71,7 +73,6 @@ class TestMediumTypes:
         ks = [5e-324, 1e-310, 1e-300, 0.3, 1.0, 3.0, 1e300, 1.7976931348623157e308]
         want = [float(Fraction(k) / (2 * Fraction(m))) for k in ks]
         assert [schrodinger.rho(m, k) for k in ks] == want
-        assert schrodinger.rho(np.full(len(ks), m), np.array(ks)).tolist() == want
         assert schrodinger.rho(m, np.array(ks)).tolist() == want
 
     def test_rejects_infinite_mass(self):
