@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import dirac, schrodinger
-from .connection import ConnectionParams, TransferMatrix, as_matrix, transmission
+from .connection import ConnectionParams, transmission
 from .dirac import BarrierParams
 
 __all__ = [
@@ -117,14 +117,14 @@ def _spacings(a_list: Iterable[float]) -> np.ndarray:
     return a
 
 
-def _error(a: np.ndarray, phase, entries, target: TransferMatrix, why: str, label: str) -> Sweep:
-    """The sweep of a over the error column max_ij |phase * m_ij - target_ij|.
+def _error(a: np.ndarray, entries, target: np.ndarray, why: str, label: str) -> Sweep:
+    """The sweep of a over the error column max_ij |m_ij - target_ij|, for 4 real target entries.
 
     Under the caller's np.errstate.  One pass over the (4, n) block of entries: the max of
     non-negative moduli is exact in any order.  inf and NaN propagate through + and *, abs
     and max, so one check is exact: ValueError names the largest a whose error is not finite.
     """
-    err = np.abs(phase * np.array(entries) - target.reshape(4, 1)).max(axis=0)
+    err = np.abs(np.array(entries) - target.reshape(4, 1)).max(axis=0)
     if err.size and not math.isfinite(err.max()):
         worst = a[~np.isfinite(err)].max()
         raise ValueError(f"half-spacing a={float(worst)!r} is out of range: {why}")
@@ -149,18 +149,18 @@ def nonrel_convergence(
     bad or infinite m or k; as renormalized_strengths does (naming the
     largest a whose strengths overflow, or v_zero where it overflows at
     every a); naming the largest a whose error is not finite.  Overflow
-    raises no numpy warning.  At theta = 0 (that of p's sign representative
-    where the strengths take it) the kernel runs in float64; at p.theta = 0
-    the target is real.  Either keeps the complex column's bits.
+    raises no numpy warning.  The value does not depend on p.theta: A = theta/2a
+    is a pure gauge, M(a) at A being e^{2iAa} = e^{i theta} times M(a) at A = 0.  So
+    the kernel runs in float64 at A = 0, against the real matrix of _strengths' connection.
     """
     a = _spacings(a_list)
     schrodinger.rho(m, k)
     if not math.isfinite(k):  # rho admits k = inf
         raise ValueError(f"wave number k={k!r} must be finite for a convergence sweep")
-    target = as_matrix(p)
     with np.errstate(over="ignore", invalid="ignore"):
-        phase, entries = schrodinger._three_delta(a, m, k, *schrodinger._strengths(p, a, m))
-        return _error(a, phase, entries, target.real if p.theta == 0.0 else target,
+        v_plus, v_zero, v_minus, q = schrodinger._strengths(p, a, m)
+        _, entries = schrodinger._three_delta(a, m, k, v_plus, v_zero, v_minus, 0.0, 0.0)
+        return _error(a, entries, np.array((q.alpha, q.beta, q.gamma, q.delta)),
                       "the three-delta products overflow", "schrodinger")
 
 
@@ -173,14 +173,15 @@ def dirac_convergence(
     order: unless every half-width is positive and finite; for a bad m or
     E; naming s and v, for a barrier whose limit overflows; naming the
     largest a whose error is not finite.  Overflow raises no numpy warning.
-    At theta = 0 kernel and target run in float64: the complex column's bits.
+    Both matrices carry b.theta only as their phase e^{i theta}, so the value does
+    not depend on it: kernel and target run in float64 at (s, v, 0).
     """
     a = _spacings(a_list)
     dirac._require_exterior(m, E)
-    target = dirac.barrier_limit(b)
+    target = dirac.barrier_limit(BarrierParams(b.s, b.v)).real
     with np.errstate(over="ignore", invalid="ignore"):
-        return _error(a, *dirac._barrier(b, a, E, m), target.real if b.theta == 0.0 else target,
-                      "the finite barrier overflows", "dirac")
+        _, entries = dirac._propagate(*dirac._barrier(b, a, E, m), 0.0)
+        return _error(a, entries, target, "the finite barrier overflows", "dirac")
 
 
 def correspondence_table(
@@ -239,8 +240,9 @@ def high_energy_asymptote(p: ConnectionParams) -> tuple[float, float]:
 
 def loglog_slope(sweep: Sweep) -> float:
     """Least-squares slope of log(value) vs log(x): the empirical decay order."""
-    if sweep.x.size < 2:
-        raise ValueError("need at least two rows")
+    log_x = np.log(sweep.x)
+    if not log_x.size or log_x.min() == log_x.max():  # a sweep may repeat a spacing
+        raise ValueError("need at least two distinct abscissae")
     if not (sweep.value > 0.0).all():
         raise ValueError("log-log slope needs positive values")
-    return float(np.polyfit(np.log(sweep.x), np.log(sweep.value), 1)[0])
+    return float(np.polyfit(log_x, np.log(sweep.value), 1)[0])

@@ -243,8 +243,8 @@ def _propagation(x, w, sign, iA):
     NaN or x = ±0.  A float x takes Python numbers, which round as numpy's do, past numpy's
     functions; NaN where wx or Ax is not finite, on which those would warn; np.errstate only
     for cosh.  An array x is a sweep's column of x > 0 (a or 2a, which analysis._spacings
-    admitted), under its np.errstate: a column of signs on one branch runs it alone, a mixed, zero
-    or NaN one masks each branch to its own elements.  iA = 0.0 (every A is 0): float64, phase 1.0.
+    admitted), run under its np.errstate in float64 at A = 0 (iA is not read; phase 1.0): a column
+    of signs on one branch runs it alone, a mixed, zero or NaN one masks each branch to its own.
     """
     if x.__class__ is float:
         iax = iA * x
@@ -257,18 +257,18 @@ def _propagation(x, w, sign, iA):
             with np.errstate(over="ignore"):
                 return complex(np.exp(iax)), float(np.cosh(wx)), float(np.sinh(wx) / w)
         return math.nan, math.nan, math.nan
-    wx, phase = w * x, np.exp(iA * x) if iA.__class__ is not float else 1.0  # e^0 = 1 where iA = 0.0
+    wx = w * x
     if (sign.min(initial=math.inf) if sign.__class__ is np.ndarray else sign) > 0.0:
-        return phase, np.cos(wx), np.sin(wx) / w
+        return 1.0, np.cos(wx), np.sin(wx) / w
     if sign.max() < 0.0:  # a column: a float sign here is Schrodinger's k > 0
-        return phase, np.cosh(wx), np.sinh(wx) / w
+        return 1.0, np.cosh(wx), np.sinh(wx) / w
     trig, hyper = sign > 0.0, sign < 0.0
     t, h = np.where(trig, wx, 0.0), np.where(hyper, wx, 0.0)
     w = np.where(trig | hyper, w, 1.0)
     # Off their branches t = h = 0 and w = 1: cosh(0) = 1 and x / 1 = x exactly.
     c = np.where(trig, np.cos(t), np.cosh(h))
     s = np.where(trig, np.sin(t), np.where(hyper, np.sinh(h), x)) / w
-    return phase, c, s
+    return 1.0, c, s
 
 
 def _propagator(kernel, x, *args) -> np.ndarray:

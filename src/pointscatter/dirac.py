@@ -215,15 +215,15 @@ def finite_barrier_transfer(b: BarrierParams, a: float, E: float, m: float) -> T
         raise ValueError("half-width a must be a positive, finite scalar")
     _require_exterior(m, E)
     a, E, m = float(a), float(E), float(m)
-    return _from_scalars(*_barrier(b, a, E, m), "half-spacing a=%r is out of range: "
-                         "the finite barrier overflows", a)
+    x, k_plus, k_minus = _barrier(b, a, E, m)
+    return _from_scalars(*_propagate(x, k_plus, k_minus, 1j * (b.theta / x)), "half-spacing a=%r is "
+                         "out of range: the finite barrier overflows", a)
 
 
 def _barrier(b: BarrierParams, a, E: float, m: float):
-    """Phase and entries of finite_barrier_transfer, for checked floats or a column a under np.errstate."""
+    """x = 2a and _propagate's k_plus, k_minus of barrier b, at checked floats or a column a."""
     x = 2.0 * a
-    iA = 0.0 if b.theta == 0.0 and x.__class__ is not float else 1j * (b.theta / x)  # a column: float64
-    return _propagate(x, *_coefficients(m, E, b.s / x, b.v / x), iA)
+    return (x, *_coefficients(m, E, b.s / x, b.v / x))
 
 
 def transmission(p: ConnectionParams, E: float | np.ndarray, m: float) -> float | np.ndarray:

@@ -83,8 +83,8 @@ def _hop(x, m, k, A, iA):
     """Phase e^{iAx} and the four entries of the bracket of propagator(), entry-wise over an array x.
 
     c I + s [[-iA, 2m], [(A^2 - k^2)/2m, iA]]: connection._propagation at w = sign = k, on its
-    trigonometric branch, which enters no np.errstate; a column runs under the sweep's.  iA is
-    1j * A, or 0.0 where A = ±0.0, formed once by the caller: (1j * A) * s is how Python reads 1j * A * s.
+    trigonometric branch, which enters no np.errstate; a column runs under the sweep's, at
+    A = iA = 0.0.  iA = 1j * A is formed once by the caller: (1j * A) * s is how Python reads 1j * A * s.
     """
     phase, c, s = _propagation(x, k, k, iA)
     # "+ 0.0" turns the -0.0 that s = ±0 leaves off the diagonal into +0.0,
@@ -134,18 +134,16 @@ def mode_vectors(med: NonRelMedium) -> ModePair:
     return connection.modes(rho(med.m, med.k))
 
 
-def _three_delta(a, m, k, v_plus, v_zero, v_minus, A):
-    """Phase and four entries of the three-delta model's product, entry-wise over arrays of a.
+def _three_delta(a, m, k, v_plus, v_zero, v_minus, A, iA):
+    """Phase and four entries of the three-delta model's product, at a float a or over a column.
 
-    D(v_plus - edge) H D(v_zero) H D(v_minus + edge) with D(v) = [[1, 0], [v, 1]],
-    H = propagator(a) and edge = iA/2m.  Built right to left, so each delta
-    factor is one row (or column) operation on the running product.  H's
-    entries are computed once for both hops, with their phases pulled out
-    as e^{2iAa}, which is returned beside the entries (m00, m01, m10, m11)
-    of the rest.  Any argument may be an array; each entry has the broadcast shape of the
-    arguments.  A float A over a column a, _strengths' ±0.0 at theta = 0, runs in float64.
+    D(v_plus - edge) H D(v_zero) H D(v_minus + edge) with D(v) = [[1, 0], [v, 1]], H =
+    propagator(a) and edge = iA/2m, iA = 1j * A.  Built right to left, so each delta factor is
+    one row (or column) operation on the running product.  H's entries are computed once for
+    both hops, with their phases pulled out as e^{2iAa}, which is returned beside the entries
+    (m00, m01, m10, m11) of the rest.  A column of a runs in float64 at A = iA = 0.0, phase 1.0:
+    a constant A is a pure gauge, the product at A being e^{2iAa} times the product at 0.
     """
-    iA = 1j * A if A.__class__ is not float or a.__class__ is float else 0.0
     phase, (h00, h01, h10, h11) = _hop(a, m, k, A, iA)
     edge = iA / (2.0 * m)
     # H D(v_minus + edge): column 0 += (v_minus + edge) * column 1
@@ -176,7 +174,7 @@ def three_delta_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     """
     if med.A != cfg.A:
         raise ValueError("medium vector potential must equal the triple's A")
-    phase, entries = _three_delta(cfg.a, med.m, med.k, cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.A)
+    phase, entries = _three_delta(cfg.a, med.m, med.k, cfg.v_plus, cfg.v_zero, cfg.v_minus, cfg.A, 1j * cfg.A)
     return _from_scalars(phase, entries, "half-spacing a=%r is out of range: "
                          "the three-delta products overflow", cfg.a)
 
@@ -203,11 +201,12 @@ def _require_quotient(a, numerator: float, divisor, names: tuple[str, str]) -> N
 
 
 def _strengths(p: ConnectionParams, a, m: float):
-    """(v_plus, v_zero, v_minus, A) of renormalized_strengths(), entry-wise over a.
+    """(v_plus, v_zero, v_minus) of renormalized_strengths(), entry-wise over a, and their connection.
 
-    a is a float or a column in descending order.  Raises ValueError for a
-    mass that is not positive (NaN included) or a spacing so small that a
-    divisor below underflows to 0 or a quotient overflows.
+    That is p, or where beta = 0 and alpha + delta = -2 its sign representative: A = theta/2a of
+    its theta, and at A = 0 the model tends to its real matrix.  a is a float or a column in
+    descending order.  ValueError for a mass that is not positive (NaN included) or a spacing
+    so small that a divisor below underflows to 0 or a quotient overflows.
     """
     if not m > 0.0:
         raise ValueError("mass must be positive")
@@ -235,10 +234,7 @@ def _strengths(p: ConnectionParams, a, m: float):
         v_zero = 4.0 * p.gamma / denom
         if math.isinf(v_zero):  # the same at every a: no a to blame
             raise ValueError("v_zero must be finite")
-    width = 2.0 * a
-    _require_quotient(a, p.theta, width, ("theta", "2 a"))
-    # theta/2a is theta itself at theta = ±0: a float, on which _three_delta runs a column in float64.
-    return v_plus, v_zero, v_minus, p.theta / width if p.theta else p.theta
+    return v_plus, v_zero, v_minus, p
 
 
 def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTriple:
@@ -262,8 +258,10 @@ def renormalized_strengths(p: ConnectionParams, a: float, m: float) -> DeltaTrip
     """
     if not a > 0.0:
         raise ValueError("half-spacing a must be positive")
-    v_plus, v_zero, v_minus, A = _strengths(p, a, m)
-    return DeltaTriple(v_plus, v_zero, v_minus, a, A)
+    v_plus, v_zero, v_minus, p = _strengths(p, a, m)
+    width = 2.0 * a
+    _require_quotient(a, p.theta, width, ("theta", "2 a"))
+    return DeltaTriple(v_plus, v_zero, v_minus, a, p.theta / width)
 
 
 def transmission(p: ConnectionParams, med: NonRelMedium) -> float:

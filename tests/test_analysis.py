@@ -2,6 +2,7 @@
 
 import decimal
 import fractions
+import functools
 import math
 import re
 import sys
@@ -38,41 +39,16 @@ class TestSweepRow:
 # Spacings, largest first, of the sweeps recorded below the first two.
 GOLDEN_A = [10.0, 3.0, 1.0, 0.5, 0.3, 0.1, 0.03, 0.01, 1e-3, 1e-4, 1e-6]
 
-# Values the sweeps returned (recorded as repr of each row's float): "nonrel" and "dirac"
-# row by row, before the sweeps became columnar; the rest before their error became one
-# pass over a (4, n) block.  Those cover both renormalization schemes with theta = 0 and
-# theta != 0, and the trigonometric, hyperbolic, s = v and s = -v barriers.  In each Dirac
-# sweep the finite barrier's branch changes as a shrinks (the trigonometric one's twice),
-# and the s = v one takes the linear branch at a = 0.5.
+# Values the theta = 0 sweeps returned (recorded as repr of each row's float), before their
+# error became one pass over a (4, n) block.  They cover both renormalization schemes and the
+# s = v barrier, which takes the linear branch at a = 0.5.
 RECORDED_SWEEPS = {
-    "nonrel": (
-        lambda: nonrel_convergence(
-            ConnectionParams(0.5, 1e-3, -1000.0, 0.0, -2.5), 0.4, 3.0, [1e-2, 1e-4, 1e-6, 1e-3]
-        ),
-        [1e-2, 1e-3, 1e-4, 1e-6],
-        [23983.63475655208, 2399.964225175883, 239.99960310019927, 2.3999981053638493],
-        "schrodinger",
-    ),
-    "dirac": (
-        lambda: dirac_convergence(BarrierParams(0.6, 0.2, -1.1), -3.0, 0.5, [1e3, 0.4, 1e-7, 0.3999]),
-        [1000.0, 0.4, 0.3999, 1e-07],
-        [2.0103931663819012, 1.9017061543094316, 1.9012951082963758, 7.214172892872928e-07],
-        "dirac",
-    ),
     "nonrel-beta-theta0": (
         lambda: nonrel_convergence(ConnectionParams(2.0, 0.5, 2.0, 1.0), 1.0, 1.5, GOLDEN_A),
         GOLDEN_A,
         [30.678848658443595, 1.7356517679531613, 3.0308539536206602, 26.890432359046056,
          22.801835053872644, 9.108924727886198, 2.820893991471941, 0.9462150668135934,
          0.09485092813565643, 0.00948726056049054, 9.487476199865341e-05],
-        "schrodinger",
-    ),
-    "nonrel-beta-theta": (
-        lambda: nonrel_convergence(ConnectionParams(2.0, 0.5, 2.0, 1.0, 0.7), 1.0, 1.5, GOLDEN_A),
-        GOLDEN_A,
-        [30.678848658443595, 1.7356517679531611, 3.0308539536206567, 26.89043235904606,
-         22.801835053872647, 9.1089247278862, 2.8208939914719475, 0.9462150668136075,
-         0.09485092813565635, 0.009487260562309422, 9.487476199842923e-05],
         "schrodinger",
     ),
     "nonrel-beta0-theta0": (
@@ -83,30 +59,6 @@ RECORDED_SWEEPS = {
          0.009339309858944489, 0.0009333933103334857, 9.333365596830845e-06],
         "schrodinger",
     ),
-    "nonrel-beta0-theta": (
-        lambda: nonrel_convergence(ConnectionParams(2.0, 0.0, 1.5, 0.5, -1.3), 0.5, 2.0, GOLDEN_A),
-        GOLDEN_A,
-        [2.7794621784189943, 1.3753807003991472, 2.9573081080546024, 3.331219851570765,
-         2.689826864354705, 0.9692824869406786, 0.2847606071296555, 0.0939097914621599,
-         0.00933930985894469, 0.0009333933112432147, 9.3335402196766e-06],
-        "schrodinger",
-    ),
-    "dirac-trig": (
-        lambda: dirac_convergence(BarrierParams(0.3, 1.2, 0.4), 2.0, 1.0, GOLDEN_A),
-        GOLDEN_A,
-        [2.4924889026226706, 1.8945914971075366, 3.9033957075356627, 3.198020730480757,
-         1.7372542606606005, 0.42986079678725303, 0.12726868922447027, 0.04258608201143643,
-         0.0042639138908235705, 0.00042643747819143805, 4.2644247064047325e-06],
-        "dirac",
-    ),
-    "dirac-hyperbolic": (
-        lambda: dirac_convergence(BarrierParams(1.2, 0.3, -0.4), -2.0, 1.0, GOLDEN_A),
-        GOLDEN_A,
-        [2.714281999935086, 2.87921868973084, 2.7183926722010154, 2.3089854906237846,
-         2.0110694753168907, 0.7926392840955773, 0.24294478558574956, 0.0812163791466529,
-         0.008128494153322298, 0.0008129053400055583, 8.12911351524828e-06],
-        "dirac",
-    ),
     "dirac-delta": (
         lambda: dirac_convergence(BarrierParams(0.5, 0.5), 2.0, 1.0, GOLDEN_A),
         GOLDEN_A,
@@ -115,21 +67,53 @@ RECORDED_SWEEPS = {
          0.0006000599897993058, 6.0000059999898e-06],
         "dirac",
     ),
-    "dirac-epsilon": (
-        lambda: dirac_convergence(BarrierParams(-0.5, 0.5, 0.9), 2.0, 1.0, GOLDEN_A),
-        GOLDEN_A,
-        [1.9787768519717226, 1.7808775330026285, 1.9997860728793257, 2.3969119972732167,
-         1.7375185622337546, 0.5946452926532299, 0.17325943957010662, 0.057051896813725675,
-         0.005670621928190794, 0.0005667063219313086, 5.666670633520818e-06],
-        "dirac",
-    ),
 }
+
+# theta != 0 sweeps: the sweep, its connection or barrier, and its other arguments.  Each
+# records its theta = 0 twin's values, the same U (or (s, v, 0)) run here: theta is a pure
+# gauge, so that relation holds on any host.  The two with GOLDEN_A at beta != 0 and beta = 0
+# are the recorded theta = 0 sweeps' twins.  In each Dirac sweep the finite barrier's branch
+# changes as a shrinks (the trigonometric one's twice).
+THETA_SWEEPS = {
+    "nonrel": (nonrel_convergence, ConnectionParams(0.5, 1e-3, -1000.0, 0.0, -2.5),
+               (0.4, 3.0, [1e-2, 1e-4, 1e-6, 1e-3])),
+    "nonrel-beta-theta": (nonrel_convergence, ConnectionParams(2, 0.5, 2, 1, 0.7), (1.0, 1.5, GOLDEN_A)),
+    "nonrel-beta0-theta": (nonrel_convergence, ConnectionParams(2, 0, 1.5, 0.5, -1.3), (0.5, 2.0, GOLDEN_A)),
+    "dirac": (dirac_convergence, BarrierParams(0.6, 0.2, -1.1), (-3.0, 0.5, [1e3, 0.4, 1e-7, 0.3999])),
+    "dirac-trig": (dirac_convergence, BarrierParams(0.3, 1.2, 0.4), (2.0, 1.0, GOLDEN_A)),
+    "dirac-hyperbolic": (dirac_convergence, BarrierParams(1.2, 0.3, -0.4), (-2.0, 1.0, GOLDEN_A)),
+    "dirac-epsilon": (dirac_convergence, BarrierParams(-0.5, 0.5, 0.9), (2.0, 1.0, GOLDEN_A)),
+}
+
+
+def theta0_twin(target):
+    """The same U at theta = 0, or the barrier (s, v, 0)."""
+    if isinstance(target, BarrierParams):
+        return BarrierParams(target.s, target.v)
+    return ConnectionParams(target.alpha, target.beta, target.gamma, target.delta)
+
+
+RECORDED_SWEEPS |= {
+    name: (
+        functools.partial(sweep, target, *rest),
+        sorted(rest[-1], reverse=True),
+        functools.partial(sweep, theta0_twin(target), *rest),
+        "dirac" if sweep is dirac_convergence else "schrodinger",
+    )
+    for name, (sweep, target, rest) in THETA_SWEEPS.items()
+}
+
+
+def recorded(name):
+    """A recorded sweep's run, x, values and label: a theta != 0 sweep's values are its twin's."""
+    run, x, value, label = RECORDED_SWEEPS[name]
+    return run, x, value().value.tolist() if callable(value) else value, label
 
 
 class TestSweep:
     @pytest.mark.parametrize("name", sorted(RECORDED_SWEEPS))
     def test_columns_are_read_only_float64_with_the_recorded_bits(self, name):
-        run, x, value, label = RECORDED_SWEEPS[name]
+        run, x, value, label = recorded(name)
         sweep = run()
         assert isinstance(sweep, Sweep) and sweep.label == label
         for column, want in ((sweep.x, x), (sweep.value, value)):
@@ -141,7 +125,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("name", sorted(RECORDED_SWEEPS))
     def test_reads_as_the_list_of_rows(self, name):
-        run, x, value, label = RECORDED_SWEEPS[name]
+        run, x, value, label = recorded(name)
         sweep = run()
         rows = [SweepRow(*row) for row in zip(x, value, [label] * len(x))]
         assert len(sweep) == len(rows)
@@ -230,9 +214,8 @@ class TestNonrelConvergence:
         [
             ((1, 1e10, 0, 1), 1e-155, "beta / (4 m^2 a^2) overflows"),
             ((1e-10, 0, 0, 1e10), 2.5e-301, "max(|alpha - 1|, |delta - 1|) / (4 m a) overflows"),
-            ((1, 0, 0, 1, 0.5), 1e-310, "theta / (2 a) overflows"),
         ],
-        ids=["v_zero", "v_side", "A"],
+        ids=["v_zero", "v_side"],
     )
     def test_overflowing_strength_names_the_spacing(self, conn, a, what):
         p = ConnectionParams(*conn)
@@ -255,18 +238,36 @@ class TestNonrelConvergence:
                 ConnectionParams(1, 1e10, 0, 1), 1.0, 1.0, [1e-200, 1e-3, 1e-160, 1e-155]
             )
 
-    # Finite strengths whose kernel products overflow: A*A with A = theta/2a
-    # at a of 1e-200, and at m = 1000 a band of a about two decades below
-    # the v0 guard.
+    def test_theta_over_2a_overflows_in_the_strengths_alone(self):
+        # renormalized_strengths forms A = theta/2a; the sweep's kernel runs at A = 0 and
+        # admits the spacing, as its theta = 0 twin does.
+        p, a = ConnectionParams(1, 0, 0, 1, 0.5), 1e-310
+        with pytest.raises(ValueError, match=re.escape(f"a={a!r} is too small: theta / (2 a) overflows")):
+            schrodinger.renormalized_strengths(p, a, 1.0)
+        twin = nonrel_convergence(ConnectionParams(1, 0, 0, 1), 1.0, 1.0, [1e-3, a])
+        assert nonrel_convergence(p, 1.0, 1.0, [1e-3, a]).value.tobytes() == twin.value.tobytes()
+
+    # Spacings at which the complex kernel's A*A overflowed (A = theta/2a at a of 1e-200,
+    # and at m = 1000 a band of a about two decades below the v0 guard): the sweep runs at
+    # A = 0, and admits them as its theta = 0 twin does.
     @pytest.mark.parametrize(
         "conn, m, a",
         [((2, 0, 1.3, 0.5, 0.3), 1.0, 1e-200), ((2, 1, 1, 1, 0.3), 1000.0, 1e-157)],
         ids=["beta_zero", "heavy"],
     )
-    def test_overflowing_kernel_names_the_spacing(self, conn, m, a):
+    def test_spacings_where_A_squared_overflowed_are_admitted(self, conn, m, a):
+        sweep = nonrel_convergence(ConnectionParams(*conn), m, 1.0, [1e-3, a])
+        twin = nonrel_convergence(ConnectionParams(*conn[:4]), m, 1.0, [1e-3, a])
+        assert np.isfinite(sweep.value).all() and sweep.value.tobytes() == twin.value.tobytes()
+
+    # Finite strengths (v0 = beta/4m^2a^2 is 0 where 4m^2a^2 overflows) at a spacing where
+    # k a = 3.2e308 overflows: the real kernel's hops are not finite, at every theta.
+    @pytest.mark.parametrize("theta", [0.0, 0.3], ids=["theta0", "theta"])
+    def test_overflowing_kernel_names_the_spacing(self, theta):
+        a = 3.1622776601683794e+305
         message = re.escape(f"half-spacing a={a!r} is out of range: the three-delta products")
         with pytest.raises(ValueError, match=message):
-            nonrel_convergence(ConnectionParams(*conn), m, 1.0, [1e-3, a])
+            nonrel_convergence(ConnectionParams(2, 1e10, 1e-10, 1, theta), 1e-3, 1e3, [1e-3, a])
 
     @pytest.mark.parametrize("beta", [1e10, 1.0, 1e-3, 0.0])
     @pytest.mark.parametrize("theta", [0.0, 0.3])
@@ -480,6 +481,63 @@ class TestSweepMatchesScalarRoute:
             med = dirac.DiracMedium(1.0, 2.0, b.s / (2 * a), b.v / (2 * a))
             signs.add(np.sign(med.k_plus * med.k_minus))
         assert {1.0, -1.0} <= signs
+
+
+class TestGaugedSweepIsNearExact:
+    """Each row of the theta != 0 sweeps against the 50-digit error of the model with A = theta/2a.
+
+    The sweeps run their model at A = 0 against a real target.  The model at A is e^{2iAa}
+    = e^{i theta} times that (the barrier's: e^{iAx} over x = 2a) and its target e^{i theta}
+    times the real one, so the exact errors are equal, and the bound holds the gauged
+    evaluation's rounding alone.  Its entries are within 64 eps times the modulus scale of
+    the exact product (TestSweepMatchesScalarRoute): the real factors' modulus product for
+    the three-delta model, and (1 + |w x|) max|M| for the barrier.  The three-delta target U
+    is exact; the barrier's limit L, cos/cosh and sin/sinh of p = sqrt|p_plus p_minus|, adds
+    64 eps (1 + p) max|L|.  The difference and the modulus round by eps times the error, at
+    most eps (max|M| + max|U|), so the three-delta bound adds 64 eps max|U|.
+    """
+
+    @staticmethod
+    def exact_error(sweep, target, rest, a):
+        """The 50-digit max_ij |M(a) - target matrix|_ij, A exactly theta/2a, and the float bound."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            def exp_traceless(x, k_plus, k_minus):  # exp(x [[0, k_plus], [-k_minus, 0]])
+                w = mp.sqrt(k_plus * k_minus)
+                c, s = mp.cos(w * x), mp.sin(w * x) / w if w else x
+                return mp.matrix([[c, k_plus * s], [-k_minus * s, c]])
+
+            if sweep is dirac_convergence:
+                (E, m, _), b = rest, target
+                x = 2 * mp.mpf(a)
+                S, V, A = mp.mpf(b.s) / x, mp.mpf(b.v) / x, mp.mpf(b.theta) / x
+                M = mp.expj(A * x) * exp_traceless(x, m + E + S - V, E - m - S - V)
+                L = mp.expj(b.theta) * exp_traceless(1, mp.mpf(b.s) - b.v, -mp.mpf(b.s) - b.v)
+                Mf = dirac.finite_barrier_transfer(b, a, E, m)
+                wx = dirac.DiracMedium(m, E, b.s / (2 * a), b.v / (2 * a)).k * 2 * a
+                scale = (1 + wx) * float(np.max(np.abs(Mf))) + (1 + b.p) * float(np.max(np.abs(L.tolist())))
+            else:
+                (m, k, _), p = rest, target
+                v_plus, v_zero, v_minus, q = schrodinger._strengths(p, a, m)
+                a_, A, m_, k_ = mp.mpf(a), mp.mpf(q.theta) / (2 * mp.mpf(a)), mp.mpf(m), mp.mpf(k)
+                c, s = mp.cos(k_ * a_), mp.sin(k_ * a_) / k_
+                hop = mp.expj(A * a_) * mp.matrix(
+                    [[c - 1j * A * s, 2 * m_ * s], [(A * A - k_ * k_) / (2 * m_) * s, c + 1j * A * s]])
+                edge = 1j * A / (2 * m_)
+                M = (mp.matrix([[1, 0], [v_plus - edge, 1]]) * hop * mp.matrix([[1, 0], [v_zero, 1]]) * hop
+                     * mp.matrix([[1, 0], [v_minus + edge, 1]]))
+                L = mp.expj(p.theta) * mp.matrix([[p.alpha, p.beta], [p.gamma, p.delta]])
+                u = max(abs(p.alpha), abs(p.beta), abs(p.gamma), abs(p.delta))
+                scale = five_factor_scale(v_plus, v_zero, v_minus, a, 0.0, m, k) + u
+            return max(abs(M[i, j] - L[i, j]) for i in range(2) for j in range(2)), 64 * EPS * scale
+
+    @pytest.mark.parametrize("name", sorted(THETA_SWEEPS))
+    def test_rows_are_within_the_derived_bound(self, name):
+        sweep, target, rest = THETA_SWEEPS[name]
+        got = sweep(target, *rest)
+        for a, value in zip(got.x.tolist(), got.value.tolist()):
+            exact, bound = self.exact_error(sweep, target, rest, a)
+            assert abs(value - exact) <= bound
 
 
 @pytest.mark.filterwarnings("error")
@@ -748,6 +806,14 @@ class TestLoglogSlope:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             loglog_slope(Sweep([1.0], [1.0], "t"))
+
+    def test_needs_two_distinct_abscissae(self):
+        # A sweep may repeat a spacing; polyfit then fit a slope through one point, with a warning.
+        sweep = nonrel_convergence(ConnectionParams(2, 1, 1, 1), 1.0, 1.0, [1e-3, 1e-3])
+        with pytest.raises(ValueError, match="two distinct abscissae"):
+            loglog_slope(sweep)
+        with pytest.raises(ValueError, match="two distinct abscissae"):  # distinct x, one log x
+            loglog_slope(Sweep([1e300, math.nextafter(1e300, math.inf)], [1.0, 2.0], "t"))
 
     def test_needs_positive_values(self):
         with pytest.raises(ValueError):

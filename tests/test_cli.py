@@ -680,46 +680,16 @@ CONVERGE_RECORDED = (
 )
 
 
-# converge output recorded before the error column was taken entry by entry
-# from the kernel's four entries, which does the same operations per
-# element as the stack of matrices it replaced: the bytes must not move.
-CONVERGE_PINNED = {
-    "schrodinger-beta-theta": (
-        ["--framework", "schrodinger", "--alpha", "2", "--beta", "1", "--gamma", "1",
-         "--delta", "1", "--theta", "0.3", "--mass", "0.4", "--k", "3"],
-    "a,err\n"
-    "0.10000000000000001,0.47480404334318038\n"
-    "0.010000000000000002,0.019877771735849578\n"
-    "0.0010000000000000002,0.0016839229419929383\n"
-    "0.00010000000000000003,0.00016533936286574396\n"
-    "1.0000000000000003e-05,1.6503356164306338e-05\n"
-    "1.0000000000000004e-06,1.6484409581065331e-06\n"
-    "9.9999999999999995e-08,1.7136398636002932e-07\n"
-    ),
-    "schrodinger-beta-zero": (
-        ["--framework", "schrodinger", "--alpha", "-0.4", "--beta", "0", "--gamma", "0.7",
-         "--delta", "-2.5", "--theta", "1.9", "--mass", "1", "--k", "1"],
-    "a,err\n"
-    "0.10000000000000001,0.47053502176432399\n"
-    "0.010000000000000002,0.046700520483906889\n"
-    "0.0010000000000000002,0.004667000518717635\n"
-    "0.00010000000000000003,0.00046667000051891518\n"
-    "1.0000000000000003e-05,4.6666700001076218e-05\n"
-    "1.0000000000000004e-06,4.6666670001208922e-06\n"
-    "9.9999999999999995e-08,4.6666666966243098e-07\n"
-    ),
-    "dirac": (
-        ["--framework", "dirac", "--s", "0.6", "--v", "0.2", "--theta", "-1.1",
-         "--energy", "2", "--mass", "1", "--sweep-start", "10"],
-    "a,err\n"
-    "10,2.040238395639657\n"
-    "0.46415888336127797,2.5507251469725953\n"
-    "0.021544346900318843,0.14364141685564893\n"
-    "0.0010000000000000002,0.0066038035311992557\n"
-    "4.6415888336127811e-05,0.00030637332211710483\n"
-    "2.1544346900318852e-06,1.4220269736720271e-05\n"
-    "9.9999999999999995e-08,6.6004576229315918e-07\n"
-    ),
+# converge at theta != 0, on both renormalization schemes (the beta = 0 one with
+# alpha + delta < 0) and a barrier whose finite width crosses branches.  theta is a pure
+# gauge of the sweep, so each prints the bytes of its theta = 0 twin, on any host.
+CONVERGE_THETA = {
+    "schrodinger-beta-theta": ["--framework", "schrodinger", "--alpha", "2", "--beta", "1", "--gamma",
+                               "1", "--delta", "1", "--theta", "0.3", "--mass", "0.4", "--k", "3"],
+    "schrodinger-beta-zero": ["--framework", "schrodinger", "--alpha", "-0.4", "--beta", "0", "--gamma",
+                              "0.7", "--delta", "-2.5", "--theta", "1.9", "--mass", "1", "--k", "1"],
+    "dirac": ["--framework", "dirac", "--s", "0.6", "--v", "0.2", "--theta", "-1.1",
+              "--energy", "2", "--mass", "1", "--sweep-start", "10"],
 }
 
 
@@ -759,14 +729,14 @@ class TestDocumentedExamples:
         assert code == 0
         assert out == want
 
-    @pytest.mark.parametrize("name", sorted(CONVERGE_PINNED))
-    def test_converge_bytes_unchanged(self, capsys, name):
-        flags, want = CONVERGE_PINNED[name]
-        # The last --sweep-start wins, so the Dirac case may start elsewhere.
-        sweep = ["--sweep-start", "1e-1", "--sweep-stop", "1e-7", "--sweep-count", "7"]
-        code, out, _ = run_cli(capsys, ["converge", *sweep, *flags])
-        assert code == 0
-        assert out == want
+    @pytest.mark.parametrize("name", sorted(CONVERGE_THETA))
+    def test_converge_bytes_are_the_theta0_twins(self, capsys, name):
+        # The last --sweep-start (and --theta) wins, so the Dirac case may start elsewhere.
+        argv = ["converge", "--sweep-start", "1e-1", "--sweep-stop", "1e-7", "--sweep-count", "7",
+                *CONVERGE_THETA[name]]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and out.count("\n") == 8
+        assert run_cli(capsys, [*argv, "--theta", "0"]) == (0, out, "")
 
     @pytest.mark.parametrize("name", sorted(SWEEP_PINNED))
     def test_sweep_bytes_unchanged(self, capsys, name):
