@@ -6,8 +6,8 @@ transmission probabilities track each other across kinetic energy, and the
 closed-form high-energy limits.  Matrix error is the Chebyshev norm (max
 componentwise modulus) so sweep values compare directly with per-entry
 tolerances.  The sweeps are columnar: each validates its input column and
-medium, runs its model's kernel once over the whole column (the scalar
-transfer-matrix functions are its 0-d case) and checks the error column it
+medium, runs its model's column kernel once (whose errors are the scalar
+transfer-matrix functions', bit for bit) and checks the error column it
 forms.  A convergence sweep returns one Sweep: read-only float columns x
 and value and a label, which also reads as a sequence of SweepRow tuples
 built on demand.  A correspondence table is one float array, one row (eps,
@@ -25,7 +25,6 @@ import numpy as np
 
 from . import dirac, schrodinger
 from .connection import ConnectionParams, transmission
-from .dirac import BarrierParams
 
 __all__ = [
     "Sweep",
@@ -110,21 +109,25 @@ class Sweep(Sequence):
 
 def _spacings(a_list: Iterable[float]) -> np.ndarray:
     """The sweep's spacings as floats, largest first; each must be positive and finite."""
-    a = np.sort(np.fromiter(a_list, float))[::-1]
+    try:
+        a = np.sort(np.fromiter(a_list, float))[::-1]
+    except ValueError as exc:  # a nested value ("setting an array element with a sequence") or a word
+        raise ValueError(f"spacings must be a flat sequence of numbers: {exc}") from None
     # Sorted, so the ends decide: the smallest is last, and a NaN sorts first.
     if a.size and not (a[-1] > 0.0 and a[0] < math.inf):
         raise ValueError("spacings must be positive and finite")
     return a
 
 
-def _error(a: np.ndarray, entries, target: np.ndarray, why: str, label: str) -> Sweep:
+def _error(a: np.ndarray, block: np.ndarray, target, why: str, label: str) -> Sweep:
     """The sweep of a over the error column max_ij |m_ij - target_ij|, for 4 real target entries.
 
-    Under the caller's np.errstate.  One pass over the (4, n) block of entries: the max of
-    non-negative moduli is exact in any order.  inf and NaN propagate through + and *, abs
+    Under the caller's np.errstate, in place on the kernel's (4, n) block of entries: the max
+    of non-negative moduli is exact in any order.  inf and NaN propagate through + and *, abs
     and max, so one check is exact: ValueError names the largest a whose error is not finite.
     """
-    err = np.abs(np.array(entries) - target.reshape(4, 1)).max(axis=0)
+    block -= np.array(target).reshape(4, 1)
+    err = np.abs(block, out=block).max(axis=0)
     if err.size and not math.isfinite(err.max()):
         worst = a[~np.isfinite(err)].max()
         raise ValueError(f"half-spacing a={float(worst)!r} is out of range: {why}")
@@ -151,7 +154,7 @@ def nonrel_convergence(
     every a); naming the largest a whose error is not finite.  Overflow
     raises no numpy warning.  The value does not depend on p.theta: A = theta/2a
     is a pure gauge, M(a) at A being e^{2iAa} = e^{i theta} times M(a) at A = 0.  So
-    the kernel runs in float64 at A = 0, against the real matrix of _strengths' connection.
+    the kernel _three_delta_block runs at A = 0, against the real matrix of _strengths' connection.
     """
     a = _spacings(a_list)
     schrodinger.rho(m, k)
@@ -159,13 +162,13 @@ def nonrel_convergence(
         raise ValueError(f"wave number k={k!r} must be finite for a convergence sweep")
     with np.errstate(over="ignore", invalid="ignore"):
         v_plus, v_zero, v_minus, q = schrodinger._strengths(p, a, m)
-        _, entries = schrodinger._three_delta(a, m, k, v_plus, v_zero, v_minus, 0.0, 0.0)
-        return _error(a, entries, np.array((q.alpha, q.beta, q.gamma, q.delta)),
-                      "the three-delta products overflow", "schrodinger")
+        block = schrodinger._three_delta_block(a, m, k, v_plus, v_zero, v_minus)
+        return _error(a, block, (q.alpha, q.beta, q.gamma, q.delta), "the three-delta products overflow",
+                      "schrodinger")
 
 
 def dirac_convergence(
-    b: BarrierParams, E: float, m: float, a_list: Iterable[float]
+    b: dirac.BarrierParams, E: float, m: float, a_list: Iterable[float]
 ) -> Sweep:
     """Chebyshev error max_ij |finite_barrier_transfer(b, a, E, m) - barrier_limit(b)|_ij.
 
@@ -178,10 +181,10 @@ def dirac_convergence(
     """
     a = _spacings(a_list)
     dirac._require_exterior(m, E)
-    target = dirac.barrier_limit(BarrierParams(b.s, b.v)).real
+    target = dirac.barrier_limit(dirac.BarrierParams(b.s, b.v)).real
     with np.errstate(over="ignore", invalid="ignore"):
         _, entries = dirac._propagate(*dirac._barrier(b, a, E, m), 0.0)
-        return _error(a, entries, target, "the finite barrier overflows", "dirac")
+        return _error(a, np.array(entries), target, "the finite barrier overflows", "dirac")
 
 
 def correspondence_table(

@@ -243,8 +243,8 @@ def _propagation(x, w, sign, iA):
     NaN or x = ±0.  A float x takes Python numbers, which round as numpy's do, past numpy's
     functions; NaN where wx or Ax is not finite, on which those would warn; np.errstate only
     for cosh.  An array x is a sweep's column of x > 0 (a or 2a, which analysis._spacings
-    admitted), run under its np.errstate in float64 at A = 0 (iA is not read; phase 1.0): a column
-    of signs on one branch runs it alone, a mixed, zero or NaN one masks each branch to its own.
+    admitted), run under its np.errstate in float64 at A = 0 (iA is not read; phase 1.0): signs on
+    one branch (_three_delta_block's float k) run it alone, mixed, zero or NaN ones mask each branch.
     """
     if x.__class__ is float:
         iax = iA * x

@@ -80,11 +80,11 @@ class DeltaTriple:
 
 
 def _hop(x, m, k, A, iA):
-    """Phase e^{iAx} and the four entries of the bracket of propagator(), entry-wise over an array x.
+    """Phase e^{iAx} and the four entries of the bracket of propagator(), at a float x.
 
     c I + s [[-iA, 2m], [(A^2 - k^2)/2m, iA]]: connection._propagation at w = sign = k, on its
-    trigonometric branch, which enters no np.errstate; a column runs under the sweep's, at
-    A = iA = 0.0.  iA = 1j * A is formed once by the caller: (1j * A) * s is how Python reads 1j * A * s.
+    trigonometric branch, which enters no np.errstate.  iA = 1j * A is formed once by the caller:
+    (1j * A) * s is how Python reads 1j * A * s.
     """
     phase, c, s = _propagation(x, k, k, iA)
     # "+ 0.0" turns the -0.0 that s = ±0 leaves off the diagonal into +0.0,
@@ -135,14 +135,13 @@ def mode_vectors(med: NonRelMedium) -> ModePair:
 
 
 def _three_delta(a, m, k, v_plus, v_zero, v_minus, A, iA):
-    """Phase and four entries of the three-delta model's product, at a float a or over a column.
+    """Phase and four entries of the three-delta model's product, at a float a.
 
     D(v_plus - edge) H D(v_zero) H D(v_minus + edge) with D(v) = [[1, 0], [v, 1]], H =
     propagator(a) and edge = iA/2m, iA = 1j * A.  Built right to left, so each delta factor is
     one row (or column) operation on the running product.  H's entries are computed once for
     both hops, with their phases pulled out as e^{2iAa}, which is returned beside the entries
-    (m00, m01, m10, m11) of the rest.  A column of a runs in float64 at A = iA = 0.0, phase 1.0:
-    a constant A is a pure gauge, the product at A being e^{2iAa} times the product at 0.
+    (m00, m01, m10, m11) of the rest.
     """
     phase, (h00, h01, h10, h11) = _hop(a, m, k, A, iA)
     edge = iA / (2.0 * m)
@@ -163,14 +162,34 @@ def _three_delta(a, m, k, v_plus, v_zero, v_minus, A, iA):
     return phase * phase, (p00, p01, p10 + w * p00, p11 + w * p01)
 
 
+def _three_delta_block(a: np.ndarray, m: float, k: float, v_plus, v_zero, v_minus) -> np.ndarray:
+    """_three_delta's entries over a column a at A = 0, up to a zero's sign: the rows of a (4, n) block.
+
+    Its operations at A = iA = 0.0, on its operands, less those adding or subtracting an exact zero
+    (c -+ iA s, + 0.0, -+ edge), in place on the block's (2, n) halves; under the caller's np.errstate.
+    """
+    _, c, s = _propagation(a, k, k, 0.0)
+    h01, h10 = 2.0 * m * s, (0.0 - k * k) / (2.0 * m) * s
+    block = np.array((h01 * v_minus + c, h01, c * v_minus + h10, c))  # H D(v_minus)
+    top, bottom = block[:2], block[2:]
+    bottom += v_zero * top  # D(v_zero) from the left: row 1 += v_zero * row 0
+    lower = h10 * top  # H from the left
+    top *= c
+    top += h01 * bottom
+    bottom *= c
+    bottom += lower
+    bottom += v_plus * top  # D(v_plus) from the left
+    return block
+
+
 def three_delta_transfer(cfg: DeltaTriple, med: NonRelMedium) -> TransferMatrix:
     """Transfer matrix of the three-delta model from x = -a-0 to x = +a+0.
 
     Five factors: delta at -a, propagation over a, delta at 0, propagation
     over a, delta at +a.  The side deltas pick up extra imaginary strengths
-    ∓iA/2m from the vector potential switching on and off at x = ∓a.  The
-    convergence sweeps' kernel at one a, with connection._propagation's hops
-    (_hop), and their ValueError where an entry is not finite.
+    ∓iA/2m from the vector potential switching on and off at x = ∓a.  Its
+    error at one a is the Schrodinger convergence sweep's (_three_delta_block),
+    bit for bit.  ValueError where an entry is not finite.
     """
     if med.A != cfg.A:
         raise ValueError("medium vector potential must equal the triple's A")

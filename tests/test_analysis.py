@@ -651,6 +651,17 @@ class TestColumnConversion:
             with pytest.raises(ValueError):
                 call(values())
 
+    @pytest.mark.parametrize("framework", ["schrodinger", "dirac"])
+    @pytest.mark.parametrize("name", ["nested-list", "2-d-ndarray"])
+    def test_nested_spacings_are_named(self, framework, name):
+        values = COLUMN_TYPE_CHANGES[name]
+        sweep = {
+            "schrodinger": lambda v: nonrel_convergence(ConnectionParams(2, 1, 1, 1), 1.0, 1.0, v),
+            "dirac": lambda v: dirac_convergence(BarrierParams(1.0, 0.5), 2.0, 1.0, v),
+        }[framework]
+        with pytest.raises(ValueError, match="^spacings must be a flat sequence of numbers: "):
+            sweep(values())
+
     def test_none_becomes_nan(self):
         assert np.isnan(np.fromiter([None], float)).tolist() == [True]
 

@@ -32,6 +32,8 @@ the renormalized strengths are those of the sign representative
 converges at first order to the target matrix.  theta is a pure gauge of both
 convergence sweeps: each must equal its theta = 0 twin bit for bit, or raise its
 message, and the Dirac one at theta = 0 its evaluation with np.where over both branches.
+Each row of the Schrodinger sweep, whose column kernel is its own, must be the
+error of the 0-d kernels at its spacing bit for bit, or the sweep raise their message.
 """
 
 import cmath
@@ -946,3 +948,59 @@ def test_dirac_sweep_is_its_theta0_twin_bit_for_bit(s, v, theta, a, m, excess, s
         with np.errstate(all="ignore"):
             got = dirac._propagate(*dirac._barrier(b, a, E, m), 0.0)[1]
         assert np.array(got).tobytes() == entries.tobytes()
+
+
+def zero_d_row(q: ConnectionParams, a: float, m: float, k: float):
+    """max_ij |three_delta_transfer(renormalized_strengths(q, a, m)).real - q's U|_ij at theta = 0.
+
+    Or where the 0-d route raises, or its error is not finite, (stage, message), in the order
+    nonrel_convergence documents for its column: 1 for strengths that overflow at this a, 2 for
+    strengths that overflow at every a (their message names no a), 3 for the product.
+    """
+    try:
+        cfg = schrodinger.renormalized_strengths(q, a, m)
+    except ValueError as exc:
+        return (1 if "half-spacing a=" in str(exc) else 2), str(exc)
+    try:
+        M = schrodinger.three_delta_transfer(cfg, NonRelMedium(m, k))
+    except ValueError as exc:
+        return 3, str(exc)
+    with np.errstate(over="ignore", invalid="ignore"):  # M - U may overflow where M is finite
+        err = np.abs(M.real - np.array([[q.alpha, q.beta], [q.gamma, q.delta]])).max()
+    if not np.isfinite(err):
+        return 3, f"half-spacing a={a!r} is out of range: the three-delta products overflow"
+    return err
+
+
+# In one draw of two, extreme spacings too: beta/(4 m^2 a^2) overflows at 1e-160 and 1e-300,
+# and k a at 1e308 for k above about 1.8, so the strengths or the product raise there.
+kernel_spacings = st.one_of(sweep_spacings, st.lists(
+    st.one_of(st.floats(1e-7, 2.0), st.sampled_from([1e-160, 1e-300, 1e200, 1e308])),
+    min_size=1, max_size=8,
+).map(lambda a: np.sort(np.array(a))[::-1]))
+
+
+@settings(deadline=None)
+@given(p=st.one_of(connections(), singular_beta_zero_targets(gamma=st.floats(-10.0, 10.0))),
+       a=kernel_spacings, m=positive, k=positive)
+@example(p=ConnectionParams(2, 1, 1, 1), a=np.geomspace(1e-1, 1e-7, 8), m=1.0, k=1.0)
+@example(p=ConnectionParams(2, 0, 1, 0.5), a=np.geomspace(1e-1, 1e-7, 8), m=1.0, k=1.0)
+@example(p=ConnectionParams(-1, 0, 0.7, -1), a=np.geomspace(1e-1, 1e-7, 8), m=1.0, k=1.0)
+@example(p=ConnectionParams(2, 1, 1, 1), a=np.array([1e-3, 1e-160, 1e-300]), m=1.0, k=1.0)
+@example(p=ConnectionParams(2, 1e10, 1e-10, 1), a=np.array([3.1622776601683794e305, 1e-3]), m=1e-3, k=1e3)
+# v_plus = 2/beta overflows at every a, but the strengths at a = 1e-300 fail first.
+@example(p=ConnectionParams(1, 1.1125369292536007e-308, 0, 1), a=np.array([1.0, 1e-300]), m=1.0, k=1.0)
+def test_nonrel_sweep_rows_are_the_0d_kernel_errors_bit_for_bit(p, a, m, k):
+    """The sweep's float64 (4, n) block and the 0-d complex kernel, at the connection q the strengths run.
+
+    q is U at theta = 0, or its sign representative -U where beta = 0 and alpha + delta = -2, so
+    the 0-d strengths carry A = 0 and the 0-d product's real parts round as the block's entries do.
+    Where the 0-d route raises at some a, the sweep raises its message at the largest such a.
+    """
+    U = ConnectionParams(p.alpha, p.beta, p.gamma, p.delta)
+    singular = U.beta == 0.0 and U.alpha + U.delta + 2.0 == 0.0
+    q = ConnectionParams(-U.alpha, -U.beta, -U.gamma, -U.delta) if singular else U
+    rows = [zero_d_row(q, x, m, k) for x in a.tolist()]
+    failed = [(row[0], i) for i, row in enumerate(rows) if isinstance(row, tuple)]
+    want = rows[min(failed)[1]][1] if failed else np.array(rows).tobytes()
+    assert sweep_or_error(lambda: nonrel_convergence(U, m, k, a.tolist())) == want
